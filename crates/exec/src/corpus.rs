@@ -3,32 +3,34 @@
 //! [`CorpusRunner`] is the production shape of the paper's parallel
 //! evaluation payoff: instead of materializing every document and
 //! calling [`crate::evaluate_many_split`], it *streams* each document
-//! through a [`StreamingSplitter`] (constant memory per document),
-//! batches the emitted segments to amortize dispatch, fans the batches
-//! out to a worker pool over a **bounded** queue (backpressure, so peak
-//! memory is `chunk size + queue depth × batch bytes`, never corpus
-//! size), evaluates each batch with the dense engine through a
-//! per-worker lazy-DFA cache, and aggregates per-document
-//! [`SpanRelation`]s with deterministic ordering regardless of worker
-//! scheduling.
+//! through a [`StreamingSplitter`](crate::StreamingSplitter) (constant
+//! memory per document), batches the emitted segments to amortize
+//! dispatch, fans the batches out to a worker pool over a **bounded**
+//! queue (backpressure, so peak memory is `chunk size + queue depth ×
+//! batch bytes`, never corpus size), evaluates each segment with one
+//! [`ExecSpanner`] through a per-worker lazy-DFA cache, and aggregates
+//! per-document [`SpanRelation`]s with deterministic ordering
+//! regardless of worker scheduling.
+//!
+//! The runner is a typed wrapper over the crate's one streaming pipeline
+//! (the private `pipeline` module), which it shares with
+//! [`crate::FleetRunner`]; this module contributes the single-spanner
+//! `SegmentWork` and the [`CorpusStats`] view of a run.
 //!
 //! When `P = P_S ∘ S` has been certified split-correct
 //! (`splitc-core`), the relations returned here equal whole-document
 //! evaluation of `P` — the differential proptest suite asserts equality
 //! with [`crate::evaluate_many_split`] on every run.
 
-use crate::engine::{EngineBackend, ExecSpanner};
+use crate::engine::ExecSpanner;
+use crate::pipeline::{Pipeline, Run, SegmentWork};
 use crate::pool::EvalPool;
 use crate::segcache::SegmentCache;
-use crate::stream::{Segment, StreamingSplitter};
-use parking_lot::Mutex;
 use splitc_spanner::dense::{DenseCache, DenseCacheStats};
 use splitc_spanner::prefilter::PrefilterStats;
 use splitc_spanner::span::Span;
 use splitc_spanner::splitter::CompiledSplitter;
-use splitc_spanner::tuple::{SpanRelation, SpanTuple};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
+use splitc_spanner::tuple::SpanRelation;
 use std::sync::Arc;
 
 /// Tuning knobs of a [`CorpusRunner`].
@@ -118,79 +120,78 @@ pub struct CorpusResult {
     pub stats: CorpusStats,
 }
 
-/// One segment flowing through a runner queue. The streaming path
-/// moves each freshly split [`Segment`] in (the bytes were just
-/// materialized and have no other owner); the presplit re-query path
-/// shares one `Arc` of the whole document per segment instead of
-/// copying bytes — at corpus scale that removes one allocation and one
-/// memcpy per segment from the all-hits hot path.
-pub(crate) enum SegPayload {
-    /// Owned segment bytes (streaming split output).
-    Owned(Segment),
-    /// A slice `doc[span.start..span.end]` of a shared document.
-    Shared { doc: Arc<Vec<u8>>, span: Span },
-}
-
-impl SegPayload {
-    /// The segment's absolute span in its document (the shift applied
-    /// to its tuples).
-    pub(crate) fn span(&self) -> Span {
-        match self {
-            SegPayload::Owned(seg) => seg.span,
-            SegPayload::Shared { span, .. } => *span,
-        }
-    }
-
-    /// The segment bytes.
-    pub(crate) fn bytes(&self) -> &[u8] {
-        match self {
-            SegPayload::Owned(seg) => &seg.bytes,
-            SegPayload::Shared { doc, span } => &doc[span.start..span.end],
+impl CorpusResult {
+    /// The corpus view of a pipeline run: member 0 of every document.
+    pub(crate) fn from_run(run: Run<(DenseCacheStats, PrefilterStats)>) -> CorpusResult {
+        let (f, (cache, prefilter)) = (run.feed, run.tally);
+        CorpusResult {
+            relations: run
+                .relations
+                .into_iter()
+                .map(|row| row.into_iter().next().expect("one member"))
+                .collect(),
+            stats: CorpusStats {
+                docs: f.docs,
+                docs_reused: f.docs_reused,
+                segments: f.segments,
+                segment_bytes: f.segment_bytes,
+                batches: f.batches,
+                peak_buffered_bytes: f.peak_buffered_bytes,
+                cache,
+                prefilter: prefilter.merge(PrefilterStats {
+                    bytes_skipped: f.splitter_skipped,
+                    ..PrefilterStats::default()
+                }),
+            },
         }
     }
 }
 
-/// A batch of split segments bound for one worker. Batches may span
-/// document boundaries, so collections of tiny documents still fill
-/// them.
-struct Batch {
-    /// `(document index, segment)` pairs, in stream order.
-    segments: Vec<(usize, SegPayload)>,
-}
+/// One spanner per segment, with a per-worker lazy-DFA cache and
+/// prefilter counters as scratch. Hits in a segment cache return the
+/// stored relation, byte-identical to the engine call they replace.
+impl SegmentWork for ExecSpanner {
+    type Scratch = (DenseCache, PrefilterStats);
+    type Tally = (DenseCacheStats, PrefilterStats);
 
-/// The producer side of the pipeline, handed to the segment-producing
-/// closure of `run_pipeline`: accumulates segments into batches and
-/// dispatches them over the bounded queue (blocking when it is full —
-/// the backpressure that bounds in-flight memory). Producers mutate run
-/// statistics directly through `stats`.
-struct Feed<'a> {
-    tx: std::sync::mpsc::SyncSender<Batch>,
-    batch: Vec<(usize, SegPayload)>,
-    batch_bytes: usize,
-    target: usize,
-    stats: &'a mut CorpusStats,
-}
+    fn members(&self) -> usize {
+        1
+    }
 
-impl Feed<'_> {
-    fn segment(&mut self, di: usize, seg: SegPayload) {
-        let len = seg.bytes().len();
-        self.stats.segments += 1;
-        self.stats.segment_bytes += len as u64;
-        self.batch_bytes += len;
-        self.batch.push((di, seg));
-        if self.batch_bytes >= self.target {
-            self.flush();
+    fn memo_id(&self) -> u64 {
+        self.cache_id()
+    }
+
+    fn scratch(&self) -> Self::Scratch {
+        (DenseCache::default(), PrefilterStats::default())
+    }
+
+    fn eval(
+        &self,
+        bytes: &[u8],
+        cache: Option<&SegmentCache>,
+        (dense, prefilter): &mut Self::Scratch,
+        mut emit: impl FnMut(usize, &SpanRelation),
+    ) {
+        let backend = self.backend();
+        match cache {
+            Some(sc) => emit(
+                0,
+                &sc.get_or_eval(self.cache_id(), bytes, || {
+                    backend.eval_scratch(bytes, dense, prefilter)
+                })
+                .0,
+            ),
+            None => emit(0, &backend.eval_scratch(bytes, dense, prefilter)),
         }
     }
-    fn flush(&mut self) {
-        if self.batch.is_empty() {
-            return;
-        }
-        self.stats.batches += 1;
-        self.batch_bytes = 0;
-        let _ = self.tx.send(Batch {
-            segments: std::mem::take(&mut self.batch),
-        });
+
+    fn tally(&self, (dense, prefilter): Self::Scratch) -> Self::Tally {
+        (dense.stats(), prefilter)
+    }
+
+    fn merge(total: &mut Self::Tally, part: Self::Tally) {
+        *total = (total.0.merge(part.0), total.1.merge(part.1));
     }
 }
 
@@ -200,20 +201,7 @@ impl Feed<'_> {
 /// [`CorpusRunner::run_slices`] (materialized documents, driven through
 /// the same streaming path).
 #[derive(Debug)]
-pub struct CorpusRunner {
-    spanner: ExecSpanner,
-    splitter: CompiledSplitter,
-    config: CorpusRunnerConfig,
-    /// Shared long-lived worker pool. `None` spawns per-run threads
-    /// (the batch-job shape); services reuse one [`EvalPool`] across
-    /// requests via [`CorpusRunner::with_pool`].
-    pool: Option<Arc<EvalPool>>,
-    /// Shared content-addressed per-segment result cache. `None`
-    /// evaluates every segment; services attach one process-wide cache
-    /// via [`CorpusRunner::with_segment_cache`] so re-queries over
-    /// slightly-changed corpora skip the unchanged segments.
-    segment_cache: Option<Arc<SegmentCache>>,
-}
+pub struct CorpusRunner(Pipeline<ExecSpanner>);
 
 impl CorpusRunner {
     /// Creates a runner evaluating `spanner` over the segments produced
@@ -225,13 +213,7 @@ impl CorpusRunner {
         splitter: CompiledSplitter,
         config: CorpusRunnerConfig,
     ) -> CorpusRunner {
-        CorpusRunner {
-            spanner,
-            splitter,
-            config,
-            pool: None,
-            segment_cache: None,
-        }
+        CorpusRunner(Pipeline::new(Arc::new(spanner), splitter, config, None))
     }
 
     /// [`CorpusRunner::new`], but evaluation workers run on the shared
@@ -246,13 +228,12 @@ impl CorpusRunner {
         config: CorpusRunnerConfig,
         pool: Arc<EvalPool>,
     ) -> CorpusRunner {
-        CorpusRunner {
-            spanner,
+        CorpusRunner(Pipeline::new(
+            Arc::new(spanner),
             splitter,
             config,
-            pool: Some(pool),
-            segment_cache: None,
-        }
+            Some(pool),
+        ))
     }
 
     /// Attaches a shared [`SegmentCache`]: workers look each segment up
@@ -261,20 +242,18 @@ impl CorpusRunner {
     /// are answered without re-evaluation. Results are byte-identical
     /// with or without a cache (hits return exactly the relation the
     /// engine would compute; the deterministic merge is unchanged).
-    pub fn with_segment_cache(mut self, cache: Arc<SegmentCache>) -> CorpusRunner {
-        self.segment_cache = Some(cache);
-        self
+    pub fn with_segment_cache(self, cache: Arc<SegmentCache>) -> CorpusRunner {
+        CorpusRunner(self.0.with_segment_cache(cache))
     }
 
     /// The runner's configuration.
     pub fn config(&self) -> &CorpusRunnerConfig {
-        &self.config
+        &self.0.config
     }
 
-    /// Stable identity of the compiled spanner, used by
-    /// [`crate::CorpusHandle`] to key its per-shard extraction memo.
-    pub(crate) fn spanner_cache_id(&self) -> u64 {
-        self.spanner.cache_id()
+    /// The pipeline this runner wraps (for [`crate::CorpusHandle`]).
+    pub(crate) fn pipeline(&self) -> &Pipeline<ExecSpanner> {
+        &self.0
     }
 
     /// Streams a corpus of chunked document sources through the
@@ -287,25 +266,7 @@ impl CorpusRunner {
         C: IntoIterator<Item = B>,
         B: AsRef<[u8]>,
     {
-        self.run_pipeline(|feed| {
-            for (di, doc) in docs.into_iter().enumerate() {
-                feed.stats.docs += 1;
-                let mut splitter = StreamingSplitter::new(&self.splitter);
-                for chunk in doc {
-                    for seg in splitter.push(chunk.as_ref()) {
-                        feed.segment(di, SegPayload::Owned(seg));
-                    }
-                }
-                feed.stats.peak_buffered_bytes = feed
-                    .stats
-                    .peak_buffered_bytes
-                    .max(splitter.peak_buffered_bytes());
-                feed.stats.prefilter.bytes_skipped += splitter.bytes_skipped();
-                for seg in splitter.finish() {
-                    feed.segment(di, SegPayload::Owned(seg));
-                }
-            }
-        })
+        CorpusResult::from_run(self.0.run_streams(docs))
     }
 
     /// Evaluates documents whose split is **already known**, skipping
@@ -323,126 +284,7 @@ impl CorpusRunner {
     where
         D: IntoIterator<Item = (&'a [u8], &'a [Span])>,
     {
-        self.run_pipeline(|feed| {
-            for (di, (bytes, spans)) in docs.into_iter().enumerate() {
-                feed.stats.docs += 1;
-                // One copy of the document, shared by every segment —
-                // the per-segment cost is an `Arc` clone, not a byte
-                // copy, which is what keeps the all-hits re-query path
-                // ahead of a full rescan.
-                let doc = Arc::new(bytes.to_vec());
-                for &span in spans {
-                    feed.segment(
-                        di,
-                        SegPayload::Shared {
-                            doc: doc.clone(),
-                            span,
-                        },
-                    );
-                }
-            }
-        })
-    }
-
-    /// The shared pipeline body: spins up the worker side, lets
-    /// `produce` feed segments through a [`Feed`] (which batches and
-    /// applies backpressure), then collects and deterministically merges
-    /// worker outputs.
-    fn run_pipeline<F>(&self, produce: F) -> CorpusResult
-    where
-        F: FnOnce(&mut Feed<'_>),
-    {
-        let config = self.config.normalized();
-        let workers = config.workers;
-        let mut stats = CorpusStats::default();
-        let mut partials: Vec<(usize, Vec<SpanTuple>)> = Vec::new();
-        let mut cache_stats = DenseCacheStats::default();
-        let mut prefilter_stats = PrefilterStats::default();
-
-        let (tx, rx) = sync_channel::<Batch>(config.queue_depth);
-        let rx = Arc::new(Mutex::new(rx));
-        // Set when any worker's evaluation panics. Workers keep draining
-        // the queue afterwards (without evaluating), so the producer's
-        // blocking `send` on the bounded queue can never deadlock; the
-        // panic is re-raised below once every worker has reported.
-        let failed = Arc::new(AtomicBool::new(false));
-        // Worker contexts are fully owned (`Arc` clones of the backend,
-        // queue, and failure flag), so the same loop runs on a shared
-        // long-lived [`EvalPool`] or on per-run spawned threads.
-        let (out_tx, out_rx) = std::sync::mpsc::channel::<WorkerOutput>();
-        let seg_cache = self
-            .segment_cache
-            .clone()
-            .map(|c| (c, self.spanner.cache_id()));
-        let mut handles = Vec::new();
-        for _ in 0..workers {
-            let backend = self.spanner.backend().clone();
-            let rx = rx.clone();
-            let failed = failed.clone();
-            let out_tx = out_tx.clone();
-            let seg_cache = seg_cache.clone();
-            let job = move || {
-                let _ = out_tx.send(worker_loop(&backend, seg_cache.as_ref(), &rx, &failed));
-            };
-            match &self.pool {
-                Some(pool) => pool.execute(Box::new(job)),
-                None => handles.push(std::thread::spawn(job)),
-            }
-        }
-        drop(out_tx);
-
-        // Producer: the `produce` closure feeds segments on the calling
-        // thread; the feed accumulates them (across document boundaries)
-        // until the batch payload target is reached, then blocks on the
-        // bounded queue — that block is the backpressure that caps
-        // in-flight memory.
-        let mut feed = Feed {
-            tx,
-            batch: Vec::new(),
-            batch_bytes: 0,
-            target: config.batch_bytes,
-            stats: &mut stats,
-        };
-        produce(&mut feed);
-        feed.flush();
-        drop(feed);
-
-        // Collect exactly one report per worker. A worker that died
-        // before reporting (a panic outside the catch — a bug) shows up
-        // as a disconnected channel and is surfaced as a failure.
-        for _ in 0..workers {
-            match out_rx.recv() {
-                Ok((tuples, cache, prefilter)) => {
-                    partials.extend(tuples);
-                    cache_stats = cache_stats.merge(cache);
-                    prefilter_stats = prefilter_stats.merge(prefilter);
-                }
-                Err(_) => {
-                    failed.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-        }
-        for h in handles {
-            let _ = h.join();
-        }
-        assert!(
-            !failed.load(Ordering::Relaxed),
-            "a corpus worker panicked while evaluating a batch"
-        );
-
-        stats.cache = cache_stats;
-        stats.prefilter = stats.prefilter.merge(prefilter_stats);
-        // Deterministic aggregation: `from_tuples` sorts and dedups, so
-        // the result is independent of batch and worker scheduling.
-        let mut per_doc: Vec<Vec<SpanTuple>> = (0..stats.docs).map(|_| Vec::new()).collect();
-        for (di, tuples) in partials {
-            per_doc[di].extend(tuples);
-        }
-        CorpusResult {
-            relations: per_doc.into_iter().map(SpanRelation::from_tuples).collect(),
-            stats,
-        }
+        CorpusResult::from_run(self.0.run_presplit(docs))
     }
 
     /// Runs already-materialized documents through the streaming path,
@@ -451,82 +293,8 @@ impl CorpusRunner {
     /// `e5_corpus_stream` benchmark compare against
     /// [`crate::evaluate_many_split`].
     pub fn run_slices(&self, docs: &[&[u8]]) -> CorpusResult {
-        let chunk = self.config.chunk_bytes.max(1);
-        self.run_streams(docs.iter().map(|d| d.chunks(chunk)))
+        CorpusResult::from_run(self.0.run_slices(docs))
     }
-}
-
-/// What one worker hands back when the queue drains.
-type WorkerOutput = (
-    Vec<(usize, Vec<SpanTuple>)>,
-    DenseCacheStats,
-    PrefilterStats,
-);
-
-/// One evaluation worker: drains the queue, evaluates each segment
-/// with a worker-local dense cache, and returns shifted tuples
-/// grouped by document index. Evaluation panics are caught and
-/// recorded in `failed` — the worker then keeps draining (without
-/// evaluating) so the producer never deadlocks on the bounded queue.
-///
-/// A free function over owned/shared contexts (not a method) so the
-/// same loop body runs on per-run threads and on a long-lived
-/// [`EvalPool`].
-fn worker_loop(
-    backend: &Arc<dyn EngineBackend>,
-    seg_cache: Option<&(Arc<SegmentCache>, u64)>,
-    rx: &Mutex<Receiver<Batch>>,
-    failed: &AtomicBool,
-) -> WorkerOutput {
-    let mut cache = DenseCache::default();
-    let mut prefilter_stats = PrefilterStats::default();
-    let mut out: Vec<(usize, Vec<SpanTuple>)> = Vec::new();
-    loop {
-        // Hold the lock across `recv`: batches are coarse, so the
-        // serialization this imposes on the pop path is noise, and it
-        // keeps the pool free of a lock-free queue dependency.
-        let batch = match rx.lock().recv() {
-            Ok(b) => b,
-            Err(_) => break, // producer hung up and queue drained
-        };
-        if failed.load(Ordering::Relaxed) {
-            continue; // drain-only after a failure elsewhere
-        }
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut local_out: Vec<(usize, Vec<SpanTuple>)> = Vec::new();
-            for (di, seg) in batch.segments {
-                let (bytes, span) = (seg.bytes(), seg.span());
-                // Segment relations are pure functions of the bytes, so
-                // a content-addressed hit is byte-identical to the
-                // engine dispatch it replaces; hits shift straight out
-                // of the shared cached relation (no intermediate clone).
-                let tuples: Vec<SpanTuple> = match seg_cache {
-                    Some((sc, id)) => sc
-                        .get_or_eval(*id, bytes, || {
-                            backend.eval_scratch(bytes, &mut cache, &mut prefilter_stats)
-                        })
-                        .0
-                        .iter()
-                        .map(|t| t.shift(span))
-                        .collect(),
-                    None => backend
-                        .eval_scratch(bytes, &mut cache, &mut prefilter_stats)
-                        .iter()
-                        .map(|t| t.shift(span))
-                        .collect(),
-                };
-                if !tuples.is_empty() {
-                    local_out.push((di, tuples));
-                }
-            }
-            local_out
-        }));
-        match result {
-            Ok(tuples) => out.extend(tuples),
-            Err(_) => failed.store(true, Ordering::Relaxed),
-        }
-    }
-    (out, cache.stats(), prefilter_stats)
 }
 
 #[cfg(test)]

@@ -11,8 +11,12 @@
 //! positions as **sync points** while splitting, and an edit then:
 //!
 //! 1. rewinds to the greatest sync point at or before the edit start
-//!    (the *left frontier* — no segment crosses it, and the old
-//!    segmentation up to it is untouched);
+//!    (the *left frontier* `left` — no segment crosses it). Ownership
+//!    at the frontier: **every span with `start >= left` belongs to the
+//!    resplit**, because a fresh stream started at a quiescent point
+//!    re-emits exactly the old continuation — including an empty span
+//!    sitting *on* `left`. Only spans with `start < left` are kept from
+//!    the old segmentation (the right frontier uses the same rule);
 //! 2. resplits forward with a fresh splitter stream, probing each old
 //!    sync point past the edit (shifted by the edit's byte delta): the
 //!    first one where the new stream is also quiescent is the *right
@@ -39,15 +43,19 @@
 //!   unchanged segments — all but the edit's dirty window — by content,
 //!   so only the edited segments reach an engine.
 //!
-//! Both tiers go through [`CorpusRunner::run_presplit`] /
-//! [`FleetRunner::run_presplit`] (no resplitting on the query path) and
-//! both are speed-only: extraction results are byte-identical to a full
+//! Both tiers go through the runners' presplit path (no resplitting on
+//! the query path): [`CorpusHandle::extract`] and
+//! [`CorpusHandle::extract_fleet`] are one generic memoized re-query
+//! over the crate's streaming pipeline, keyed by the work's memo id, with
+//! one memo table whose rows hold one relation per member. Both tiers
+//! are speed-only: extraction results are byte-identical to a full
 //! from-scratch rescan, which the differential proptests assert over
 //! random edit scripts and the `t8_incremental` benchmark measures as
 //! the incremental ≥-speedup asserted in CI.
 
 use crate::corpus::{CorpusResult, CorpusRunner};
 use crate::fleet::{FleetResult, FleetRunner};
+use crate::pipeline::{Pipeline, Run, SegmentWork};
 use parking_lot::Mutex;
 use splitc_spanner::span::Span;
 use splitc_spanner::splitter::CompiledSplitter;
@@ -118,7 +126,7 @@ pub struct CorpusHandle {
     /// Per-spanner extraction memos (shard tier of incremental
     /// re-extraction; see the [module docs](self)). Interior-mutable so
     /// `extract` stays `&self`.
-    memo: Mutex<MemoTable>,
+    memo: Mutex<Vec<SpannerMemo>>,
 }
 
 /// Upper bound of spanner/fleet keys the extraction memo retains
@@ -128,23 +136,17 @@ const MEMO_KEYS: usize = 4;
 
 /// Per-shard memoized results for one spanner (or fleet) key.
 #[derive(Debug)]
-struct SpannerMemo<R> {
+struct SpannerMemo {
     key: u64,
-    /// Index-aligned with the handle's shards: the generation the
-    /// result was computed at, and the result itself. `None` until the
-    /// shard is first extracted under this key.
-    per_shard: Vec<Option<(u64, Arc<R>)>>,
-}
-
-#[derive(Debug, Default)]
-struct MemoTable {
-    corpus: Vec<SpannerMemo<SpanRelation>>,
-    fleet: Vec<SpannerMemo<Vec<SpanRelation>>>,
+    /// Index-aligned with the handle's shards: the generation the row
+    /// was computed at, and the row itself (one relation per member).
+    /// `None` until the shard is first extracted under this key.
+    per_shard: Vec<Option<(u64, Arc<Vec<SpanRelation>>)>>,
 }
 
 /// Finds (or inserts, evicting FIFO past [`MEMO_KEYS`]) the memo for
 /// `key`, sized to `n_shards`.
-fn memo_slot<R>(memos: &mut Vec<SpannerMemo<R>>, key: u64, n_shards: usize) -> &mut SpannerMemo<R> {
+fn memo_slot(memos: &mut Vec<SpannerMemo>, key: u64, n_shards: usize) -> &mut SpannerMemo {
     let idx = match memos.iter().position(|m| m.key == key) {
         Some(i) => i,
         None => {
@@ -170,7 +172,7 @@ impl CorpusHandle {
             splitter,
             shards: Vec::new(),
             next_gen: 0,
-            memo: Mutex::new(MemoTable::default()),
+            memo: Mutex::new(Vec::new()),
         }
     }
 
@@ -210,7 +212,6 @@ impl CorpusHandle {
     /// other shards are untouched, and unchanged segment *content*
     /// still hits the segment cache on re-extraction).
     pub fn replace_shard(&mut self, shard: usize, bytes: Vec<u8>) -> DeltaStats {
-        let old_segments = self.shards[shard].segments.len();
         let (segments, syncs) = split_recording_syncs(&self.splitter, &bytes);
         let stats = DeltaStats {
             window_start: 0,
@@ -221,7 +222,6 @@ impl CorpusHandle {
             segments_reused_suffix: 0,
             segments_resplit: segments.len(),
         };
-        let _ = old_segments;
         let generation = self.bump_gen();
         self.shards[shard] = Shard {
             bytes,
@@ -321,7 +321,7 @@ impl CorpusHandle {
 
         // Reassemble: untouched prefix + resplit window + (shifted)
         // reused suffix.
-        let prefix_end = sh.segments.partition_point(|s| s.end <= left);
+        let prefix_end = sh.segments.partition_point(|s| s.start < left);
         let mut segments: Vec<Span> = sh.segments[..prefix_end].to_vec();
         let reused_prefix = segments.len();
         let resplit = new_segments.len();
@@ -418,63 +418,43 @@ impl CorpusHandle {
     /// statistics (segments, bytes, batches, engine counters) account
     /// the dirty shards actually streamed.
     pub fn extract(&self, runner: &CorpusRunner) -> CorpusResult {
-        let mut table = self.memo.lock();
-        let memo = memo_slot(
-            &mut table.corpus,
-            runner.spanner_cache_id(),
-            self.shards.len(),
-        );
-        let dirty = dirty_shards(&self.shards, memo);
-        let mut result = runner.run_presplit(dirty.iter().map(|&i| {
-            (
-                self.shards[i].bytes.as_slice(),
-                self.shards[i].segments.as_slice(),
-            )
-        }));
-        result.relations = assemble(
-            &self.shards,
-            memo,
-            &dirty,
-            std::mem::take(&mut result.relations),
-        );
-        result.stats.docs = self.shards.len();
-        result.stats.docs_reused = self.shards.len() - dirty.len();
-        result
+        CorpusResult::from_run(self.requery(runner.pipeline()))
     }
 
     /// [`CorpusHandle::extract`] for a fused fleet: the memo key is the
-    /// fleet's member identity, the memoized unit is the per-shard
-    /// `Vec<SpanRelation>` (one relation per member).
+    /// fleet's member identity, the memoized unit is the per-shard row
+    /// of member relations.
     pub fn extract_fleet(&self, runner: &FleetRunner) -> FleetResult {
-        let fleet = runner.fleet();
-        // Fold the members' stable ids into one memo key (FNV-1a).
-        let mut key = 0xcbf29ce484222325u64;
-        for i in 0..fleet.num_members() {
-            key = (key ^ fleet.member(i).cache_id()).wrapping_mul(0x100000001b3);
-        }
-        let mut table = self.memo.lock();
-        let memo = memo_slot(&mut table.fleet, key, self.shards.len());
+        FleetResult::from_run(self.requery(runner.pipeline()))
+    }
+
+    /// The memoized re-query behind both extracts: runs the dirty shards
+    /// through the pipeline's presplit path and splices the memoized rows
+    /// of the clean ones back in.
+    fn requery<W: SegmentWork>(&self, pipeline: &Pipeline<W>) -> Run<W::Tally> {
+        let mut memos = self.memo.lock();
+        let memo = memo_slot(&mut memos, pipeline.work.memo_id(), self.shards.len());
         let dirty = dirty_shards(&self.shards, memo);
-        let mut result = runner.run_presplit(dirty.iter().map(|&i| {
+        let mut run = pipeline.run_presplit(dirty.iter().map(|&i| {
             (
                 self.shards[i].bytes.as_slice(),
                 self.shards[i].segments.as_slice(),
             )
         }));
-        result.relations = assemble(
+        run.relations = assemble(
             &self.shards,
             memo,
             &dirty,
-            std::mem::take(&mut result.relations),
+            std::mem::take(&mut run.relations),
         );
-        result.stats.docs = self.shards.len();
-        result.stats.docs_reused = self.shards.len() - dirty.len();
-        result
+        run.feed.docs = self.shards.len();
+        run.feed.docs_reused = self.shards.len() - dirty.len();
+        run
     }
 }
 
 /// Shard indices whose memoized result is missing or stale (ascending).
-fn dirty_shards<R>(shards: &[Shard], memo: &SpannerMemo<R>) -> Vec<usize> {
+fn dirty_shards(shards: &[Shard], memo: &SpannerMemo) -> Vec<usize> {
     (0..shards.len())
         .filter(|&i| {
             memo.per_shard[i]
@@ -488,12 +468,12 @@ fn dirty_shards<R>(shards: &[Shard], memo: &SpannerMemo<R>) -> Vec<usize> {
 /// the dirty shards (memoizing each at the shard's current generation),
 /// memoized relations cloned out for the clean ones. `fresh` is
 /// index-aligned with `dirty` (the runner preserves input order).
-fn assemble<R: Clone>(
+fn assemble(
     shards: &[Shard],
-    memo: &mut SpannerMemo<R>,
+    memo: &mut SpannerMemo,
     dirty: &[usize],
-    fresh: Vec<R>,
-) -> Vec<R> {
+    fresh: Vec<Vec<SpanRelation>>,
+) -> Vec<Vec<SpanRelation>> {
     debug_assert_eq!(dirty.len(), fresh.len());
     let mut fresh = fresh.into_iter();
     let mut next_dirty = dirty.iter().copied().peekable();
@@ -507,8 +487,8 @@ fn assemble<R: Clone>(
                 memo.per_shard[i] = Some((shard.generation, Arc::new(rel.clone())));
                 rel
             } else {
-                let (_, rel) = memo.per_shard[i].as_ref().expect("clean shard is memoized");
-                R::clone(rel)
+                let (_, row) = memo.per_shard[i].as_ref().expect("clean shard is memoized");
+                Vec::clone(row)
             }
         })
         .collect()
@@ -762,6 +742,209 @@ mod tests {
     }
 }
 
+/// One document as a single-shard handle: with a segment cache, a
+/// re-extraction after an edit re-evaluates only the touched segments.
+#[cfg(test)]
+mod single_shard {
+    use super::*;
+    use crate::corpus::CorpusRunnerConfig;
+    use crate::engine::ExecSpanner;
+    use crate::segcache::{SegCacheStats, SegmentCache};
+    use splitc_spanner::rgx::Rgx;
+    use splitc_spanner::splitter;
+
+    fn spanner(pat: &str) -> ExecSpanner {
+        ExecSpanner::compile(&Rgx::parse(pat).unwrap().to_vsa().unwrap())
+    }
+
+    /// One worker, so cache hit/miss counts are exact.
+    fn cached_runner(spanner: ExecSpanner, cache: &Arc<SegmentCache>) -> CorpusRunner {
+        let config = CorpusRunnerConfig {
+            workers: 1,
+            ..Default::default()
+        };
+        CorpusRunner::new(spanner, splitter::sentences().compile(), config)
+            .with_segment_cache(cache.clone())
+    }
+
+    fn one_shard(doc: &[u8]) -> CorpusHandle {
+        CorpusHandle::from_shards(splitter::sentences().compile(), [doc.to_vec()])
+    }
+
+    #[test]
+    fn single_shard_extract_matches_direct() {
+        let p = spanner(".*x{a+}.*");
+        let cache = Arc::new(SegmentCache::new(1 << 10));
+        let doc = b"aa b. c aaa. aa";
+        let got = one_shard(doc).extract(&cached_runner(p.clone(), &cache));
+        assert_eq!(
+            got.relations,
+            vec![p.eval(doc)],
+            "self-splittable: equal semantics"
+        );
+    }
+
+    #[test]
+    fn single_segment_edit_reuses_other_segments() {
+        let p = spanner(".*x{a+}.*");
+        let cache = Arc::new(SegmentCache::new(1 << 10));
+        let runner = cached_runner(p.clone(), &cache);
+        let mut h = one_shard(b"aaa bb. cc aa. dd a");
+        h.extract(&runner);
+        assert_eq!((cache.stats().misses, cache.stats().hits), (3, 0));
+        // Edit the middle sentence only.
+        h.edit(0, 11..13, b"aaaa");
+        let rel = h.extract(&runner);
+        let s = cache.stats();
+        assert_eq!(s.misses, 4, "only the edited segment is recomputed");
+        assert_eq!(s.hits, 2, "the other two segments come from cache");
+        assert_eq!(rel.relations, vec![p.eval(b"aaa bb. cc aaaa. dd a")]);
+    }
+
+    #[test]
+    fn repeated_segments_hit_cache_within_one_shard() {
+        let cache = Arc::new(SegmentCache::new(1 << 10));
+        let runner = cached_runner(spanner(".*x{a+}.*"), &cache);
+        let got = one_shard(b"aa.aa.aa").extract(&runner);
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits), (1, 2), "three identical segments");
+        // Per segment: x ∈ {a@0, a@1, aa} — 3 tuples, shifted apart.
+        assert_eq!(
+            got.relations[0].len(),
+            9,
+            "shifted copies are distinct tuples"
+        );
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn clear_resets() {
+        let p = spanner("x{a*}");
+        let cache = Arc::new(SegmentCache::new(1 << 10));
+        let runner = cached_runner(p.clone(), &cache);
+        let first = one_shard(b"aa").extract(&runner);
+        assert!(!cache.is_empty());
+        cache.clear();
+        cache.reset_stats();
+        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.stats(), SegCacheStats::default());
+        // A fresh handle (no shard memo) over a cleared cache recomputes,
+        // and still returns the same result.
+        let again = one_shard(b"aa").extract(&runner);
+        assert_eq!((cache.stats().misses, cache.stats().hits), (1, 0));
+        assert_eq!(again.relations, first.relations);
+        assert_eq!(again.relations, vec![p.eval(b"aa")]);
+    }
+
+    #[test]
+    fn eviction_never_changes_results() {
+        // A cache starved to a couple of entries must keep returning
+        // exactly what an unbounded one returns, across a working set
+        // far larger than its capacity, while actually evicting.
+        let p = spanner(".*x{a+}.*");
+        let starved = Arc::new(SegmentCache::new(2));
+        let unbounded = Arc::new(SegmentCache::new(1 << 16));
+        let docs: Vec<String> = (0..40)
+            .map(|i| format!("aa{i} bb. cc a{i}a. dd aaa{i}. tail a"))
+            .collect();
+        for round in 0..2 {
+            for (i, d) in docs.iter().enumerate() {
+                let a = one_shard(d.as_bytes()).extract(&cached_runner(p.clone(), &starved));
+                let b = one_shard(d.as_bytes()).extract(&cached_runner(p.clone(), &unbounded));
+                assert_eq!(a.relations, b.relations, "round {round} doc {i}");
+            }
+        }
+        let s = starved.stats();
+        assert!(s.evictions > 0, "the bound must have been enforced: {s:?}");
+        assert!(
+            starved.len() <= starved.capacity(),
+            "cache stayed within its bound"
+        );
+    }
+}
+
+/// Deterministic frontier coverage: edits one before, at, and one after
+/// every recorded sync point, with the edit starting there (left
+/// frontier) and ending there (right frontier), for every splitter of
+/// the differential pool.
+#[cfg(test)]
+mod frontier_table {
+    use super::*;
+    use crate::corpus::CorpusRunnerConfig;
+    use crate::engine::ExecSpanner;
+    use crate::pool::EvalPool;
+    use crate::segcache::SegmentCache;
+    use splitc_spanner::rgx::Rgx;
+
+    /// `len` bytes over the differential alphabet (letters, sentence and
+    /// line delimiters, spaces), from a fixed linear congruential stream.
+    /// Every [`SYNC_STEP`] multiple — where chunked splitting tends to
+    /// record its syncs — holds an `a`, so the everywhere-empty splitter
+    /// puts an empty span on those syncs.
+    fn text(seed: u64, len: usize) -> Vec<u8> {
+        const ALPHABET: &[u8] = b"aabbc. \n";
+        let mut x = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+        (0..len)
+            .map(|i| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                match i % SYNC_STEP {
+                    0 => b'a',
+                    _ => ALPHABET[(x >> 33) as usize % ALPHABET.len()],
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn edits_around_recorded_syncs_match_batch_split() {
+        let spanner = ExecSpanner::compile(&Rgx::parse(".*x{}.*").unwrap().to_vsa().unwrap());
+        let config = CorpusRunnerConfig {
+            workers: 2,
+            batch_bytes: 256,
+            ..Default::default()
+        };
+        let pool = Arc::new(EvalPool::new(2));
+        let mut synced = 0;
+        for (si, s) in crate::proptests::splitter_pool().iter().enumerate() {
+            let compiled = s.compile();
+            let shard = text(si as u64, 3 * SYNC_STEP + 512);
+            let syncs = CorpusHandle::from_shards(compiled.clone(), [shard.clone()]).shards[0]
+                .syncs
+                .clone();
+            if !syncs.is_empty() {
+                assert!(syncs.len() >= 2, "splitter {si}: syncs {syncs:?}");
+                synced += 1;
+            }
+            let cached =
+                CorpusRunner::with_pool(spanner.clone(), compiled.clone(), config, pool.clone())
+                    .with_segment_cache(Arc::new(SegmentCache::new(1 << 12)));
+            let fresh =
+                CorpusRunner::with_pool(spanner.clone(), compiled.clone(), config, pool.clone());
+            for &q in &syncs {
+                for p in [q - 1, q, q + 1] {
+                    let left = p..(p + 3).min(shard.len());
+                    let right = p.saturating_sub(3)..p;
+                    for (range, replacement) in [(left, &b"b.a"[..]), (right, b"a"), (p..p, b"a")] {
+                        let mut h = CorpusHandle::from_shards(compiled.clone(), [shard.clone()]);
+                        h.extract(&cached);
+                        h.edit(0, range.clone(), replacement);
+                        let case = format!("splitter {si}, sync {q}, edit {range:?}");
+                        assert_eq!(h.segments(0), compiled.split(h.shard_bytes(0)), "{case}");
+                        assert_eq!(
+                            h.extract(&cached).relations,
+                            fresh.run_slices(&[h.shard_bytes(0)]).relations,
+                            "{case}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(synced >= 3, "the table must reach interior sync points");
+    }
+}
+
 #[cfg(test)]
 mod review_probe {
     use super::*;
@@ -774,7 +957,11 @@ mod review_probe {
         let compiled = s.compile();
         let mut h = CorpusHandle::from_shards(compiled.clone(), [b"bbabb".to_vec()]);
         // Sanity: maintained segmentation matches batch split.
-        assert_eq!(h.segments(0), compiled.split(h.shard_bytes(0)).as_slice(), "initial");
+        assert_eq!(
+            h.segments(0),
+            compiled.split(h.shard_bytes(0)).as_slice(),
+            "initial"
+        );
         // Insert at position 2 (just before the 'a'), displacing it.
         h.edit(0, 2..2, b"c");
         let full = compiled.split(h.shard_bytes(0));
@@ -795,7 +982,11 @@ mod review_probe {
         let mut doc = vec![b'b'; 3000];
         doc[2048] = b'a';
         let mut h = CorpusHandle::from_shards(compiled.clone(), [doc]);
-        assert_eq!(h.segments(0), compiled.split(h.shard_bytes(0)).as_slice(), "initial");
+        assert_eq!(
+            h.segments(0),
+            compiled.split(h.shard_bytes(0)).as_slice(),
+            "initial"
+        );
         // Edit well past the empty segment; left frontier = 2048.
         h.edit(0, 2500..2501, b"X");
         let full = compiled.split(h.shard_bytes(0));

@@ -13,8 +13,9 @@
 //!   for pre-parallel collections of small documents, splitting yields
 //!   more, smaller tasks and measurably better pool utilization — the
 //!   paper's Spark observation (§1 "Further motivation").
-//! * **Incremental maintenance** ([`incremental`]): per-segment result
-//!   caching keyed by segment content, so re-evaluating an edited
+//! * **Incremental maintenance** ([`handle`], [`segcache`]): a
+//!   maintained corpus resplits only the dirty window of an edit, and
+//!   per-segment results cached by content mean re-evaluating an edited
 //!   document only recomputes the touched segments (the paper's
 //!   Wikipedia-edit scenario).
 //! * **Streaming sharded corpus execution** ([`stream`], [`corpus`]):
@@ -28,7 +29,8 @@
 //!   same corpus in *one* streamed pass — one splitter, one shared byte
 //!   partition, one merged multi-needle literal scan dispatching each
 //!   segment only to the members with evidence in it
-//!   ([`fleet::FleetRunner`]).
+//!   ([`fleet::FleetRunner`]). Both runners are typed wrappers over one
+//!   streaming pipeline, generic over what a worker does with a segment.
 //! * **Batch certification** ([`certify`]): the step *before* any of
 //!   the above — a fleet of `(P, P_S)` pairs sharing one splitter is
 //!   certified split-correct on a worker pool, with the composed
@@ -51,8 +53,8 @@ pub mod corpus;
 pub mod engine;
 pub mod fleet;
 pub mod handle;
-pub mod incremental;
 pub mod options;
+mod pipeline;
 pub mod pool;
 pub mod segcache;
 pub mod simulate;
@@ -69,7 +71,6 @@ pub use engine::{
 };
 pub use fleet::{Fleet, FleetResult, FleetRunner, FleetStats};
 pub use handle::{CorpusHandle, DeltaStats};
-pub use incremental::IncrementalRunner;
 pub use options::{CompileOptions, RunnerOptions};
 pub use pool::{EvalPool, EvalPoolStats};
 pub use segcache::{SegCacheStats, SegmentCache};

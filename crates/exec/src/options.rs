@@ -17,8 +17,10 @@
 //!   an optional shared [`EvalPool`], and an optional shared
 //!   [`SegmentCache`]. One options value constructs both runner kinds.
 //!
-//! The legacy entry points remain as thin delegating wrappers, so
-//! existing callers (and the benchmark fleet) are untouched.
+//! The legacy entry points remain as thin delegating wrappers because
+//! the repository benchmark (`perfbench/`) calls them (`ExecSpanner::
+//! compile_with`, `Fleet::compile`, `{Corpus,Fleet}Runner::{new,
+//! with_pool}`); removing them would change what it builds.
 //!
 //! ```
 //! use splitc_exec::{CompileOptions, RunnerOptions, Engine};

@@ -18,10 +18,10 @@ use splitc_spanner::rgx::Rgx;
 use splitc_spanner::splitter::{self, Splitter};
 
 /// Splitters covering the interesting shapes: disjoint delimiters,
-/// overlapping windows, nested candidate spans, empty spans, and a
-/// non-universal post-split language (confirmation only at end of
-/// stream).
-fn splitter_pool() -> Vec<Splitter> {
+/// overlapping windows, nested candidate spans, empty spans (whole-doc
+/// only, and everywhere — one before each `a`), and a non-universal
+/// post-split language (confirmation only at end of stream).
+pub(crate) fn splitter_pool() -> Vec<Splitter> {
     vec![
         splitter::sentences(),
         splitter::lines(),
@@ -32,6 +32,7 @@ fn splitter_pool() -> Vec<Splitter> {
         Splitter::parse("x{ab}b|a(x{bb})").unwrap(), // paper Ex. 5.8
         Splitter::parse("x{aa}|a(x{})a").unwrap(),   // empty spans
         Splitter::parse("x{a*}b*").unwrap(),         // non-universal suffix
+        Splitter::parse(".*x{}a.*").unwrap(),        // empty spans everywhere
     ]
 }
 
@@ -82,7 +83,7 @@ proptest! {
 
     #[test]
     fn streaming_splitter_matches_batch_over_random_chunks(
-        si in 0..9usize,
+        si in 0..splitter_pool().len(),
         doc in doc_strategy(),
         sizes in chunking_strategy(),
     ) {
@@ -207,6 +208,14 @@ proptest! {
                 config,
             );
             let expected = seq.run_slices(&refs);
+            // Same splitter, same batching: the producer side of both
+            // runs is one pipeline and must agree exactly.
+            let (f, c) = (&got.stats, &expected.stats);
+            prop_assert_eq!(
+                (f.docs, f.segments, f.segment_bytes, f.batches, f.peak_buffered_bytes),
+                (c.docs, c.segments, c.segment_bytes, c.batches, c.peak_buffered_bytes),
+                "producer-side stats, member {}", mi
+            );
             for (di, rel) in expected.relations.iter().enumerate() {
                 prop_assert_eq!(
                     &got.relations[di][mi],
@@ -398,7 +407,7 @@ proptest! {
     /// uncached run.
     #[test]
     fn corpus_handle_edit_scripts_match_full_reextraction(
-        si in 0..9usize,
+        si in 0..splitter_pool().len(),
         pi in 0..PATTERNS.len(),
         engine_pick in 0usize..4,
         chunk_bytes in 1usize..8,

@@ -4,9 +4,9 @@
 //!
 //! Two layers demonstrate the same payoff:
 //!
-//! 1. [`IncrementalRunner`] — single document, sequential: re-evaluate
-//!    after an in-place edit; only the edited segment misses its
-//!    (bounded, content-addressed) cache.
+//! 1. A single-shard [`CorpusHandle`] — one document, one worker:
+//!    re-evaluate after an in-place edit; only the edited segment
+//!    misses its (bounded, content-addressed) [`SegmentCache`].
 //! 2. [`CorpusHandle`] + [`SegmentCache`] — a sharded, *maintained*
 //!    corpus: point edits, appends, and shard replacement resplit only
 //!    the dirty window (`DeltaStats` reports the resplit frontier),
@@ -36,42 +36,43 @@ fn main() {
         target_bytes: 2 << 20,
         ..Default::default()
     };
-    let mut doc = textgen::wiki_corpus(&cfg);
+    let doc = textgen::wiki_corpus(&cfg);
 
-    // --- Layer 1: IncrementalRunner on one document --------------------
+    // --- Layer 1: one document as a single-shard maintained corpus -----
     let compile = CompileOptions::new();
-    let runner = IncrementalRunner::new(
-        compile.compile_spanner(&p),
-        Arc::new(native_splitters::sentences) as SplitFn,
-    );
+    let compiled = compile.compile_splitter(&s);
+    let cache = Arc::new(SegmentCache::new(1 << 16));
+    let runner = RunnerOptions::new()
+        .workers(1)
+        .segment_cache(cache.clone())
+        .corpus_runner(compile.compile_spanner(&p), compiled.clone());
+    let mut single = CorpusHandle::from_shards(compiled.clone(), [doc]);
 
     // Cold run: every segment is a miss.
     let t0 = Instant::now();
-    let before = runner.eval(&doc);
+    let before = single.extract(&runner);
     let cold = t0.elapsed();
-    let s0 = runner.stats();
+    let s0 = cache.stats();
     println!(
         "cold run: {} entities, {} segments evaluated in {:?}",
-        before.len(),
+        before.relations[0].len(),
         s0.misses,
         cold
     );
 
     // Simulate a Wikipedia-style edit: overwrite a few bytes in the
     // middle of one sentence.
-    let mid = doc.len() / 2;
-    for (i, b) in b"Newname".iter().enumerate() {
-        doc[mid + i] = *b;
-    }
+    let mid = single.shard_bytes(0).len() / 2;
+    single.edit(0, mid..mid + 7, b"Newname");
 
     let t0 = Instant::now();
-    let after = runner.eval(&doc);
+    let after = single.extract(&runner);
     let warm = t0.elapsed();
-    let s1 = runner.stats();
+    let s1 = cache.stats();
     println!(
         "after edit: {} entities; recomputed {} segment(s), {} from cache, in {:?} \
          ({:.1}x faster than cold)",
-        after.len(),
+        after.relations[0].len(),
         s1.misses - s0.misses,
         s1.hits - s0.hits,
         warm,
@@ -83,12 +84,11 @@ fn main() {
     );
 
     // The incremental result equals from-scratch evaluation.
-    let direct = evaluate_sequential(&compile.compile_spanner(&p), &doc);
-    assert_eq!(after, direct);
+    let direct = evaluate_sequential(&compile.compile_spanner(&p), single.shard_bytes(0));
+    assert_eq!(after.relations, vec![direct]);
     println!("incremental result equals from-scratch evaluation ✓");
 
     // --- Layer 2: a maintained sharded corpus --------------------------
-    let compiled = compile.compile_splitter(&s);
     let shards: Vec<Vec<u8>> = (0..8)
         .map(|i| {
             textgen::wiki_corpus(&CorpusConfig {

@@ -111,7 +111,8 @@ fn splittability_witness_runs_on_the_engine() {
 }
 
 /// Incremental evaluation equals from-scratch evaluation across a series
-/// of edits on a real corpus.
+/// of edits on a real corpus: a single-shard maintained corpus with a
+/// segment cache, re-extracted after each one-byte edit.
 #[test]
 fn incremental_is_exact_over_edit_series() {
     let p = spanners::entity_extractor();
@@ -119,16 +120,19 @@ fn incremental_is_exact_over_edit_series() {
         .unwrap()
         .holds());
     let spanner = ExecSpanner::compile(&p);
-    let runner = IncrementalRunner::new(
-        spanner.clone(),
-        Arc::new(native_splitters::sentences) as SplitFn,
-    );
+    let cache = Arc::new(SegmentCache::new(1 << 16));
+    let runner = RunnerOptions::new()
+        .segment_cache(cache.clone())
+        .corpus_runner(spanner.clone(), splitters::sentences().compile());
     let mut doc = corpus(16 << 10, 31);
+    let mut handle = CorpusHandle::from_shards(splitters::sentences().compile(), [doc.clone()]);
     for i in 0..10 {
         let pos = (i * 997) % doc.len();
         doc[pos] = b'Q';
-        assert_eq!(runner.eval(&doc), evaluate_sequential(&spanner, &doc));
+        handle.edit(0, pos..pos + 1, b"Q");
+        let got = handle.extract(&runner);
+        assert_eq!(got.relations, vec![evaluate_sequential(&spanner, &doc)]);
     }
-    let stats = runner.stats();
+    let stats = cache.stats();
     assert!(stats.hits > stats.misses, "edits must mostly hit the cache");
 }

@@ -91,31 +91,34 @@ fn incremental_wiki_main_path() {
         target_bytes: 32 << 10,
         ..Default::default()
     };
-    let mut doc = textgen::wiki_corpus(&cfg);
-    let runner = IncrementalRunner::new(
-        ExecSpanner::compile(&p),
-        Arc::new(native_splitters::sentences) as SplitFn,
-    );
+    let doc = textgen::wiki_corpus(&cfg);
+    let cache = Arc::new(SegmentCache::new(1 << 16));
+    let runner = RunnerOptions::new()
+        .workers(1)
+        .segment_cache(cache.clone())
+        .corpus_runner(ExecSpanner::compile(&p), s.compile());
+    let mut handle = CorpusHandle::from_shards(s.compile(), [doc.clone()]);
 
-    let before = runner.eval(&doc);
-    let s0 = runner.stats();
+    handle.extract(&runner);
+    let s0 = cache.stats();
     assert!(s0.misses > 0, "cold run evaluates segments");
 
     let mid = doc.len() / 2;
-    for (i, b) in b"Newname".iter().enumerate() {
-        doc[mid + i] = *b;
-    }
-    let after = runner.eval(&doc);
-    let s1 = runner.stats();
+    handle.edit(0, mid..mid + 7, b"Newname");
+    let after = handle.extract(&runner);
+    let s1 = cache.stats();
     assert!(
         s1.misses - s0.misses <= 2,
         "an in-sentence edit touches at most the edited segment(s)"
     );
     assert!(s1.hits > 0, "untouched segments come from cache");
-    let _ = before;
 
-    let direct = evaluate_sequential(&ExecSpanner::compile(&p), &doc);
-    assert_eq!(after, direct, "incremental equals from-scratch");
+    let direct = evaluate_sequential(&ExecSpanner::compile(&p), handle.shard_bytes(0));
+    assert_eq!(
+        after.relations,
+        vec![direct],
+        "incremental equals from-scratch"
+    );
 }
 
 /// `examples/http_log_debugging.rs`: the buggy host/date extractor is
