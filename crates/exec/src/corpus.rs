@@ -171,18 +171,20 @@ impl SegmentWork for ExecSpanner {
         bytes: &[u8],
         cache: Option<&SegmentCache>,
         (dense, prefilter): &mut Self::Scratch,
-        mut emit: impl FnMut(usize, &SpanRelation),
+        mut emit: impl FnMut(usize, SpanRelation),
     ) {
         let backend = self.backend();
         match cache {
             Some(sc) => emit(
                 0,
-                &sc.get_or_eval(self.cache_id(), bytes, || {
-                    backend.eval_scratch(bytes, dense, prefilter)
-                })
-                .0,
+                SpanRelation::clone(
+                    &sc.get_or_eval(self.cache_id(), bytes, || {
+                        backend.eval_scratch(bytes, dense, prefilter)
+                    })
+                    .0,
+                ),
             ),
-            None => emit(0, &backend.eval_scratch(bytes, dense, prefilter)),
+            None => emit(0, backend.eval_scratch(bytes, dense, prefilter)),
         }
     }
 

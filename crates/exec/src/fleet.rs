@@ -316,9 +316,7 @@ impl Fleet {
             .lock()
             .pop()
             .unwrap_or_else(|| SegmentWork::scratch(self));
-        SegmentWork::eval(self, doc, None, &mut scratch, |mi, rel| {
-            out[mi] = rel.clone()
-        });
+        SegmentWork::eval(self, doc, None, &mut scratch, |mi, rel| out[mi] = rel);
         self.scratch_pool.lock().push(scratch);
         out
     }
@@ -372,7 +370,7 @@ impl SegmentWork for Fleet {
         bytes: &[u8],
         seg_cache: Option<&SegmentCache>,
         scratch: &mut FleetScratch,
-        mut sink: impl FnMut(usize, &SpanRelation),
+        mut sink: impl FnMut(usize, SpanRelation),
     ) {
         let tally = &mut scratch.tally;
         scratch.epoch += 1;
@@ -432,7 +430,7 @@ impl SegmentWork for Fleet {
                             &mut tally.prefilter,
                         )
                     });
-                    sink(mi, &rel);
+                    sink(mi, SpanRelation::clone(&rel));
                 }
                 None => {
                     let rel = m.spanner.backend().eval_scratch(
@@ -440,7 +438,7 @@ impl SegmentWork for Fleet {
                         &mut scratch.caches[mi],
                         &mut tally.prefilter,
                     );
-                    sink(mi, &rel);
+                    sink(mi, rel);
                 }
             }
         }

@@ -16,8 +16,14 @@
 //! [`crate::CorpusRunner`]) and [`crate::Fleet`] (the fused gate → shared
 //! scan → dispatch pass, see [`crate::FleetRunner`]). The pipeline is
 //! generic over it, so the per-segment path is monomorphised — no
-//! dynamic dispatch between the queue and the work, and the corpus
-//! worker shifts tuples straight out of the engine's relation.
+//! dynamic dispatch between the queue and the work.
+//!
+//! **Owned hand-off.** The work hands each relation over by value. A
+//! relation the engine just produced is shifted in place
+//! ([`SpanTuple::shift_in_place`] over [`SpanRelation::into_tuples`]),
+//! so no tuple is copied between the engine and the merge; a
+//! segment-cache hit clones the shared relation once and shifts the
+//! clone, leaving the cached copy segment-local.
 //!
 //! The pipeline is the single owner of:
 //!
@@ -28,8 +34,18 @@
 //!   on the calling thread once every worker has reported;
 //! * **pool-or-spawn** — worker loops run on a shared long-lived
 //!   [`EvalPool`] or on per-run spawned threads, with identical results;
-//! * **the deterministic merge** — `SpanRelation::from_tuples` sorts
-//!   and dedups each `(doc, member)` cell.
+//! * **the deterministic merge** — every segment is tagged with its
+//!   running index in the stream, and before the cells are filled the
+//!   partials are sorted by `(stream index, member)`. That is the
+//!   **stream-order invariant**: each `(doc, member)` cell receives its
+//!   segments' tuples in the order the segments left the splitter,
+//!   whichever worker evaluated them. Under a disjoint splitter that is
+//!   document order, so `SpanRelation::from_tuples` finds the cell
+//!   sorted in one linear check and only dedups. The order is a speed
+//!   matter, not a correctness one: canonical relations come from
+//!   `from_tuples`' sortedness check, which falls back to a full sort
+//!   for whatever arrives out of order (overlapping segments of a
+//!   non-disjoint splitter, empty spans on a shared boundary).
 
 use crate::corpus::CorpusRunnerConfig;
 use crate::pool::EvalPool;
@@ -58,16 +74,17 @@ pub(crate) trait SegmentWork: Send + Sync + 'static {
     fn memo_id(&self) -> u64;
     /// Fresh per-worker scratch.
     fn scratch(&self) -> Self::Scratch;
-    /// Evaluates one segment, calling `emit(member, relation)` with
-    /// segment-local relations (the pipeline shifts them). Members that
-    /// provably contribute nothing may be left out. With a `cache`, a
-    /// relation may come from it instead of an engine call.
+    /// Evaluates one segment, handing `emit(member, relation)` each
+    /// segment-local relation by value (the pipeline shifts it in
+    /// place). Members that provably contribute nothing may be left
+    /// out. With a `cache`, a relation may come from it instead of an
+    /// engine call; the cache keeps its own copy unshifted.
     fn eval(
         &self,
         bytes: &[u8],
         cache: Option<&SegmentCache>,
         scratch: &mut Self::Scratch,
-        emit: impl FnMut(usize, &SpanRelation),
+        emit: impl FnMut(usize, SpanRelation),
     );
     /// The worker's report, built from its scratch when the queue drains.
     fn tally(&self, scratch: Self::Scratch) -> Self::Tally;
@@ -127,12 +144,14 @@ impl SegPayload {
     }
 }
 
-/// `(document index, segment)` pairs in stream order. Batches may span
-/// document boundaries, so collections of tiny documents still fill them.
-type Batch = Vec<(usize, SegPayload)>;
+/// `(stream index, document index, segment)` triples in stream order.
+/// Batches may span document boundaries, so collections of tiny
+/// documents still fill them.
+type Batch = Vec<(usize, usize, SegPayload)>;
 
-/// Shifted tuples of one `(doc, member)` cell from one segment.
-type Partial = (usize, usize, Vec<SpanTuple>);
+/// Shifted tuples of one `(doc, member)` cell from one segment:
+/// `(stream index, doc, member, tuples)`.
+type Partial = (usize, usize, usize, Vec<SpanTuple>);
 
 /// The producer side: accumulates segments into batches and sends them
 /// over the bounded queue, blocking when it is full.
@@ -145,12 +164,14 @@ struct Feed {
 }
 
 impl Feed {
+    /// Queues one segment, tagged with its running index in the stream.
     fn segment(&mut self, di: usize, seg: SegPayload) {
         let len = seg.bytes().len();
+        let seq = self.stats.segments;
         self.stats.segments += 1;
         self.stats.segment_bytes += len as u64;
         self.batch_bytes += len;
-        self.batch.push((di, seg));
+        self.batch.push((seq, di, seg));
         if self.batch_bytes >= self.target {
             self.flush();
         }
@@ -352,10 +373,19 @@ impl<W: SegmentWork> Pipeline<W> {
             "a runner worker panicked while evaluating a batch"
         );
 
-        let mut cells: Vec<Vec<Vec<SpanTuple>>> = (0..stats.docs)
-            .map(|_| (0..members).map(|_| Vec::new()).collect())
+        // Workers append their partials batch by batch; one small key per
+        // partial puts every cell back in the order its segments left
+        // the splitter, so `from_tuples` usually finds it sorted.
+        partials.sort_unstable_by_key(|&(seq, _, mi, _)| (seq, mi));
+        let mut sizes = vec![0usize; stats.docs * members];
+        for (_, di, mi, tuples) in &partials {
+            sizes[di * members + mi] += tuples.len();
+        }
+        let mut cells: Vec<Vec<Vec<SpanTuple>>> = sizes
+            .chunks(members)
+            .map(|row| row.iter().map(|&n| Vec::with_capacity(n)).collect())
             .collect();
-        for (di, mi, tuples) in partials {
+        for (_, di, mi, tuples) in partials {
             cells[di][mi].extend(tuples);
         }
         Run {
@@ -371,11 +401,11 @@ impl<W: SegmentWork> Pipeline<W> {
 
 /// One worker: drains the queue and evaluates each segment with
 /// worker-local scratch, returning shifted tuples keyed by
-/// `(doc, member)`. Evaluation panics are caught and recorded in
-/// `failed`; the worker then keeps draining without evaluating, so the
-/// producer never deadlocks on the bounded queue. A free function over
-/// owned contexts, so the same loop runs on spawned threads and on a
-/// long-lived [`EvalPool`].
+/// `(stream index, doc, member)`. Evaluation panics are caught and
+/// recorded in `failed`; the worker then keeps draining without
+/// evaluating, so the producer never deadlocks on the bounded queue. A
+/// free function over owned contexts, so the same loop runs on spawned
+/// threads and on a long-lived [`EvalPool`].
 fn worker_loop<W: SegmentWork>(
     work: &W,
     cache: Option<&SegmentCache>,
@@ -396,11 +426,15 @@ fn worker_loop<W: SegmentWork>(
         }
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut local: Vec<Partial> = Vec::new();
-            for (di, seg) in batch {
+            for (seq, di, seg) in batch {
                 let (bytes, span) = (seg.bytes(), seg.span());
                 work.eval(bytes, cache, &mut scratch, |mi, rel| {
                     if !rel.is_empty() {
-                        local.push((di, mi, rel.iter().map(|t| t.shift(span)).collect()));
+                        let mut tuples = rel.into_tuples();
+                        for t in &mut tuples {
+                            t.shift_in_place(span);
+                        }
+                        local.push((seq, di, mi, tuples));
                     }
                 });
             }
@@ -417,8 +451,139 @@ fn worker_loop<W: SegmentWork>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{evaluate_many_split, split_fn_of_splitter, Engine, ExecSpanner};
+    use crate::fleet::Fleet;
+    use crate::proptests::splitter_pool;
+    use splitc_spanner::rgx::Rgx;
     use splitc_spanner::splitter;
+    use splitc_spanner::vsa::Vsa;
     use std::time::Duration;
+
+    fn vsa(pat: &str) -> Vsa {
+        Rgx::parse(pat).unwrap().to_vsa().unwrap()
+    }
+
+    /// Documents over the pool splitters' alphabet, long enough that
+    /// three workers interleave one-segment batches within each.
+    fn docs() -> Vec<Vec<u8>> {
+        vec![
+            b"aa bab. aaa\nb aa. abc aab.\n\naa a".to_vec(),
+            b"".to_vec(),
+            b"a.a.a. aa ba ab\nc aaa b. ca ac aa".to_vec(),
+            b"baa aab\n\n. a a a. aaaa bb aa c".to_vec(),
+        ]
+    }
+
+    fn column(run: Run<impl Sized>) -> Vec<SpanRelation> {
+        run.relations
+            .into_iter()
+            .map(|mut row| row.remove(0))
+            .collect()
+    }
+
+    #[test]
+    fn merge_is_identical_across_worker_counts_and_to_the_oracle() {
+        let owned = docs();
+        let refs: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
+        let config = |workers| CorpusRunnerConfig {
+            workers,
+            batch_bytes: 1,
+            queue_depth: 2,
+            chunk_bytes: 5,
+        };
+        let mut overlapping = 0;
+        for s in splitter_pool() {
+            let split = split_fn_of_splitter(&s);
+            let spans: Vec<Vec<Span>> = refs.iter().map(|d| split(d)).collect();
+            if spans
+                .iter()
+                .any(|sp| sp.windows(2).any(|w| w[0].overlaps(w[1])))
+            {
+                overlapping += 1; // non-disjoint: the merge's fallback sort
+            }
+            for pat in [".*x{a+}.*", ".*x{}.*", ".*x{a}.*y{[ab]+}.*"] {
+                let spanner = ExecSpanner::compile(&vsa(pat));
+                let run = |workers| {
+                    let p = Pipeline::new(
+                        Arc::new(spanner.clone()),
+                        s.compile(),
+                        config(workers),
+                        None,
+                    );
+                    column(p.run_slices(&refs))
+                };
+                let three = run(3);
+                assert_eq!(three, run(1), "3 vs 1 workers, {pat} under {s:?}");
+                assert_eq!(
+                    three,
+                    evaluate_many_split(&spanner, &split, &refs, 1),
+                    "3 workers vs oracle, {pat} under {s:?}"
+                );
+            }
+        }
+        assert!(
+            overlapping > 0,
+            "the pool must exercise a non-disjoint split"
+        );
+    }
+
+    #[test]
+    fn segment_cache_hits_stay_unshifted() {
+        let owned = docs();
+        let refs: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
+        let config = CorpusRunnerConfig {
+            workers: 2,
+            batch_bytes: 1,
+            queue_depth: 2,
+            chunk_bytes: 5,
+        };
+        let pats = [".*x{a+}.*", ".*x{}.*"];
+        let spanner = ExecSpanner::compile(&vsa(pats[0]));
+        let fleet = Fleet::compile(
+            &pats.iter().map(|p| vsa(p)).collect::<Vec<_>>(),
+            Engine::Dense,
+        );
+        let cache = Arc::new(SegmentCache::new(1 << 12));
+        let corpus = Pipeline::new(
+            Arc::new(spanner.clone()),
+            splitter::sentences().compile(),
+            config,
+            None,
+        )
+        .with_segment_cache(cache.clone());
+        let fused = Pipeline::new(
+            Arc::new(fleet),
+            splitter::sentences().compile(),
+            config,
+            None,
+        )
+        .with_segment_cache(cache.clone());
+        let corpus_first = corpus.run_slices(&refs).relations;
+        let fused_first = fused.run_slices(&refs).relations;
+        let misses = cache.stats().misses;
+        // The second pass is all hits; had a hit shifted the cached
+        // relation, it would come back shifted twice.
+        assert_eq!(corpus.run_slices(&refs).relations, corpus_first);
+        assert_eq!(fused.run_slices(&refs).relations, fused_first);
+        assert_eq!(cache.stats().misses, misses, "second pass is all hits");
+        assert!(cache.stats().hits > 0);
+        let split = split_fn_of_splitter(&splitter::sentences());
+        assert_eq!(
+            column(corpus.run_slices(&refs)),
+            evaluate_many_split(&spanner, &split, &refs, 1)
+        );
+        // Every stored relation is still the segment-local one.
+        for doc in &refs {
+            for sp in split(doc) {
+                let seg = &doc[sp.start..sp.end];
+                let (rel, hit) = cache.get_or_eval(spanner.cache_id(), seg, || {
+                    panic!("segment evaluated twice")
+                });
+                assert!(hit);
+                assert_eq!(*rel, spanner.eval(seg), "cached relation of {seg:?}");
+            }
+        }
+    }
 
     /// Emits an empty relation for member 0 per segment and panics on
     /// any segment containing the marker.
@@ -440,11 +605,11 @@ mod tests {
             bytes: &[u8],
             _cache: Option<&SegmentCache>,
             _scratch: &mut (),
-            mut emit: impl FnMut(usize, &SpanRelation),
+            mut emit: impl FnMut(usize, SpanRelation),
         ) {
             let hit = bytes.windows(self.0.len()).any(|w| w == self.0);
             assert!(!hit, "induced worker panic");
-            emit(0, &SpanRelation::empty());
+            emit(0, SpanRelation::empty());
         }
         fn tally(&self, _scratch: ()) -> usize {
             1

@@ -10,7 +10,7 @@ use splitc_server::Client;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A spanner known to be self-split-correct under `sentences`.
 const LOCAL: &str = ".*x{a+}.*";
@@ -429,11 +429,23 @@ fn saturated_admission_queue_answers_429() {
     }
     assert!(saw_429, "no connection was refused with 429");
 
-    // Releasing the held connections lets new requests through again.
+    // Releasing the held connections lets new requests through again,
+    // once the server has observed the hang-ups. Until then a new
+    // connection may still be refused with a 429 and closed, so poll on
+    // fresh connections up to a deadline.
     drop(_held);
     drop(extra);
-    let mut client = Client::new(addr);
-    let (status, body) = client.get("/healthz").unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let (mut client, status, body) = loop {
+        let mut client = Client::new(addr);
+        match client.get("/healthz") {
+            Ok((429, _)) | Err(_) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            Ok((status, body)) => break (client, status, body),
+            Err(e) => panic!("/healthz unreachable after the queue drained: {e}"),
+        }
+    };
     assert_eq!(status, 200);
     assert_eq!(body.get("ok").unwrap().as_bool(), Some(true));
 

@@ -54,6 +54,14 @@ impl SpanTuple {
         }
     }
 
+    /// [`SpanTuple::shift`] on an owned tuple: rewrites the spans where
+    /// they are instead of allocating a shifted copy.
+    pub fn shift_in_place(&mut self, s: Span) {
+        for sp in self.spans.iter_mut() {
+            *sp = sp.shift(s);
+        }
+    }
+
     /// Inverse shift; `None` if some span is not contained in `s`.
     pub fn unshift(&self, s: Span) -> Option<SpanTuple> {
         let mut out = Vec::with_capacity(self.spans.len());
@@ -168,6 +176,11 @@ impl SpanRelation {
     pub fn iter(&self) -> impl Iterator<Item = &SpanTuple> {
         self.tuples.iter()
     }
+
+    /// The sorted tuples, by value.
+    pub fn into_tuples(self) -> Vec<SpanTuple> {
+        self.tuples
+    }
 }
 
 impl FromIterator<SpanTuple> for SpanRelation {
@@ -192,6 +205,20 @@ mod tests {
         assert_eq!(shifted.get(VarId(0)), Span::new(6, 8));
         assert_eq!(shifted.get(VarId(1)), Span::new(7, 7));
         assert_eq!(shifted.unshift(s).unwrap(), tu);
+    }
+
+    #[test]
+    fn shift_in_place_equals_shift() {
+        let s = Span::new(5, 20);
+        for tu in [
+            t(&[(1, 3), (2, 2), (0, 0)]),
+            t(&[(4, 9)]),
+            SpanTuple::unit(),
+        ] {
+            let mut owned = tu.clone();
+            owned.shift_in_place(s);
+            assert_eq!(owned, tu.shift(s));
+        }
     }
 
     #[test]
