@@ -1,4 +1,4 @@
-//! Endpoint logic: JSON request → registry/runner calls → JSON response.
+//! Endpoint logic: JSON request → `Body` → `Target` → JSON response.
 //!
 //! Routes (all bodies and responses are JSON; every response leads with
 //! the protocol version field `"v": 1`):
@@ -17,10 +17,20 @@
 //! | `GET /stats` | — | full service statistics |
 //! | `GET /healthz` | — | `{"ok": true}` |
 //!
-//! Request bodies are validated against a per-route field list: an
-//! unknown field — or a `"v"` other than `1` — is a typed `400` naming
-//! the offending key, so a client typo (`"unckecked"`) fails loudly
-//! instead of being silently ignored.
+//! Each body is decoded once into a `Body`, validated against the
+//! route's field list: an unknown field — or a `"v"` other than `1` — is
+//! a typed `400` naming the offending key, so a client typo
+//! (`"unckecked"`) fails loudly instead of being silently ignored. The
+//! typed getters reject a known field of the wrong type the same way
+//! (`"engine": 3` is a `400`, not the default engine).
+//!
+//! `/certify` and `/extract` then run `Body → Target::{lookup, certify,
+//! extract}`: a `Target` is a registered spanner or fleet; `lookup`
+//! takes exactly one of `"spanner"`/`"fleet"`, `certify` returns
+//! per-member verdicts, and `extract` runs inline docs or a corpus
+//! resource and renders the relations plus wire stats.
+//! [`offline_extract`] decodes its own request shape into the same
+//! `Target` and runs the same `extract`.
 //!
 //! `/extract` refuses (`409`) when the requested pair is not certified
 //! self-split-correct — per-segment evaluation would change the
@@ -38,14 +48,14 @@ use crate::config::ServerConfig;
 use crate::http::{Request, Response};
 use crate::json::Json;
 use crate::metrics::Metrics;
-use crate::registry::{hex_id, parse_hex_id, valid_corpus_id, CorpusEntry, Registry, SplitterSpec};
+use crate::registry::{
+    hex_id, parse_hex_id, valid_corpus_id, CorpusEntry, FleetEntry, Registry, SpannerEntry,
+    SplitterEntry, SplitterSpec,
+};
 
 use splitc_core::cache::CachedVerdict;
 use splitc_core::Verdict;
-use splitc_exec::{
-    CorpusHandle, CorpusRunner, CorpusRunnerConfig, DeltaStats, Engine, EvalPool, FleetRunner,
-    SegmentCache,
-};
+use splitc_exec::{CorpusHandle, DeltaStats, Engine, EvalPool, RunnerOptions, SegmentCache};
 use splitc_spanner::{SpanRelation, VarTable};
 
 use std::sync::Arc;
@@ -87,14 +97,27 @@ impl ServiceState {
         }
     }
 
-    /// The runner configuration every `/extract` uses: the shared
-    /// pool's width, the configured batch size, and default queueing.
-    fn runner_config(&self) -> CorpusRunnerConfig {
-        CorpusRunnerConfig {
-            workers: self.config.workers,
-            batch_bytes: self.config.batch_bytes,
-            ..CorpusRunnerConfig::default()
-        }
+    /// The runner options every `/extract` uses: the shared pool, its
+    /// width, the configured batch size, and default queueing.
+    fn runner(&self) -> RunnerOptions {
+        RunnerOptions::new()
+            .workers(self.config.workers)
+            .batch_bytes(self.config.batch_bytes)
+            .pool(self.pool.clone())
+    }
+
+    /// A registered splitter, or the `404` naming it.
+    fn splitter(&self, id: u64) -> Result<Arc<SplitterEntry>, Response> {
+        self.registry
+            .splitter(id)
+            .ok_or_else(|| error(404, format!("unknown splitter {}", hex_id(id))))
+    }
+
+    /// A corpus resource, or the `404` naming it.
+    fn corpus(&self, id: &str) -> Result<Arc<CorpusEntry>, Response> {
+        self.registry
+            .corpus(id)
+            .ok_or_else(|| error(404, format!("unknown corpus {id:?}")))
     }
 }
 
@@ -121,17 +144,35 @@ fn route(state: &ServiceState, req: &Request) -> Response {
     if let Some(rest) = req.path.strip_prefix("/corpus/") {
         return corpus_route(state, req, rest);
     }
-    match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/spanners") => with_body(req, |body| register_spanner(state, body)),
-        ("POST", "/splitters") => with_body(req, |body| register_splitter(state, body)),
-        ("POST", "/fleets") => with_body(req, |body| register_fleet(state, body)),
-        ("POST", "/certify") => with_body(req, |body| certify(state, body)),
-        ("POST", "/extract") => with_body(req, |body| extract(state, body)),
-        ("GET", "/stats") => stats(state),
-        ("GET", "/healthz") => respond(200, Json::obj(vec![("ok", Json::Bool(true))])),
-        ("POST" | "GET", _) => error(404, format!("no route {} {}", req.method, req.path)),
-        _ => error(405, format!("method {} not supported", req.method)),
-    }
+    let result = match (req.method.as_str(), req.path.as_str()) {
+        ("POST", "/spanners") => {
+            with_body(req, &["pattern", "engine"], |b| register_spanner(state, b))
+        }
+        ("POST", "/splitters") => with_body(req, &["pattern", "builtin"], |b| {
+            register_splitter(state, b)
+        }),
+        ("POST", "/fleets") => with_body(req, &["members"], |b| register_fleet(state, b)),
+        ("POST", "/certify") => with_body(req, &["spanner", "fleet", "splitter"], |b| {
+            certify(state, b)
+        }),
+        ("POST", "/extract") => with_body(
+            req,
+            &[
+                "spanner",
+                "fleet",
+                "splitter",
+                "docs",
+                "corpus",
+                "unchecked",
+            ],
+            |b| extract(state, b),
+        ),
+        ("GET", "/stats") => Ok(stats(state)),
+        ("GET", "/healthz") => Ok(respond(200, Json::obj(vec![("ok", Json::Bool(true))]))),
+        ("POST" | "GET", _) => Err(error(404, format!("no route {} {}", req.method, req.path))),
+        _ => Err(error(405, format!("method {} not supported", req.method))),
+    };
+    result.unwrap_or_else(|r| r)
 }
 
 /// Dispatches `/corpus/{id}` and `/corpus/{id}/delta` by method.
@@ -146,13 +187,16 @@ fn corpus_route(state: &ServiceState, req: &Request, rest: &str) -> Response {
             format!("invalid corpus id {id:?} (want 1-64 chars of [A-Za-z0-9_-])"),
         );
     }
-    match (req.method.as_str(), sub) {
-        ("PUT", None) => with_body(req, |body| corpus_put(state, id, body)),
-        ("POST", Some("delta")) => with_body(req, |body| corpus_delta(state, id, body)),
+    let result = match (req.method.as_str(), sub) {
+        ("PUT", None) => with_body(req, &["splitter", "shards"], |b| corpus_put(state, id, b)),
+        ("POST", Some("delta")) => with_body(req, &["op", "shard", "start", "end", "text"], |b| {
+            corpus_delta(state, id, b)
+        }),
         ("GET", None) => corpus_get(state, id),
         ("DELETE", None) => corpus_delete(state, id),
-        _ => error(404, format!("no route {} {}", req.method, req.path)),
-    }
+        _ => Err(error(404, format!("no route {} {}", req.method, req.path))),
+    };
+    result.unwrap_or_else(|r| r)
 }
 
 /// Wraps a response body with the protocol version: every object
@@ -160,7 +204,7 @@ fn corpus_route(state: &ServiceState, req: &Request, rest: &str) -> Response {
 fn respond(status: u16, body: Json) -> Response {
     let body = match body {
         Json::Obj(mut pairs) => {
-            pairs.insert(0, ("v".to_string(), Json::num(PROTOCOL_VERSION as u32)));
+            pairs.insert(0, ("v".to_string(), uint(PROTOCOL_VERSION)));
             Json::Obj(pairs)
         }
         other => other,
@@ -176,241 +220,387 @@ pub fn error(status: u16, message: impl Into<String>) -> Response {
     )
 }
 
-/// Validates a request body against the route's field contract: it
-/// must be a JSON object, an optional `"v"` must equal
-/// [`PROTOCOL_VERSION`], and every other key must be in `allowed`.
-/// Returns the typed `400` (naming the offending key) on violation.
-fn validate_keys(body: &Json, allowed: &[&str]) -> Option<Response> {
-    let Some(pairs) = body.as_obj() else {
-        return Some(error(400, "request body must be a JSON object"));
-    };
-    if let Some(v) = body.get("v") {
-        if v.as_u64() != Some(PROTOCOL_VERSION) {
-            return Some(error(
-                400,
-                format!("unsupported protocol version {v} (this server speaks \"v\": 1)"),
+/// A bare message is a client error: the request-body getters, registry
+/// compilation and engine names all fail with one, and `?` turns it
+/// into the route's `400`.
+impl From<String> for Response {
+    fn from(message: String) -> Response {
+        error(400, message)
+    }
+}
+
+/// Renders a count or byte offset. Exact below 2^53 (every offset a
+/// corpus can reach); never truncated to 32 bits.
+fn uint(n: u64) -> Json {
+    Json::Num(n as f64)
+}
+
+/// Decodes a request body once — UTF-8, JSON, the route's field list —
+/// and hands the validated view to `f`.
+fn with_body(
+    req: &Request,
+    allowed: &[&str],
+    f: impl FnOnce(&Body) -> Result<Response, Response>,
+) -> Result<Response, Response> {
+    let text = std::str::from_utf8(&req.body).map_err(|_| error(400, "body is not valid UTF-8"))?;
+    let json = Json::parse(text).map_err(|e| error(400, format!("invalid JSON body: {e}")))?;
+    f(&Body::new(&json, allowed)?)
+}
+
+/// A request body validated against its route's field contract: a JSON
+/// object whose optional `"v"` equals [`PROTOCOL_VERSION`] and whose
+/// other keys are all in the route's list. The typed getters fail with
+/// the message of the route's `400`; a field present with the wrong
+/// type is an error, never read as absent.
+struct Body<'a>(&'a Json);
+
+impl<'a> Body<'a> {
+    fn new(json: &'a Json, allowed: &[&str]) -> Result<Body<'a>, String> {
+        let pairs = json.as_obj().ok_or("request body must be a JSON object")?;
+        if let Some(v) = json
+            .get("v")
+            .filter(|v| v.as_u64() != Some(PROTOCOL_VERSION))
+        {
+            return Err(format!(
+                "unsupported protocol version {v} (this server speaks \"v\": 1)"
             ));
         }
+        for (key, _) in pairs {
+            if key != "v" && !allowed.contains(&key.as_str()) {
+                return Err(format!(
+                    "unknown field {key:?} (allowed: v, {})",
+                    allowed.join(", ")
+                ));
+            }
+        }
+        Ok(Body(json))
     }
-    for (key, _) in pairs {
-        if key != "v" && !allowed.contains(&key.as_str()) {
-            return Some(error(
-                400,
-                format!("unknown field {key:?} (allowed: v, {})", allowed.join(", ")),
-            ));
+
+    fn get(&self, key: &str) -> Option<&'a Json> {
+        self.0.get(key)
+    }
+
+    fn has(&self, key: &str) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// An optional field; present with a type `cast` refuses is an error
+    /// saying what it must be.
+    fn opt<T>(
+        &self,
+        key: &str,
+        cast: fn(&'a Json) -> Option<T>,
+        want: &str,
+    ) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| cast(v).ok_or_else(|| format!("{key:?} must be {want}")))
+            .transpose()
+    }
+
+    fn str(&self, key: &str) -> Result<&'a str, String> {
+        self.get(key)
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("missing string field {key:?}"))
+    }
+
+    fn usize(&self, key: &str) -> Result<usize, String> {
+        self.get(key)
+            .and_then(Json::as_u64)
+            .map(|n| n as usize)
+            .ok_or_else(|| format!("missing integer field {key:?}"))
+    }
+
+    fn id(&self, key: &str) -> Result<u64, String> {
+        parse_hex_id(self.str(key)?).ok_or_else(|| format!("{key:?} is not a 16-hex-digit id"))
+    }
+
+    fn arr(&self, key: &str) -> Result<&'a [Json], String> {
+        self.get(key)
+            .and_then(Json::as_arr)
+            .ok_or_else(|| format!("missing array field {key:?}"))
+    }
+
+    fn strs(&self, key: &str) -> Result<Vec<&'a str>, String> {
+        self.arr(key)?
+            .iter()
+            .map(|item| {
+                item.as_str()
+                    .ok_or_else(|| format!("{key:?} must be an array of strings"))
+            })
+            .collect()
+    }
+
+    /// Which of two mutually exclusive keys the body carries.
+    fn one_of<'k>(&self, a: &'k str, b: &'k str) -> Result<&'k str, String> {
+        match (self.has(a), self.has(b)) {
+            (true, false) => Ok(a),
+            (false, true) => Ok(b),
+            _ => Err(exactly_one(a, b)),
         }
     }
-    None
-}
 
-fn with_body(req: &Request, f: impl FnOnce(&Json) -> Response) -> Response {
-    let text = match std::str::from_utf8(&req.body) {
-        Ok(t) => t,
-        Err(_) => return error(400, "body is not valid UTF-8"),
-    };
-    match Json::parse(text) {
-        Ok(body) => f(&body),
-        Err(e) => error(400, format!("invalid JSON body: {e}")),
+    /// A splitter given as a pattern under `pattern` or a built-in name
+    /// under `builtin` (a non-string value fails like a missing one).
+    fn splitter_spec(&self, pattern: &str, builtin: &str) -> Result<SplitterSpec, String> {
+        let key = self.one_of(pattern, builtin)?;
+        let text = self
+            .get(key)
+            .and_then(Json::as_str)
+            .ok_or_else(|| exactly_one(pattern, builtin))?
+            .to_string();
+        Ok(if key == pattern {
+            SplitterSpec::Pattern(text)
+        } else {
+            SplitterSpec::Builtin(text)
+        })
     }
-}
 
-fn require_str<'a>(body: &'a Json, key: &str) -> Result<&'a str, Response> {
-    body.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| error(400, format!("missing string field {key:?}")))
-}
-
-fn require_id(body: &Json, key: &str) -> Result<u64, Response> {
-    let text = require_str(body, key)?;
-    parse_hex_id(text).ok_or_else(|| error(400, format!("{key:?} is not a 16-hex-digit id")))
-}
-
-fn register_spanner(state: &ServiceState, body: &Json) -> Response {
-    if let Some(r) = validate_keys(body, &["pattern", "engine"]) {
-        return r;
-    }
-    let pattern = match require_str(body, "pattern") {
-        Ok(p) => p,
-        Err(r) => return r,
-    };
-    let engine = match body.get("engine").and_then(Json::as_str) {
-        None => Engine::default(),
-        Some(name) => match name.parse::<Engine>() {
-            Ok(e) => e,
-            Err(e) => return error(400, e),
-        },
-    };
-    match state.registry.register_spanner(pattern, engine) {
-        Err(e) => error(400, e),
-        Ok((entry, cached)) => respond(
-            200,
-            Json::obj(vec![
-                ("id", Json::str(hex_id(entry.id))),
-                ("cached", Json::Bool(cached)),
-                ("engine", Json::str(entry.engine.name())),
-                // The tier compile-time tiering actually chose: equals
-                // the engine except when an `aot` request exceeded the
-                // determinization budget and degraded to `dense`.
-                ("tier", Json::str(entry.exec.tier().name())),
-                (
-                    "vars",
-                    Json::Arr(
-                        entry
-                            .vsa
-                            .vars()
-                            .names()
-                            .iter()
-                            .map(|n| Json::str(n.clone()))
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-    }
-}
-
-fn register_splitter(state: &ServiceState, body: &Json) -> Response {
-    if let Some(r) = validate_keys(body, &["pattern", "builtin"]) {
-        return r;
-    }
-    let spec = match (
-        body.get("pattern").and_then(Json::as_str),
-        body.get("builtin").and_then(Json::as_str),
-    ) {
-        (Some(p), None) => SplitterSpec::Pattern(p.to_string()),
-        (None, Some(b)) => SplitterSpec::Builtin(b.to_string()),
-        _ => return error(400, "exactly one of \"pattern\" or \"builtin\" is required"),
-    };
-    match state.registry.register_splitter(&spec) {
-        Err(e) => error(400, e),
-        Ok((entry, cached)) => respond(
-            200,
-            Json::obj(vec![
-                ("id", Json::str(hex_id(entry.id))),
-                ("cached", Json::Bool(cached)),
-                ("disjoint", Json::Bool(entry.splitter.is_disjoint())),
-            ]),
-        ),
-    }
-}
-
-fn register_fleet(state: &ServiceState, body: &Json) -> Response {
-    if let Some(r) = validate_keys(body, &["members"]) {
-        return r;
-    }
-    let members = match body.get("members").and_then(Json::as_arr) {
-        Some(m) => m,
-        None => return error(400, "missing array field \"members\""),
-    };
-    let mut ids = Vec::with_capacity(members.len());
-    for m in members {
-        match m.as_str().and_then(parse_hex_id) {
-            Some(id) => ids.push(id),
-            None => return error(400, "fleet members must be 16-hex-digit spanner ids"),
+    /// The `"engine"` field, defaulting when absent.
+    fn engine(&self) -> Result<Engine, String> {
+        match self.opt("engine", Json::as_str, "a string")? {
+            None => Ok(Engine::default()),
+            Some(name) => name.parse(),
         }
     }
-    match state.registry.register_fleet(&ids) {
-        Err(e) => error(400, e),
-        Ok((entry, cached)) => respond(
-            200,
-            Json::obj(vec![
-                ("id", Json::str(hex_id(entry.id))),
-                ("cached", Json::Bool(cached)),
-                ("members", Json::num(entry.member_ids.len() as u32)),
-                ("engine", Json::str(entry.engine.name())),
-            ]),
-        ),
-    }
+}
+
+fn exactly_one(a: &str, b: &str) -> String {
+    format!("exactly one of {a:?} or {b:?} is required")
+}
+
+fn register_spanner(state: &ServiceState, body: &Body) -> Result<Response, Response> {
+    let pattern = body.str("pattern")?;
+    let (entry, cached) = state.registry.register_spanner(pattern, body.engine()?)?;
+    Ok(respond(
+        200,
+        Json::obj(vec![
+            ("id", Json::str(hex_id(entry.id))),
+            ("cached", Json::Bool(cached)),
+            ("engine", Json::str(entry.engine.name())),
+            // The tier compile-time tiering actually chose: equals
+            // the engine except when an `aot` request exceeded the
+            // determinization budget and degraded to `dense`.
+            ("tier", Json::str(entry.exec.tier().name())),
+            (
+                "vars",
+                Json::Arr(entry.vsa.vars().names().iter().map(Json::str).collect()),
+            ),
+        ]),
+    ))
+}
+
+fn register_splitter(state: &ServiceState, body: &Body) -> Result<Response, Response> {
+    let spec = body.splitter_spec("pattern", "builtin")?;
+    let (entry, cached) = state.registry.register_splitter(&spec)?;
+    Ok(respond(
+        200,
+        Json::obj(vec![
+            ("id", Json::str(hex_id(entry.id))),
+            ("cached", Json::Bool(cached)),
+            ("disjoint", Json::Bool(entry.splitter.is_disjoint())),
+        ]),
+    ))
+}
+
+fn register_fleet(state: &ServiceState, body: &Body) -> Result<Response, Response> {
+    let ids = body
+        .arr("members")?
+        .iter()
+        .map(|m| m.as_str().and_then(parse_hex_id))
+        .collect::<Option<Vec<u64>>>()
+        .ok_or("fleet members must be 16-hex-digit spanner ids".to_string())?;
+    let (entry, cached) = state.registry.register_fleet(&ids)?;
+    Ok(respond(
+        200,
+        Json::obj(vec![
+            ("id", Json::str(hex_id(entry.id))),
+            ("cached", Json::Bool(cached)),
+            ("members", uint(entry.member_ids.len() as u64)),
+            ("engine", Json::str(entry.engine.name())),
+        ]),
+    ))
+}
+
+/// Whether a cached verdict certifies the pair.
+fn holds(verdict: &CachedVerdict) -> bool {
+    matches!(verdict, Ok(v) if v.holds())
 }
 
 /// Renders one cached verdict as JSON fields.
-fn verdict_json(v: &CachedVerdict) -> Json {
+fn verdict_fields(v: &CachedVerdict) -> Vec<(&'static str, Json)> {
     match v {
-        Ok(Verdict::Holds) => Json::obj(vec![("verdict", Json::str("holds"))]),
-        Ok(Verdict::Fails(ce)) => Json::obj(vec![
+        Ok(Verdict::Holds) => vec![("verdict", Json::str("holds"))],
+        Ok(Verdict::Fails(ce)) => vec![
             ("verdict", Json::str("fails")),
             (
                 "counterexample",
                 Json::str(String::from_utf8_lossy(&ce.doc).into_owned()),
             ),
             ("reason", Json::str(ce.reason.clone())),
-        ]),
-        Err(e) => Json::obj(vec![
+        ],
+        Err(e) => vec![
             ("verdict", Json::str("error")),
             ("detail", Json::str(e.to_string())),
-        ]),
+        ],
     }
 }
 
-fn certify(state: &ServiceState, body: &Json) -> Response {
-    if let Some(r) = validate_keys(body, &["spanner", "fleet", "splitter"]) {
-        return r;
+/// What `/certify` and `/extract` run: one registered spanner, or a
+/// fleet of them evaluated in one fused pass. A spanner stays a
+/// [`splitc_exec::CorpusRunner`] run — a one-member fleet would add the
+/// fleet's gates and change the stats.
+enum Target {
+    Spanner(Arc<SpannerEntry>),
+    Fleet(Arc<FleetEntry>),
+}
+
+/// The documents an extraction reads.
+enum Input<'a> {
+    /// Inline documents, split on the fly.
+    Docs(Vec<&'a [u8]>),
+    /// A maintained corpus resource, re-queried through its presplit
+    /// segmentation with the segment cache attached.
+    Corpus(&'a CorpusEntry, &'a Arc<SegmentCache>),
+}
+
+impl Target {
+    /// Resolves exactly one of `"spanner"` / `"fleet"` in the registry.
+    fn lookup(registry: &Registry, body: &Body) -> Result<Target, Response> {
+        let key = body.one_of("spanner", "fleet")?;
+        let id = body.id(key)?;
+        let found = match key {
+            "spanner" => registry.spanner(id).map(Target::Spanner),
+            _ => registry.fleet(id).map(Target::Fleet),
+        };
+        found.ok_or_else(|| error(404, format!("unknown {key} {}", hex_id(id))))
     }
-    let splitter_id = match require_id(body, "splitter") {
-        Ok(id) => id,
-        Err(r) => return r,
-    };
-    let splitter = match state.registry.splitter(splitter_id) {
-        Some(s) => s,
-        None => return error(404, format!("unknown splitter {}", hex_id(splitter_id))),
-    };
-    match (body.get("spanner"), body.get("fleet")) {
-        (Some(_), None) => {
-            let spanner_id = match require_id(body, "spanner") {
-                Ok(id) => id,
-                Err(r) => return r,
-            };
-            let spanner = match state.registry.spanner(spanner_id) {
-                Some(s) => s,
-                None => return error(404, format!("unknown spanner {}", hex_id(spanner_id))),
-            };
-            let (verdict, cached) = state.registry.certify_spanner(&spanner, &splitter);
-            let mut fields = vec![
-                (
-                    "holds".to_string(),
-                    Json::Bool(matches!(&verdict, Ok(v) if v.holds())),
-                ),
-                ("cached".to_string(), Json::Bool(cached)),
-            ];
-            if let Json::Obj(pairs) = verdict_json(&verdict) {
-                fields.extend(pairs);
+
+    /// Certifies every member against `splitter` through the cache:
+    /// per-member verdicts (one for a spanner), and whether all were
+    /// cached.
+    fn certify(&self, registry: &Registry, splitter: &SplitterEntry) -> (Vec<CachedVerdict>, bool) {
+        match self {
+            Target::Spanner(s) => {
+                let (verdict, cached) = registry.certify_spanner(s, splitter);
+                (vec![verdict], cached)
             }
-            respond(200, Json::Obj(fields))
+            Target::Fleet(f) => registry.certify_fleet(f, splitter),
         }
-        (None, Some(_)) => {
-            let fleet_id = match require_id(body, "fleet") {
-                Ok(id) => id,
-                Err(r) => return r,
-            };
-            let fleet = match state.registry.fleet(fleet_id) {
-                Some(f) => f,
-                None => return error(404, format!("unknown fleet {}", hex_id(fleet_id))),
-            };
-            let (verdicts, cached) = state.registry.certify_fleet(&fleet, &splitter);
-            let holds = verdicts.iter().all(|v| matches!(v, Ok(x) if x.holds()));
-            let members: Vec<Json> = fleet
+    }
+
+    /// Runs the target over `input` with `runner`'s pool and tuning, and
+    /// renders the relations and the wire stats. `metrics`, when given,
+    /// folds the run into the service totals.
+    fn extract(
+        &self,
+        splitter: &SplitterEntry,
+        input: &Input,
+        runner: RunnerOptions,
+        metrics: Option<&Metrics>,
+    ) -> (Json, Json) {
+        let runner = match input {
+            Input::Corpus(_, cache) => runner.segment_cache(Arc::clone(cache)),
+            Input::Docs(_) => runner,
+        };
+        let splitter = splitter.compiled.clone();
+        let (relations, counts, docs_reused): (Vec<Json>, Vec<(&str, u64)>, usize) = match self {
+            Target::Spanner(s) => {
+                let runner = runner.corpus_runner(s.exec.clone(), splitter);
+                let result = match input {
+                    Input::Docs(docs) => runner.run_slices(docs),
+                    // The entry mutex serializes extraction and mutation
+                    // of one corpus; the presplit segmentation is reused.
+                    Input::Corpus(entry, _) => entry.handle.lock().extract(&runner),
+                };
+                if let Some(m) = metrics {
+                    m.record_corpus(&result.stats);
+                }
+                let st = &result.stats;
+                (
+                    result
+                        .relations
+                        .iter()
+                        .map(|r| relation_json(r, s.vsa.vars()))
+                        .collect(),
+                    vec![
+                        ("docs", st.docs as u64),
+                        ("segments", st.segments as u64),
+                        ("segment_bytes", st.segment_bytes),
+                        ("batches", st.batches as u64),
+                    ],
+                    st.docs_reused,
+                )
+            }
+            Target::Fleet(f) => {
+                let runner = runner.fleet_runner(f.fleet.clone(), splitter);
+                let result = match input {
+                    Input::Docs(docs) => runner.run_slices(docs),
+                    Input::Corpus(entry, _) => entry.handle.lock().extract_fleet(&runner),
+                };
+                if let Some(m) = metrics {
+                    m.record_fleet(&result.stats);
+                }
+                let st = &result.stats;
+                (
+                    result
+                        .relations
+                        .iter()
+                        .map(|row| {
+                            Json::Arr(
+                                row.iter()
+                                    .zip(&f.vsas)
+                                    .map(|(r, vsa)| relation_json(r, vsa.vars()))
+                                    .collect(),
+                            )
+                        })
+                        .collect(),
+                    vec![
+                        ("docs", st.docs as u64),
+                        ("segments", st.segments as u64),
+                        ("segment_bytes", st.segment_bytes),
+                        ("batches", st.batches as u64),
+                        ("dispatches", st.dispatches),
+                        ("gate_rejected", st.gate_rejected),
+                        ("scan_rejected", st.scan_rejected),
+                    ],
+                    st.docs_reused,
+                )
+            }
+        };
+        let mut stats: Vec<(&str, Json)> = counts.into_iter().map(|(k, n)| (k, uint(n))).collect();
+        if let Input::Corpus(_, cache) = input {
+            stats.push(("docs_reused", uint(docs_reused as u64)));
+            stats.push(("segment_cache", seg_cache_json(cache)));
+        }
+        (Json::Arr(relations), Json::obj(stats))
+    }
+}
+
+fn certify(state: &ServiceState, body: &Body) -> Result<Response, Response> {
+    let splitter = state.splitter(body.id("splitter")?)?;
+    let target = Target::lookup(&state.registry, body)?;
+    let (verdicts, cached) = target.certify(&state.registry, &splitter);
+    let mut fields = vec![
+        ("holds", Json::Bool(verdicts.iter().all(holds))),
+        ("cached", Json::Bool(cached)),
+    ];
+    match &target {
+        Target::Spanner(_) => fields.extend(verdict_fields(&verdicts[0])),
+        Target::Fleet(fleet) => {
+            let members = fleet
                 .member_ids
                 .iter()
                 .zip(&verdicts)
                 .map(|(id, v)| {
-                    let mut obj = vec![("spanner".to_string(), Json::str(hex_id(*id)))];
-                    if let Json::Obj(pairs) = verdict_json(v) {
-                        obj.extend(pairs);
-                    }
-                    Json::Obj(obj)
+                    let mut obj = vec![("spanner", Json::str(hex_id(*id)))];
+                    obj.extend(verdict_fields(v));
+                    Json::obj(obj)
                 })
                 .collect();
-            respond(
-                200,
-                Json::obj(vec![
-                    ("holds", Json::Bool(holds)),
-                    ("cached", Json::Bool(cached)),
-                    ("members", Json::Arr(members)),
-                ]),
-            )
+            fields.push(("members", Json::Arr(members)));
         }
-        _ => error(400, "exactly one of \"spanner\" or \"fleet\" is required"),
     }
+    Ok(respond(200, Json::obj(fields)))
 }
 
 /// Renders a relation as an array of `{var: [start, end]}` tuples.
@@ -428,10 +618,7 @@ fn relation_json(relation: &SpanRelation, vars: &VarTable) -> Json {
                         .map(|(name, span)| {
                             (
                                 name.clone(),
-                                Json::Arr(vec![
-                                    Json::num(span.start as u32),
-                                    Json::num(span.end as u32),
-                                ]),
+                                Json::Arr(vec![uint(span.start as u64), uint(span.end as u64)]),
                             )
                         })
                         .collect(),
@@ -446,51 +633,31 @@ fn relation_json(relation: &SpanRelation, vars: &VarTable) -> Json {
 fn seg_cache_json(cache: &SegmentCache) -> Json {
     let s = cache.stats();
     Json::obj(vec![
-        ("hits", Json::Num(s.hits as f64)),
-        ("misses", Json::Num(s.misses as f64)),
-        ("evictions", Json::Num(s.evictions as f64)),
-        ("entries", Json::num(cache.len() as u32)),
+        ("hits", uint(s.hits)),
+        ("misses", uint(s.misses)),
+        ("evictions", uint(s.evictions)),
+        ("entries", uint(cache.len() as u64)),
     ])
 }
 
-fn extract(state: &ServiceState, body: &Json) -> Response {
-    if let Some(r) = validate_keys(
-        body,
-        &[
-            "spanner",
-            "fleet",
-            "splitter",
-            "docs",
-            "corpus",
-            "unchecked",
-        ],
-    ) {
-        return r;
+fn extract(state: &ServiceState, body: &Body) -> Result<Response, Response> {
+    if body.has("corpus") && body.has("docs") {
+        return Err(error(400, "pass either \"docs\" or \"corpus\", not both"));
     }
     // Input source: inline "docs" or a maintained "corpus" resource.
-    let corpus: Option<Arc<CorpusEntry>> = match (body.get("corpus"), body.get("docs")) {
-        (Some(_), Some(_)) => return error(400, "pass either \"docs\" or \"corpus\", not both"),
-        (Some(c), None) => match c.as_str() {
-            Some(name) => match state.registry.corpus(name) {
-                Some(entry) => Some(entry),
-                None => return error(404, format!("unknown corpus {name:?}")),
-            },
-            None => return error(400, "\"corpus\" must be a string (resource name)"),
-        },
-        (None, _) => None,
+    let corpus = match body.opt("corpus", Json::as_str, "a string (resource name)")? {
+        Some(name) => Some(state.corpus(name)?),
+        None => None,
     };
     // The splitter: explicit for inline docs; bound by the corpus for
     // resource extraction (an explicit one must then agree, since the
     // maintained segmentation was produced under it).
     let splitter_id = match &corpus {
         Some(entry) => {
-            if body.get("splitter").is_some() {
-                let id = match require_id(body, "splitter") {
-                    Ok(id) => id,
-                    Err(r) => return r,
-                };
+            if body.has("splitter") {
+                let id = body.id("splitter")?;
                 if id != entry.splitter_id {
-                    return error(
+                    return Err(error(
                         409,
                         format!(
                             "corpus {:?} is maintained under splitter {}, not {}",
@@ -498,276 +665,82 @@ fn extract(state: &ServiceState, body: &Json) -> Response {
                             hex_id(entry.splitter_id),
                             hex_id(id)
                         ),
-                    );
+                    ));
                 }
             }
             entry.splitter_id
         }
-        None => match require_id(body, "splitter") {
-            Ok(id) => id,
-            Err(r) => return r,
-        },
+        None => body.id("splitter")?,
     };
-    let splitter = match state.registry.splitter(splitter_id) {
-        Some(s) => s,
-        None => return error(404, format!("unknown splitter {}", hex_id(splitter_id))),
+    let splitter = state.splitter(splitter_id)?;
+    let input = match &corpus {
+        Some(entry) => Input::Corpus(entry, &state.segment_cache),
+        None if body.get("docs").and_then(Json::as_arr).is_none() => {
+            return Err(error(400, "missing field \"docs\" (or \"corpus\")"))
+        }
+        None => Input::Docs(body.strs("docs")?.iter().map(|d| d.as_bytes()).collect()),
     };
-    let docs: Vec<&str> = match (&corpus, body.get("docs").and_then(Json::as_arr)) {
-        (Some(_), _) => Vec::new(),
-        (None, Some(items)) => {
-            let mut docs = Vec::with_capacity(items.len());
-            for item in items {
-                match item.as_str() {
-                    Some(s) => docs.push(s),
-                    None => return error(400, "\"docs\" must be an array of strings"),
-                }
-            }
-            docs
+    let unchecked = body.opt("unchecked", Json::as_bool, "a boolean")?;
+    let target = Target::lookup(&state.registry, body)?;
+    if unchecked != Some(true) {
+        let (verdicts, _) = target.certify(&state.registry, &splitter);
+        if let Some(bad) = verdicts.iter().find(|v| !holds(v)) {
+            return Err(not_split_correct(bad));
         }
-        (None, None) => return error(400, "missing field \"docs\" (or \"corpus\")"),
-    };
-    let doc_bytes: Vec<&[u8]> = docs.iter().map(|d| d.as_bytes()).collect();
-    let unchecked = body
-        .get("unchecked")
-        .and_then(Json::as_bool)
-        .unwrap_or(false);
-
-    match (body.get("spanner"), body.get("fleet")) {
-        (Some(_), None) => {
-            let spanner_id = match require_id(body, "spanner") {
-                Ok(id) => id,
-                Err(r) => return r,
-            };
-            let spanner = match state.registry.spanner(spanner_id) {
-                Some(s) => s,
-                None => return error(404, format!("unknown spanner {}", hex_id(spanner_id))),
-            };
-            if !unchecked {
-                let (verdict, _) = state.registry.certify_spanner(&spanner, &splitter);
-                if !matches!(&verdict, Ok(v) if v.holds()) {
-                    return not_split_correct(&verdict);
-                }
-            }
-            let mut runner = CorpusRunner::with_pool(
-                spanner.exec.clone(),
-                splitter.compiled.clone(),
-                state.runner_config(),
-                state.pool.clone(),
-            );
-            if corpus.is_some() {
-                runner = runner.with_segment_cache(state.segment_cache.clone());
-            }
-            let result = match &corpus {
-                // The entry mutex serializes extraction and mutation of
-                // one corpus; the presplit segmentation is reused as-is.
-                Some(entry) => entry.handle.lock().extract(&runner),
-                None => runner.run_slices(&doc_bytes),
-            };
-            state.metrics.record_corpus(&result.stats);
-            let vars = spanner.vsa.vars();
-            let mut stats_pairs = vec![
-                ("docs".to_string(), Json::num(result.stats.docs as u32)),
-                (
-                    "segments".to_string(),
-                    Json::num(result.stats.segments as u32),
-                ),
-                (
-                    "segment_bytes".to_string(),
-                    Json::Num(result.stats.segment_bytes as f64),
-                ),
-                (
-                    "batches".to_string(),
-                    Json::num(result.stats.batches as u32),
-                ),
-            ];
-            if corpus.is_some() {
-                stats_pairs.push((
-                    "docs_reused".to_string(),
-                    Json::num(result.stats.docs_reused as u32),
-                ));
-                stats_pairs.push((
-                    "segment_cache".to_string(),
-                    seg_cache_json(&state.segment_cache),
-                ));
-            }
-            respond(
-                200,
-                Json::Obj(vec![
-                    (
-                        "relations".to_string(),
-                        Json::Arr(
-                            result
-                                .relations
-                                .iter()
-                                .map(|r| relation_json(r, vars))
-                                .collect(),
-                        ),
-                    ),
-                    ("stats".to_string(), Json::Obj(stats_pairs)),
-                ]),
-            )
-        }
-        (None, Some(_)) => {
-            let fleet_id = match require_id(body, "fleet") {
-                Ok(id) => id,
-                Err(r) => return r,
-            };
-            let fleet = match state.registry.fleet(fleet_id) {
-                Some(f) => f,
-                None => return error(404, format!("unknown fleet {}", hex_id(fleet_id))),
-            };
-            if !unchecked {
-                let (verdicts, _) = state.registry.certify_fleet(&fleet, &splitter);
-                if let Some(bad) = verdicts.iter().find(|v| !matches!(v, Ok(x) if x.holds())) {
-                    return not_split_correct(bad);
-                }
-            }
-            let mut runner = FleetRunner::with_pool(
-                fleet.fleet.clone(),
-                splitter.compiled.clone(),
-                state.runner_config(),
-                state.pool.clone(),
-            );
-            if corpus.is_some() {
-                runner = runner.with_segment_cache(state.segment_cache.clone());
-            }
-            let result = match &corpus {
-                Some(entry) => entry.handle.lock().extract_fleet(&runner),
-                None => runner.run_slices(&doc_bytes),
-            };
-            state.metrics.record_fleet(&result.stats);
-            let mut stats_pairs = vec![
-                ("docs".to_string(), Json::num(result.stats.docs as u32)),
-                (
-                    "segments".to_string(),
-                    Json::num(result.stats.segments as u32),
-                ),
-                (
-                    "segment_bytes".to_string(),
-                    Json::Num(result.stats.segment_bytes as f64),
-                ),
-                (
-                    "batches".to_string(),
-                    Json::num(result.stats.batches as u32),
-                ),
-                (
-                    "dispatches".to_string(),
-                    Json::Num(result.stats.dispatches as f64),
-                ),
-                (
-                    "gate_rejected".to_string(),
-                    Json::Num(result.stats.gate_rejected as f64),
-                ),
-                (
-                    "scan_rejected".to_string(),
-                    Json::Num(result.stats.scan_rejected as f64),
-                ),
-            ];
-            if corpus.is_some() {
-                stats_pairs.push((
-                    "docs_reused".to_string(),
-                    Json::num(result.stats.docs_reused as u32),
-                ));
-                stats_pairs.push((
-                    "segment_cache".to_string(),
-                    seg_cache_json(&state.segment_cache),
-                ));
-            }
-            respond(
-                200,
-                Json::Obj(vec![
-                    (
-                        "relations".to_string(),
-                        Json::Arr(
-                            result
-                                .relations
-                                .iter()
-                                .map(|per_doc| {
-                                    Json::Arr(
-                                        per_doc
-                                            .iter()
-                                            .enumerate()
-                                            .map(|(m, r)| relation_json(r, fleet.vsas[m].vars()))
-                                            .collect(),
-                                    )
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    ("stats".to_string(), Json::Obj(stats_pairs)),
-                ]),
-            )
-        }
-        _ => error(400, "exactly one of \"spanner\" or \"fleet\" is required"),
     }
+    let (relations, stats) =
+        target.extract(&splitter, &input, state.runner(), Some(&state.metrics));
+    Ok(respond(
+        200,
+        Json::obj(vec![("relations", relations), ("stats", stats)]),
+    ))
 }
 
 /// Renders a corpus summary (the non-`"v"` part shared by the corpus
 /// endpoints' responses).
-fn corpus_summary(entry: &CorpusEntry, handle: &CorpusHandle) -> Vec<(String, Json)> {
+fn corpus_summary(entry: &CorpusEntry, handle: &CorpusHandle) -> Vec<(&'static str, Json)> {
     vec![
-        ("id".to_string(), Json::str(entry.id.clone())),
-        ("splitter".to_string(), Json::str(hex_id(entry.splitter_id))),
-        ("shards".to_string(), Json::num(handle.num_shards() as u32)),
-        (
-            "segments".to_string(),
-            Json::num(handle.total_segments() as u32),
-        ),
-        ("bytes".to_string(), Json::Num(handle.total_bytes() as f64)),
+        ("id", Json::str(entry.id.clone())),
+        ("splitter", Json::str(hex_id(entry.splitter_id))),
+        ("shards", uint(handle.num_shards() as u64)),
+        ("segments", uint(handle.total_segments() as u64)),
+        ("bytes", uint(handle.total_bytes())),
     ]
 }
 
 /// `PUT /corpus/{id}`: creates or wholesale-replaces a maintained
 /// corpus resource, splitting each shard once under the given splitter.
-fn corpus_put(state: &ServiceState, id: &str, body: &Json) -> Response {
-    if let Some(r) = validate_keys(body, &["splitter", "shards"]) {
-        return r;
-    }
-    let splitter_id = match require_id(body, "splitter") {
-        Ok(id) => id,
-        Err(r) => return r,
-    };
-    let splitter = match state.registry.splitter(splitter_id) {
-        Some(s) => s,
-        None => return error(404, format!("unknown splitter {}", hex_id(splitter_id))),
-    };
-    let shards: Vec<Vec<u8>> = match body.get("shards").and_then(Json::as_arr) {
-        Some(items) => {
-            let mut shards = Vec::with_capacity(items.len());
-            for item in items {
-                match item.as_str() {
-                    Some(s) => shards.push(s.as_bytes().to_vec()),
-                    None => return error(400, "\"shards\" must be an array of strings"),
-                }
-            }
-            shards
-        }
-        None => return error(400, "missing array field \"shards\""),
-    };
+fn corpus_put(state: &ServiceState, id: &str, body: &Body) -> Result<Response, Response> {
+    let splitter = state.splitter(body.id("splitter")?)?;
+    let shards: Vec<Vec<u8>> = body
+        .strs("shards")?
+        .iter()
+        .map(|s| s.as_bytes().to_vec())
+        .collect();
     let handle = CorpusHandle::from_shards(splitter.compiled.clone(), shards);
-    let (entry, replaced) = state.registry.put_corpus(id, splitter_id, handle);
+    let (entry, replaced) = state.registry.put_corpus(id, splitter.id, handle);
     let guard = entry.handle.lock();
     let mut fields = corpus_summary(&entry, &guard);
-    fields.push(("replaced".to_string(), Json::Bool(replaced)));
-    respond(200, Json::Obj(fields))
+    fields.push(("replaced", Json::Bool(replaced)));
+    Ok(respond(200, Json::obj(fields)))
 }
 
 /// Renders the [`DeltaStats`] of one delta application.
 fn delta_json(stats: &DeltaStats) -> Json {
     Json::obj(vec![
-        ("window_start", Json::Num(stats.window_start as f64)),
-        ("window_end", Json::Num(stats.window_end as f64)),
-        ("resplit_bytes", Json::Num(stats.resplit_bytes as f64)),
+        ("window_start", uint(stats.window_start as u64)),
+        ("window_end", uint(stats.window_end as u64)),
+        ("resplit_bytes", uint(stats.resplit_bytes as u64)),
         ("converged", Json::Bool(stats.converged)),
         (
             "segments_reused_prefix",
-            Json::num(stats.segments_reused_prefix as u32),
+            uint(stats.segments_reused_prefix as u64),
         ),
         (
             "segments_reused_suffix",
-            Json::num(stats.segments_reused_suffix as u32),
+            uint(stats.segments_reused_suffix as u64),
         ),
-        ("segments_resplit", Json::num(stats.segments_resplit as u32)),
+        ("segments_resplit", uint(stats.segments_resplit as u64)),
     ])
 }
 
@@ -775,208 +748,128 @@ fn delta_json(stats: &DeltaStats) -> Json {
 /// `edit` (replace `start..end` of a shard with `text`), an `append`,
 /// or a `replace_shard` — resplitting only the dirty window between the
 /// quiescent frontiers (see [`CorpusHandle::edit`]).
-fn corpus_delta(state: &ServiceState, id: &str, body: &Json) -> Response {
-    if let Some(r) = validate_keys(body, &["op", "shard", "start", "end", "text"]) {
-        return r;
-    }
-    let entry = match state.registry.corpus(id) {
-        Some(e) => e,
-        None => return error(404, format!("unknown corpus {id:?}")),
-    };
-    let op = match require_str(body, "op") {
-        Ok(o) => o,
-        Err(r) => return r,
-    };
-    let shard = match body.get("shard").and_then(Json::as_u64) {
-        Some(s) => s as usize,
-        None => return error(400, "missing integer field \"shard\""),
-    };
-    let text = match require_str(body, "text") {
-        Ok(t) => t,
-        Err(r) => return r,
-    };
+fn corpus_delta(state: &ServiceState, id: &str, body: &Body) -> Result<Response, Response> {
+    let entry = state.corpus(id)?;
+    let op = body.str("op")?;
+    let shard = body.usize("shard")?;
+    let text = body.str("text")?;
     let mut handle = entry.handle.lock();
     if shard >= handle.num_shards() {
-        return error(
+        return Err(error(
             404,
             format!(
                 "corpus {id:?} has {} shards, no shard {shard}",
                 handle.num_shards()
             ),
-        );
+        ));
     }
     let stats = match op {
         "edit" => {
-            let (start, end) = match (
-                body.get("start").and_then(Json::as_u64),
-                body.get("end").and_then(Json::as_u64),
-            ) {
-                (Some(s), Some(e)) => (s as usize, e as usize),
-                _ => return error(400, "\"edit\" needs integer fields \"start\" and \"end\""),
+            let (Ok(start), Ok(end)) = (body.usize("start"), body.usize("end")) else {
+                return Err(error(
+                    400,
+                    "\"edit\" needs integer fields \"start\" and \"end\"",
+                ));
             };
             let len = handle.shard_bytes(shard).len();
             if start > end || end > len {
-                return error(
+                return Err(error(
                     400,
                     format!("edit range {start}..{end} out of bounds (shard len {len})"),
-                );
+                ));
             }
             handle.edit(shard, start..end, text.as_bytes())
         }
         "append" => handle.append(shard, text.as_bytes()),
         "replace_shard" => handle.replace_shard(shard, text.as_bytes().to_vec()),
         other => {
-            return error(
+            return Err(error(
                 400,
                 format!("unknown op {other:?} (expected edit|append|replace_shard)"),
-            )
+            ))
         }
     };
     let mut fields = corpus_summary(&entry, &handle);
-    fields.push(("op".to_string(), Json::str(op)));
-    fields.push(("delta".to_string(), delta_json(&stats)));
-    respond(200, Json::Obj(fields))
+    fields.push(("op", Json::str(op)));
+    fields.push(("delta", delta_json(&stats)));
+    Ok(respond(200, Json::obj(fields)))
 }
 
 /// `GET /corpus/{id}`: the corpus summary plus per-shard sizes.
-fn corpus_get(state: &ServiceState, id: &str) -> Response {
-    let entry = match state.registry.corpus(id) {
-        Some(e) => e,
-        None => return error(404, format!("unknown corpus {id:?}")),
-    };
+fn corpus_get(state: &ServiceState, id: &str) -> Result<Response, Response> {
+    let entry = state.corpus(id)?;
     let handle = entry.handle.lock();
     let mut fields = corpus_summary(&entry, &handle);
     fields.push((
-        "shard_sizes".to_string(),
+        "shard_sizes",
         Json::Arr(
             (0..handle.num_shards())
                 .map(|s| {
                     Json::obj(vec![
-                        ("bytes", Json::Num(handle.shard_bytes(s).len() as f64)),
-                        ("segments", Json::num(handle.segments(s).len() as u32)),
+                        ("bytes", uint(handle.shard_bytes(s).len() as u64)),
+                        ("segments", uint(handle.segments(s).len() as u64)),
                     ])
                 })
                 .collect(),
         ),
     ));
-    respond(200, Json::Obj(fields))
+    Ok(respond(200, Json::obj(fields)))
 }
 
 /// `DELETE /corpus/{id}`: drops the resource (its cached segment
 /// relations age out of the bounded segment cache naturally).
-fn corpus_delete(state: &ServiceState, id: &str) -> Response {
-    if state.registry.remove_corpus(id) {
-        respond(
-            200,
-            Json::obj(vec![("id", Json::str(id)), ("deleted", Json::Bool(true))]),
-        )
-    } else {
-        error(404, format!("unknown corpus {id:?}"))
+fn corpus_delete(state: &ServiceState, id: &str) -> Result<Response, Response> {
+    if !state.registry.remove_corpus(id) {
+        return Err(error(404, format!("unknown corpus {id:?}")));
     }
+    Ok(respond(
+        200,
+        Json::obj(vec![("id", Json::str(id)), ("deleted", Json::Bool(true))]),
+    ))
 }
 
-/// Runs one extraction completely offline — no server, no shared pool,
-/// per-run spawned worker threads — and renders the relations with the
-/// *same* JSON encoding as `/extract`. This is the differential
-/// reference for the end-to-end harness (`scripts/server_smoke.sh`
-/// compares server output byte-for-byte against this).
+/// Runs one extraction completely offline and renders the relations
+/// with the *same* encoder as `/extract` — the differential reference
+/// for the end-to-end harness (`scripts/server_smoke.sh` compares
+/// server output byte-for-byte against this). It shares the request
+/// decoding, `Target::extract` and the relation encoder with the
+/// server; it runs with a fresh [`Registry`], no certification, the
+/// default runner config, per-run spawned workers and no segment cache.
 ///
 /// Request shape: `{"pattern": ...}` (spanner) or `{"patterns": [...]}`
 /// (fleet), plus `"engine"?`, `"splitter"` or `"splitter_builtin"`, and
 /// `"docs"`.
 pub fn offline_extract(body: &Json) -> Result<Json, String> {
-    let spec = match (
-        body.get("splitter").and_then(Json::as_str),
-        body.get("splitter_builtin").and_then(Json::as_str),
-    ) {
-        (Some(p), None) => SplitterSpec::Pattern(p.to_string()),
-        (None, Some(b)) => SplitterSpec::Builtin(b.to_string()),
-        _ => return Err("exactly one of \"splitter\" or \"splitter_builtin\" is required".into()),
-    };
+    let body = Body::new(
+        body,
+        &[
+            "pattern",
+            "patterns",
+            "engine",
+            "splitter",
+            "splitter_builtin",
+            "docs",
+        ],
+    )?;
     let registry = Registry::new();
-    let (splitter, _) = registry.register_splitter(&spec)?;
-    let engine = match body.get("engine").and_then(Json::as_str) {
-        None => Engine::default(),
-        Some(name) => name.parse::<Engine>()?,
+    let (splitter, _) =
+        registry.register_splitter(&body.splitter_spec("splitter", "splitter_builtin")?)?;
+    let engine = body.engine()?;
+    let docs = body.strs("docs")?;
+    let target = match body.one_of("pattern", "patterns")? {
+        "pattern" => Target::Spanner(registry.register_spanner(body.str("pattern")?, engine)?.0),
+        _ => {
+            let ids = body
+                .strs("patterns")?
+                .into_iter()
+                .map(|p| Ok(registry.register_spanner(p, engine)?.0.id))
+                .collect::<Result<Vec<u64>, String>>()?;
+            Target::Fleet(registry.register_fleet(&ids)?.0)
+        }
     };
-    let docs: Vec<Vec<u8>> = body
-        .get("docs")
-        .and_then(Json::as_arr)
-        .ok_or("missing array field \"docs\"")?
-        .iter()
-        .map(|d| {
-            d.as_str()
-                .map(|s| s.as_bytes().to_vec())
-                .ok_or_else(|| "\"docs\" must be an array of strings".to_string())
-        })
-        .collect::<Result<_, _>>()?;
-    let doc_slices: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
-
-    match (body.get("pattern"), body.get("patterns")) {
-        (Some(_), None) => {
-            let pattern = body
-                .get("pattern")
-                .and_then(Json::as_str)
-                .ok_or("\"pattern\" must be a string")?;
-            let (spanner, _) = registry.register_spanner(pattern, engine)?;
-            let runner = CorpusRunner::new(
-                spanner.exec.clone(),
-                splitter.compiled.clone(),
-                CorpusRunnerConfig::default(),
-            );
-            let result = runner.run_slices(&doc_slices);
-            Ok(Json::obj(vec![(
-                "relations",
-                Json::Arr(
-                    result
-                        .relations
-                        .iter()
-                        .map(|r| relation_json(r, spanner.vsa.vars()))
-                        .collect(),
-                ),
-            )]))
-        }
-        (None, Some(_)) => {
-            let patterns = body
-                .get("patterns")
-                .and_then(Json::as_arr)
-                .ok_or("\"patterns\" must be an array")?;
-            let mut ids = Vec::with_capacity(patterns.len());
-            for p in patterns {
-                let p = p
-                    .as_str()
-                    .ok_or("\"patterns\" must be an array of strings")?;
-                let (entry, _) = registry.register_spanner(p, engine)?;
-                ids.push(entry.id);
-            }
-            let (fleet, _) = registry.register_fleet(&ids)?;
-            let runner = FleetRunner::new(
-                fleet.fleet.clone(),
-                splitter.compiled.clone(),
-                CorpusRunnerConfig::default(),
-            );
-            let result = runner.run_slices(&doc_slices);
-            Ok(Json::obj(vec![(
-                "relations",
-                Json::Arr(
-                    result
-                        .relations
-                        .iter()
-                        .map(|per_doc| {
-                            Json::Arr(
-                                per_doc
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(m, r)| relation_json(r, fleet.vsas[m].vars()))
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            )]))
-        }
-        _ => Err("exactly one of \"pattern\" or \"patterns\" is required".into()),
-    }
+    let input = Input::Docs(docs.iter().map(|d| d.as_bytes()).collect());
+    let (relations, _) = target.extract(&splitter, &input, RunnerOptions::new(), None);
+    Ok(Json::obj(vec![("relations", relations)]))
 }
 
 fn not_split_correct(verdict: &CachedVerdict) -> Response {
@@ -1024,24 +917,24 @@ fn stats(state: &ServiceState) -> Response {
         (
             "registry".to_string(),
             Json::obj(vec![
-                ("spanners", Json::num(spanners as u32)),
-                ("splitters", Json::num(splitters as u32)),
-                ("fleets", Json::num(fleets as u32)),
-                ("corpora", Json::num(corpora as u32)),
+                ("spanners", uint(spanners as u64)),
+                ("splitters", uint(splitters as u64)),
+                ("fleets", uint(fleets as u64)),
+                ("corpora", uint(corpora as u64)),
                 ("entries", entries),
                 (
                     "compile_cache",
                     Json::obj(vec![
-                        ("hits", Json::Num(compile.hits as f64)),
-                        ("misses", Json::Num(compile.misses as f64)),
+                        ("hits", uint(compile.hits)),
+                        ("misses", uint(compile.misses)),
                     ]),
                 ),
                 (
                     "cert_cache",
                     Json::obj(vec![
-                        ("hits", Json::Num(cert.hits as f64)),
-                        ("misses", Json::Num(cert.misses as f64)),
-                        ("entries", Json::num(cert.entries as u32)),
+                        ("hits", uint(cert.hits)),
+                        ("misses", uint(cert.misses)),
+                        ("entries", uint(cert.entries as u64)),
                     ]),
                 ),
             ]),
@@ -1049,19 +942,19 @@ fn stats(state: &ServiceState) -> Response {
         (
             "pool".to_string(),
             Json::obj(vec![
-                ("workers", Json::num(state.pool.workers() as u32)),
-                ("submitted", Json::Num(pool.submitted as f64)),
-                ("completed", Json::Num(pool.completed as f64)),
-                ("panicked", Json::Num(pool.panicked as f64)),
+                ("workers", uint(state.pool.workers() as u64)),
+                ("submitted", uint(pool.submitted)),
+                ("completed", uint(pool.completed)),
+                ("panicked", uint(pool.panicked)),
             ]),
         ),
         (
             "antichain".to_string(),
             Json::obj(vec![
-                ("runs", Json::Num(antichain.runs as f64)),
-                ("explored", Json::Num(antichain.explored as f64)),
-                ("pruned", Json::Num(antichain.pruned as f64)),
-                ("subsets", Json::Num(antichain.subsets as f64)),
+                ("runs", uint(antichain.runs)),
+                ("explored", uint(antichain.explored)),
+                ("pruned", uint(antichain.pruned)),
+                ("subsets", uint(antichain.subsets)),
             ]),
         ),
     ];
@@ -1073,4 +966,24 @@ fn stats(state: &ServiceState) -> Response {
         seg_cache_json(&state.segment_cache),
     ));
     respond(200, Json::Obj(doc))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use splitc_spanner::{Span, SpanTuple};
+
+    #[test]
+    fn offsets_past_u32_render_exactly() {
+        // A shard grown past 4 GiB by `append` must not report wrapped
+        // offsets.
+        let start = u32::MAX as usize + 5;
+        let relation =
+            SpanRelation::from_tuples(vec![SpanTuple::new(vec![Span::new(start, start + 3)])]);
+        let vars = VarTable::new(["x"]).unwrap();
+        assert_eq!(
+            relation_json(&relation, &vars).to_string(),
+            r#"[{"x":[4294967300,4294967303]}]"#
+        );
+    }
 }

@@ -152,6 +152,45 @@ fn register_certify_extract_roundtrip_matches_offline() {
             .unwrap()
             >= 1
     );
+
+    // The fleet over inline docs matches the offline "patterns" form.
+    let spanner2 = register_spanner(&mut client, LOCAL2);
+    let (status, body) = client
+        .post(
+            "/fleets",
+            &Json::obj(vec![(
+                "members",
+                Json::Arr(vec![Json::str(spanner), Json::str(spanner2)]),
+            )]),
+        )
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    let fleet = body.get("id").unwrap().as_str().unwrap().to_string();
+    let (status, body) = client
+        .post(
+            "/extract",
+            &Json::obj(vec![
+                ("fleet", Json::str(fleet)),
+                ("splitter", Json::str(splitter)),
+                ("docs", docs_json(&docs)),
+            ]),
+        )
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    let offline = offline_extract(&Json::obj(vec![
+        (
+            "patterns",
+            Json::Arr(vec![Json::str(LOCAL), Json::str(LOCAL2)]),
+        ),
+        ("splitter_builtin", Json::str("sentences")),
+        ("docs", docs_json(&docs)),
+    ]))
+    .unwrap();
+    assert_eq!(
+        body.get("relations").unwrap().to_string(),
+        offline.get("relations").unwrap().to_string(),
+        "fleet relations over inline docs must be byte-identical to offline"
+    );
 }
 
 #[test]
@@ -602,6 +641,39 @@ fn responses_are_versioned_and_unknown_fields_are_rejected() {
     let err = body.get("error").unwrap().as_str().unwrap();
     assert!(err.contains("unknown field"), "{err}");
     assert!(err.contains("engin"), "names the offender: {err}");
+
+    // A known field of the wrong type is a typed 400 naming the key, not
+    // read as absent: no silent default engine, no silent "checked" (the
+    // crossing pair below would otherwise answer 409).
+    for engine in [Json::num(3u32), Json::Null] {
+        let (status, body) = client
+            .post(
+                "/spanners",
+                &Json::obj(vec![("pattern", Json::str(LOCAL)), ("engine", engine)]),
+            )
+            .unwrap();
+        assert_eq!(status, 400, "{body}");
+        let err = body.get("error").unwrap().as_str().unwrap();
+        assert!(err.contains("\"engine\""), "names the key: {err}");
+    }
+    let crossing = register_spanner(&mut client, CROSSING);
+    let splitter = register_sentences(&mut client);
+    for unchecked in [Json::str("yes"), Json::num(1u32)] {
+        let (status, body) = client
+            .post(
+                "/extract",
+                &Json::obj(vec![
+                    ("spanner", Json::str(crossing.clone())),
+                    ("splitter", Json::str(splitter.clone())),
+                    ("docs", docs_json(&["a.a"])),
+                    ("unchecked", unchecked),
+                ]),
+            )
+            .unwrap();
+        assert_eq!(status, 400, "{body}");
+        let err = body.get("error").unwrap().as_str().unwrap();
+        assert!(err.contains("\"unchecked\""), "names the key: {err}");
+    }
 }
 
 #[test]

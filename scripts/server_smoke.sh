@@ -4,7 +4,8 @@
 # register -> certify -> extract -> stats round-trip over real HTTP
 # (python3 stdlib http.client — no extra dependencies), compares the
 # extraction relations byte-for-byte against `splitc-server --offline`
-# (the no-server differential reference), and finally delivers SIGTERM
+# (the no-server differential reference) for a spanner, a corpus
+# resource and a two-member fleet, and finally delivers SIGTERM
 # and asserts a graceful exit 0 with "shutdown complete" on stdout.
 #
 # Usage: scripts/server_smoke.sh [server-binary]
@@ -89,9 +90,10 @@ def extract_stats(req):
     return json.loads(call("POST", "/extract", req))["stats"]
 
 
-def offline_relations(docs):
+def offline_relations(docs, patterns=None):
+    target = {"pattern": PATTERN} if patterns is None else {"patterns": patterns}
     offline_req = json.dumps(
-        {"pattern": PATTERN, "splitter_builtin": "sentences", "docs": docs})
+        {**target, "splitter_builtin": "sentences", "docs": docs})
     offline = subprocess.run(
         [bin_path, "--offline"], input=offline_req, capture_output=True,
         text=True, check=True).stdout.strip()
@@ -173,8 +175,30 @@ assert stats["segment_cache"]["hits"] > 0 \
     f"segment cache served the corpus re-extractions: {stats['segment_cache']}"
 assert stats["pool"]["workers"] == 4
 
+# Fleet round trip (after the /stats counts above): register a second
+# spanner, fuse both into a fleet, certify it, and compare its inline-docs
+# relations byte-for-byte with the offline "patterns" form.
+PATTERN2 = ".*y{b+}.*"
+FLEET_DOCS = ["aa bb. ab ba.", "bbb a. Charlie aa delta."]
+spanner2 = json.loads(call("POST", "/spanners", {"pattern": PATTERN2}))
+fleet = json.loads(call("POST", "/fleets",
+                        {"members": [spanner["id"], spanner2["id"]]}))
+fleet_cert = json.loads(call("POST", "/certify",
+                             {"fleet": fleet["id"], "splitter": splitter["id"]}))
+assert fleet_cert["holds"] is True \
+    and [m["verdict"] for m in fleet_cert["members"]] == ["holds", "holds"], \
+    f"both fleet members must be self-split-correct: {fleet_cert}"
+fleet_rel = extract_relations(
+    {"fleet": fleet["id"], "splitter": splitter["id"], "docs": FLEET_DOCS})
+offline_fleet = offline_relations(FLEET_DOCS, patterns=[PATTERN, PATTERN2])
+assert fleet_rel == offline_fleet, (
+    "server and offline fleet relations differ:\n"
+    f"  server : {fleet_rel}\n  offline: {offline_fleet}")
+assert '"y"' in fleet_rel and '"x"' in fleet_rel, \
+    f"fleet smoke docs must produce tuples for both members: {fleet_rel}"
+
 print("== round-trip OK: relations byte-identical to offline reference,"
-      f" {len(json.loads(server_rel))} docs extracted")
+      f" {len(json.loads(server_rel))} docs extracted; fleet of 2 agrees")
 PY
 
 # Graceful shutdown: SIGTERM -> in-flight work completes, exit 0.
