@@ -277,7 +277,7 @@ mod tests {
         let j = crate::util::normal_evsa(&p1).join(&crate::util::normal_evsa(&p2));
         let rel = splitc_spanner::eval::eval_evsa(&j, b"aba");
         assert_eq!(rel.len(), 1);
-        let t = &rel.tuples()[0];
+        let t = rel.tuple(0);
         let cover = t.minimal_cover().unwrap();
         assert!(!s.split(b"aba").iter().any(|sp| sp.contains_span(cover)));
     }

@@ -257,7 +257,7 @@ mod tests {
         let can = canonical_split_spanner(&p, &s);
         let rel = eval(&can, b"abc\ndef");
         assert_eq!(rel.len(), 1);
-        assert_eq!(rel.tuples()[0].get(VarId(0)), Span::new(0, 3));
+        assert_eq!(rel.tuple(0).get(VarId(0)), Span::new(0, 3));
     }
 
     #[test]
@@ -333,10 +333,10 @@ mod tests {
         // Pcan on "ab" = {y = [2,3⟩ (1-based) → [1,2)}; on "bb" = {[0,1)}.
         let r_ab = eval(&can, b"ab");
         assert_eq!(r_ab.len(), 1);
-        assert_eq!(r_ab.tuples()[0].get(VarId(0)), Span::new(1, 2));
+        assert_eq!(r_ab.tuple(0).get(VarId(0)), Span::new(1, 2));
         let r_bb = eval(&can, b"bb");
         assert_eq!(r_bb.len(), 1);
-        assert_eq!(r_bb.tuples()[0].get(VarId(0)), Span::new(0, 1));
+        assert_eq!(r_bb.tuple(0).get(VarId(0)), Span::new(0, 1));
         // Noted erratum: the paper's Example 5.10 computes
         // (Pcan ∘ S)("abb") = {[1,2⟩,[2,3⟩,[3,4⟩} by unioning
         // Pcan(ab) ∪ Pcan(bb) for *both* splits. Under the composition
@@ -364,7 +364,7 @@ mod tests {
         let can = canonical_split_spanner(&p, &s);
         let r = eval(&can, b"aa");
         assert_eq!(r.len(), 1);
-        assert_eq!(r.tuples()[0].get(VarId(0)), Span::new(0, 1));
+        assert_eq!(r.tuple(0).get(VarId(0)), Span::new(0, 1));
         let composed = splitc_spanner::splitter::compose(&can, &s);
         let rel = eval(&composed, b"aaa");
         assert_eq!(rel.len(), 2, "fabricated tuple appears");

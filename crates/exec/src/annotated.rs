@@ -3,8 +3,9 @@
 //! key–spanner mappings certified by `splitc_core::annotated`.
 
 use crate::engine::ExecSpanner;
+use crate::pipeline::concat_rows;
 use splitc_spanner::span::Span;
-use splitc_spanner::tuple::{SpanRelation, SpanTuple};
+use splitc_spanner::tuple::SpanRelation;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -33,17 +34,17 @@ impl AnnotatedPlan {
     /// its key; results are shifted and unioned. Chunks with unbound
     /// keys are an error (the certification pipeline prevents them).
     pub fn eval(&self, doc: &[u8]) -> Result<SpanRelation, String> {
-        let mut tuples: Vec<SpanTuple> = Vec::new();
+        let mut parts = Vec::new();
         for (key, sp) in (self.split)(doc) {
             let spanner = self
                 .spanners
                 .get(&key)
                 .ok_or_else(|| format!("no spanner bound for key {key}"))?;
-            for t in spanner.eval(sp.slice(doc)).iter() {
-                tuples.push(t.shift(sp));
-            }
+            let mut local = spanner.eval(sp.slice(doc));
+            local.shift_in_place(sp);
+            parts.push(local);
         }
-        Ok(SpanRelation::from_tuples(tuples))
+        Ok(concat_rows(parts))
     }
 
     /// The bound keys.

@@ -1,5 +1,6 @@
 //! The parallel split-evaluation engine.
 
+use crate::pipeline::concat_rows;
 use splitc_spanner::aot::{AotConfig, AotEvsa};
 use splitc_spanner::dense::{DenseCache, DenseConfig, DenseEvsa};
 use splitc_spanner::eval::eval_evsa;
@@ -7,7 +8,7 @@ use splitc_spanner::evsa::EVsa;
 use splitc_spanner::prefilter::{PrefilterStats, PrefilteredEvsa};
 use splitc_spanner::span::Span;
 use splitc_spanner::splitter::Splitter;
-use splitc_spanner::tuple::{SpanRelation, SpanTuple};
+use splitc_spanner::tuple::SpanRelation;
 use splitc_spanner::vsa::Vsa;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -368,13 +369,11 @@ pub fn evaluate_split(
     }
     let results = run_pool(workers, chunks.len(), |i| {
         let sp = chunks[i];
-        let local = split_spanner.eval(sp.slice(doc));
+        let mut local = split_spanner.eval(sp.slice(doc));
+        local.shift_in_place(sp);
         local
-            .iter()
-            .map(|t| t.shift(sp))
-            .collect::<Vec<SpanTuple>>()
     });
-    SpanRelation::from_tuples(results.into_iter().flatten().collect())
+    concat_rows(results)
 }
 
 /// Evaluates the spanner over a collection of documents, one task per
@@ -411,20 +410,15 @@ pub fn evaluate_many_split(
     }
     let partials = run_pool(workers, tasks.len(), |i| {
         let (di, sp) = tasks[i];
-        let local = split_spanner.eval(sp.slice(docs[di]));
-        (
-            di,
-            local
-                .iter()
-                .map(|t| t.shift(sp))
-                .collect::<Vec<SpanTuple>>(),
-        )
+        let mut local = split_spanner.eval(sp.slice(docs[di]));
+        local.shift_in_place(sp);
+        (di, local)
     });
-    let mut per_doc: Vec<Vec<SpanTuple>> = vec![Vec::new(); docs.len()];
-    for (di, tuples) in partials {
-        per_doc[di].extend(tuples);
+    let mut per_doc: Vec<Vec<SpanRelation>> = vec![Vec::new(); docs.len()];
+    for (di, rel) in partials {
+        per_doc[di].push(rel);
     }
-    per_doc.into_iter().map(SpanRelation::from_tuples).collect()
+    per_doc.into_iter().map(concat_rows).collect()
 }
 
 /// Runs `n` independent tasks on `workers` threads with work stealing
@@ -545,7 +539,7 @@ mod tests {
         for (i, rel) in out.iter().enumerate() {
             assert_eq!(rel.len(), 1);
             assert_eq!(
-                rel.tuples()[0].spans()[0].len(),
+                rel.tuple(0).spans()[0].len(),
                 i % 7,
                 "order must be preserved"
             );

@@ -18,12 +18,13 @@
 //! generic over it, so the per-segment path is monomorphised — no
 //! dynamic dispatch between the queue and the work.
 //!
-//! **Owned hand-off.** The work hands each relation over by value. A
-//! relation the engine just produced is shifted in place
-//! ([`SpanTuple::shift_in_place`] over [`SpanRelation::into_tuples`]),
-//! so no tuple is copied between the engine and the merge; a
-//! segment-cache hit clones the shared relation once and shifts the
-//! clone, leaving the cached copy segment-local.
+//! **Owned hand-off.** The work hands each relation over by value: one
+//! row-major span buffer, allocated once at its exact size by the
+//! engine. The worker shifts it in place
+//! ([`SpanRelation::shift_in_place`]), so no tuple is copied or
+//! allocated between the engine and the merge; a segment-cache hit
+//! clones the shared relation once and shifts the clone, leaving the
+//! cached copy segment-local.
 //!
 //! The pipeline is the single owner of:
 //!
@@ -38,14 +39,16 @@
 //!   running index in the stream, and before the cells are filled the
 //!   partials are sorted by `(stream index, member)`. That is the
 //!   **stream-order invariant**: each `(doc, member)` cell receives its
-//!   segments' tuples in the order the segments left the splitter,
-//!   whichever worker evaluated them. Under a disjoint splitter that is
-//!   document order, so `SpanRelation::from_tuples` finds the cell
-//!   sorted in one linear check and only dedups. The order is a speed
-//!   matter, not a correctness one: canonical relations come from
-//!   `from_tuples`' sortedness check, which falls back to a full sort
-//!   for whatever arrives out of order (overlapping segments of a
-//!   non-disjoint splitter, empty spans on a shared boundary).
+//!   segments' rows in the order the segments left the splitter,
+//!   whichever worker evaluated them. Each cell is one span buffer,
+//!   sized up front and extended by every partial's rows; under a
+//!   disjoint splitter that is document order, so
+//!   [`SpanRelation::from_rows`] finds the cell sorted in one linear
+//!   check and only dedups. The order is a speed matter, not a
+//!   correctness one: canonical relations come from `from_rows`'
+//!   sortedness check, which falls back to a full sort for whatever
+//!   arrives out of order (overlapping segments of a non-disjoint
+//!   splitter, empty spans on a shared boundary).
 
 use crate::corpus::CorpusRunnerConfig;
 use crate::pool::EvalPool;
@@ -54,7 +57,7 @@ use crate::stream::{Segment, StreamingSplitter};
 use parking_lot::Mutex;
 use splitc_spanner::span::Span;
 use splitc_spanner::splitter::CompiledSplitter;
-use splitc_spanner::tuple::{SpanRelation, SpanTuple};
+use splitc_spanner::tuple::SpanRelation;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -149,9 +152,9 @@ impl SegPayload {
 /// documents still fill them.
 type Batch = Vec<(usize, usize, SegPayload)>;
 
-/// Shifted tuples of one `(doc, member)` cell from one segment:
-/// `(stream index, doc, member, tuples)`.
-type Partial = (usize, usize, usize, Vec<SpanTuple>);
+/// The shifted, non-empty relation of one `(doc, member)` cell from one
+/// segment: `(stream index, doc, member, relation)`.
+type Partial = (usize, usize, usize, SpanRelation);
 
 /// The producer side: accumulates segments into batches and sends them
 /// over the bounded queue, blocking when it is full.
@@ -375,32 +378,42 @@ impl<W: SegmentWork> Pipeline<W> {
 
         // Workers append their partials batch by batch; one small key per
         // partial puts every cell back in the order its segments left
-        // the splitter, so `from_tuples` usually finds it sorted.
+        // the splitter, so `from_rows` usually finds it sorted.
         partials.sort_unstable_by_key(|&(seq, _, mi, _)| (seq, mi));
-        let mut sizes = vec![0usize; stats.docs * members];
-        for (_, di, mi, tuples) in &partials {
-            sizes[di * members + mi] += tuples.len();
+        let mut cells: Vec<Vec<Vec<SpanRelation>>> = vec![vec![Vec::new(); members]; stats.docs];
+        for (_, di, mi, rel) in partials {
+            cells[di][mi].push(rel);
         }
-        let mut cells: Vec<Vec<Vec<SpanTuple>>> = sizes
-            .chunks(members)
-            .map(|row| row.iter().map(|&n| Vec::with_capacity(n)).collect())
+        let relations = cells
+            .into_iter()
+            .map(|row| row.into_iter().map(concat_rows).collect())
             .collect();
-        for (_, di, mi, tuples) in partials {
-            cells[di][mi].extend(tuples);
-        }
         Run {
-            relations: cells
-                .into_iter()
-                .map(|row| row.into_iter().map(SpanRelation::from_tuples).collect())
-                .collect(),
+            relations,
             feed: stats,
             tally,
         }
     }
 }
 
+/// The union of shifted per-segment relations: their rows concatenated,
+/// in order, into one buffer sized up front, then
+/// [`SpanRelation::from_rows`], which sorts and dedups whatever arrives
+/// out of order. Empty parts are skipped, so the non-empty ones share
+/// one arity.
+pub(crate) fn concat_rows(parts: Vec<SpanRelation>) -> SpanRelation {
+    let mut spans = Vec::with_capacity(parts.iter().map(|r| r.spans().len()).sum());
+    let (mut arity, mut rows) = (0, 0);
+    for rel in parts.into_iter().filter(|r| !r.is_empty()) {
+        arity = rel.arity();
+        rows += rel.len();
+        spans.extend_from_slice(rel.spans());
+    }
+    SpanRelation::from_rows(arity, rows, spans)
+}
+
 /// One worker: drains the queue and evaluates each segment with
-/// worker-local scratch, returning shifted tuples keyed by
+/// worker-local scratch, returning shifted relations keyed by
 /// `(stream index, doc, member)`. Evaluation panics are caught and
 /// recorded in `failed`; the worker then keeps draining without
 /// evaluating, so the producer never deadlocks on the bounded queue. A
@@ -428,13 +441,10 @@ fn worker_loop<W: SegmentWork>(
             let mut local: Vec<Partial> = Vec::new();
             for (seq, di, seg) in batch {
                 let (bytes, span) = (seg.bytes(), seg.span());
-                work.eval(bytes, cache, &mut scratch, |mi, rel| {
+                work.eval(bytes, cache, &mut scratch, |mi, mut rel| {
                     if !rel.is_empty() {
-                        let mut tuples = rel.into_tuples();
-                        for t in &mut tuples {
-                            t.shift_in_place(span);
-                        }
-                        local.push((seq, di, mi, tuples));
+                        rel.shift_in_place(span);
+                        local.push((seq, di, mi, rel));
                     }
                 });
             }
@@ -501,7 +511,7 @@ mod tests {
             {
                 overlapping += 1; // non-disjoint: the merge's fallback sort
             }
-            for pat in [".*x{a+}.*", ".*x{}.*", ".*x{a}.*y{[ab]+}.*"] {
+            for pat in [".*x{a+}.*", ".*x{}.*", ".*x{a}.*y{[ab]+}.*", ".*ab.*"] {
                 let spanner = ExecSpanner::compile(&vsa(pat));
                 let run = |workers| {
                     let p = Pipeline::new(

@@ -36,7 +36,7 @@ pub(crate) fn splitter_pool() -> Vec<Splitter> {
     ]
 }
 
-const PATTERNS: &[&str] = &[".*x{a+}.*", "x{[ab]+}", ".*x{}.*", ".*x{a.a}.*"];
+const PATTERNS: &[&str] = &[".*x{a+}.*", "x{[ab]+}", ".*x{}.*", ".*x{a.a}.*", ".*ab.*"];
 
 /// Documents over an alphabet that exercises every pool splitter:
 /// letters, the sentence/line delimiters, spaces (token boundaries).

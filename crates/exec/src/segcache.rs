@@ -23,8 +23,8 @@
 //!
 //! Because a hit returns exactly the relation the engine would have
 //! computed, plugging the cache under a runner's worker loop preserves
-//! the deterministic merge: `SpanRelation::from_tuples` sees the same
-//! tuples whether they came from an engine dispatch or from cache.
+//! the deterministic merge: `SpanRelation::from_rows` sees the same
+//! rows whether they came from an engine dispatch or from cache.
 
 use parking_lot::Mutex;
 use splitc_spanner::tuple::SpanRelation;

@@ -17,7 +17,7 @@
 //! `engine::evaluate_split` provides the real thing.
 
 use crate::engine::{ExecSpanner, SplitFn};
-use splitc_spanner::tuple::{SpanRelation, SpanTuple};
+use crate::pipeline::concat_rows;
 use std::time::{Duration, Instant};
 
 /// Outcome of a simulated pool run.
@@ -86,21 +86,21 @@ pub fn simulate_split(
 
     // Per-chunk tasks (measured individually).
     let mut durations = Vec::with_capacity(chunks.len());
-    let mut partials: Vec<Vec<SpanTuple>> = Vec::with_capacity(chunks.len());
+    let mut partials = Vec::with_capacity(chunks.len());
     let mut task_total = Duration::ZERO;
     for sp in &chunks {
         let t0 = Instant::now();
-        let local = spanner.eval(sp.slice(doc));
-        let shifted: Vec<SpanTuple> = local.iter().map(|t| t.shift(*sp)).collect();
+        let mut local = spanner.eval(sp.slice(doc));
+        local.shift_in_place(*sp);
         let d = t0.elapsed();
         durations.push(d);
         task_total += d;
-        partials.push(shifted);
+        partials.push(local);
     }
 
     // Merge phase (serial).
     let t0 = Instant::now();
-    let merged = SpanRelation::from_tuples(partials.into_iter().flatten().collect());
+    let merged = concat_rows(partials);
     let merge_time = t0.elapsed();
     assert_eq!(
         merged.len(),

@@ -849,7 +849,7 @@ mod tests {
         let d = dense("a*x{b*}a*");
         let rel = d.eval(&doc);
         assert_eq!(rel.len(), doc.len() + 1);
-        assert_eq!(rel.tuples()[0].get(VarId(0)), Span::new(0, 0));
+        assert_eq!(rel.tuple(0).get(VarId(0)), Span::new(0, 0));
     }
 
     /// `x{[\x80-\xFF]+}`-shaped spanner built directly over the high

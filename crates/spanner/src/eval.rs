@@ -214,11 +214,13 @@ pub(crate) struct Frame {
 }
 
 /// Reusable buffers of [`forward_enumerate_scratch`]. The search used to
-/// allocate its variable tables, undo trail and frame stack afresh on
-/// every call — one set of allocations *per evaluated segment* in the
-/// corpus pipelines, where segments are tiny and plentiful. A scratch
-/// lives in each [`crate::dense::DenseCache`], so per-worker evaluation
-/// reuses the grown buffers across every segment the worker touches.
+/// allocate its variable tables, undo trail, frame stack and output
+/// afresh on every call — one set of allocations *per evaluated
+/// segment* in the corpus pipelines, where segments are tiny and
+/// plentiful. A scratch lives in each [`crate::dense::DenseCache`], so
+/// per-worker evaluation reuses the grown buffers across every segment
+/// the worker touches; the returned relation costs one exact-size copy
+/// per call.
 #[derive(Debug, Default)]
 pub(crate) struct EnumScratch {
     opens: Vec<usize>,
@@ -226,6 +228,8 @@ pub(crate) struct EnumScratch {
     /// Trail of (var index, is_open, old value) for undo.
     trail: Vec<(usize, bool, usize)>,
     stack: Vec<Frame>,
+    /// Emitted rows, row-major.
+    out: Vec<Span>,
 }
 
 /// The iterative forward search shared by the NFA and dense engines:
@@ -244,8 +248,9 @@ pub(crate) fn forward_enumerate<V: ViableSource, E: EdgeSource>(
 }
 
 /// [`forward_enumerate`] over caller-provided scratch buffers, reused
-/// across calls (the output tuple vector is the only per-call
-/// allocation — it is handed to the returned relation).
+/// across calls. Rows are written into the scratch's output buffer and
+/// handed to the returned relation as one exact-size copy per call —
+/// the only per-call allocation.
 pub(crate) fn forward_enumerate_scratch<V: ViableSource, E: EdgeSource>(
     evsa: &EVsa,
     doc: &[u8],
@@ -266,6 +271,7 @@ pub(crate) fn forward_enumerate_scratch<V: ViableSource, E: EdgeSource>(
         closes,
         trail,
         stack,
+        out,
     } = scratch;
     opens.clear();
     opens.resize(nv, UNSET);
@@ -273,7 +279,8 @@ pub(crate) fn forward_enumerate_scratch<V: ViableSource, E: EdgeSource>(
     closes.resize(nv, UNSET);
     trail.clear();
     stack.clear();
-    let mut out: Vec<SpanTuple> = Vec::new();
+    out.clear();
+    let mut rows = 0usize;
 
     fn apply_block(
         block: &[VarOp],
@@ -312,20 +319,19 @@ pub(crate) fn forward_enumerate_scratch<V: ViableSource, E: EdgeSource>(
         }
     }
 
-    let emit = |opens: &[usize], closes: &[usize], out: &mut Vec<SpanTuple>| {
+    let emit = |opens: &[usize], closes: &[usize], out: &mut Vec<Span>, rows: &mut usize| {
         debug_assert!(
             (0..nv).all(|i| opens[i] != UNSET && closes[i] != UNSET),
             "functional automaton must assign all variables"
         );
-        out.push(SpanTuple::new(
-            (0..nv).map(|i| Span::new(opens[i], closes[i])).collect(),
-        ));
+        out.extend((0..nv).map(|i| Span::new(opens[i], closes[i])));
+        *rows += 1;
     };
 
     // Post-state cutoff at the root (Boolean spanners).
     if post[evsa.start() as usize] {
-        emit(opens, closes, &mut out);
-        return SpanRelation::from_tuples(out);
+        emit(opens, closes, out, &mut rows);
+        return SpanRelation::from_rows(nv, rows, out.to_vec());
     }
 
     stack.push(Frame {
@@ -354,7 +360,7 @@ pub(crate) fn forward_enumerate_scratch<V: ViableSource, E: EdgeSource>(
                 for block in evsa.final_blocks(state) {
                     let mark = trail.len();
                     apply_block(block, pos, opens, closes, trail);
-                    emit(opens, closes, &mut out);
+                    emit(opens, closes, out, &mut rows);
                     undo(trail, mark, opens, closes);
                 }
             }
@@ -384,7 +390,7 @@ pub(crate) fn forward_enumerate_scratch<V: ViableSource, E: EdgeSource>(
             if post[*r as usize] {
                 // The tuple is fully determined and acceptance is viable:
                 // emit and cut the run (trailing context costs O(1)).
-                emit(opens, closes, &mut out);
+                emit(opens, closes, out, &mut rows);
                 undo(trail, mark, opens, closes);
                 continue;
             }
@@ -405,7 +411,7 @@ pub(crate) fn forward_enumerate_scratch<V: ViableSource, E: EdgeSource>(
         }
     }
 
-    SpanRelation::from_tuples(out)
+    SpanRelation::from_rows(nv, rows, out.to_vec())
 }
 
 /// Boolean acceptance: whether the spanner outputs at least one tuple on
@@ -511,7 +517,7 @@ mod tests {
         let p = compile("x{a+}");
         let rel = eval(&p, b"aaa");
         assert_eq!(rel.len(), 1);
-        assert_eq!(rel.tuples()[0].get(VarId(0)), Span::new(0, 3));
+        assert_eq!(rel.tuple(0).get(VarId(0)), Span::new(0, 3));
     }
 
     #[test]
@@ -530,7 +536,7 @@ mod tests {
         let p = compile("x{a*}");
         let rel = eval(&p, b"");
         assert_eq!(rel.len(), 1);
-        assert_eq!(rel.tuples()[0].get(VarId(0)), Span::new(0, 0));
+        assert_eq!(rel.tuple(0).get(VarId(0)), Span::new(0, 0));
     }
 
     #[test]
@@ -545,7 +551,7 @@ mod tests {
         let p = compile("x{a+}b+y{c+}");
         let rel = eval(&p, b"aabbcc");
         assert_eq!(rel.len(), 1);
-        let t = &rel.tuples()[0];
+        let t = rel.tuple(0);
         assert_eq!(t.get(VarId(0)), Span::new(0, 2));
         assert_eq!(t.get(VarId(1)), Span::new(4, 6));
     }
@@ -569,7 +575,7 @@ mod tests {
         let p = compile("a+b");
         let rel = eval(&p, b"aab");
         assert_eq!(rel.len(), 1);
-        assert_eq!(rel.tuples()[0], SpanTuple::unit());
+        assert_eq!(rel.tuple(0), SpanTuple::unit());
         assert!(eval(&p, b"ba").is_empty());
     }
 
@@ -620,7 +626,7 @@ mod tests {
         v.set_final(q2, true);
         let rel = eval(&v, &[0x80, 0xC3, 0xFF]);
         assert_eq!(rel.len(), 1);
-        assert_eq!(rel.tuples()[0].get(VarId(0)), Span::new(0, 3));
+        assert_eq!(rel.tuple(0).get(VarId(0)), Span::new(0, 3));
         assert!(eval(&v, &[0x80, 0x20]).is_empty(), "0x20 not in the class");
         assert!(eval(&v, &[0x00]).is_empty());
     }

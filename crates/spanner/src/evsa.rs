@@ -483,7 +483,7 @@ mod tests {
         let e = compile("x{a+}b");
         let rel = eval_evsa(&e, b"aab");
         assert_eq!(rel.len(), 1);
-        assert_eq!(rel.tuples()[0].get(VarId(0)), Span::new(0, 2));
+        assert_eq!(rel.tuple(0).get(VarId(0)), Span::new(0, 2));
     }
 
     #[test]
@@ -509,7 +509,7 @@ mod tests {
         assert_eq!(p.vars().names(), &["y"]);
         let rel = eval_evsa(&p, b"ab");
         assert_eq!(rel.len(), 1);
-        assert_eq!(rel.tuples()[0].get(VarId(0)), Span::new(1, 2));
+        assert_eq!(rel.tuple(0).get(VarId(0)), Span::new(1, 2));
         assert!(e.project(&["z"]).is_err());
     }
 
@@ -525,7 +525,7 @@ mod tests {
         assert_eq!(j.vars().names(), &["x", "y", "z"]);
         let rel = eval_evsa(&j, b"abc");
         assert_eq!(rel.len(), 1);
-        let t = &rel.tuples()[0];
+        let t = rel.tuple(0);
         assert_eq!(t.get(j.vars().lookup("x").unwrap()), Span::new(0, 1));
         assert_eq!(t.get(j.vars().lookup("y").unwrap()), Span::new(1, 2));
         assert_eq!(t.get(j.vars().lookup("z").unwrap()), Span::new(2, 3));

@@ -85,7 +85,7 @@ pub use rgx::Rgx;
 pub use span::Span;
 pub use splitter::Splitter;
 pub use stream::{SplitterState, StreamTables};
-pub use tuple::{SpanRelation, SpanTuple};
+pub use tuple::{SpanRelation, SpanTuple, TupleRef};
 pub use vars::{VarId, VarOp, VarTable};
 pub use vsa::Vsa;
 

@@ -11,10 +11,12 @@
 
 use crate::eval::{eval, reference_eval};
 use crate::rgx::Rgx;
+use crate::span::Span;
 use crate::splitter::{compose, Splitter};
-use crate::tuple::SpanRelation;
+use crate::tuple::{SpanRelation, SpanTuple};
 use crate::vsa::Vsa;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 const PATTERNS: &[&str] = &[
     "x{a+}",
     ".*x{a}.*",
@@ -42,6 +44,27 @@ fn doc_strategy() -> impl Strategy<Value = Vec<u8>> {
 
 fn compile(p: &str) -> Vsa {
     Rgx::parse(p).unwrap().to_vsa().unwrap()
+}
+
+/// Spans over a tiny range, so drawn rows collide often.
+fn span_strategy() -> impl Strategy<Value = Span> {
+    (0..4usize, 0..3usize).prop_map(|(start, len)| Span::new(start, start + len))
+}
+
+/// Up to 7 unsorted rows of `arity` spans, duplicates likely.
+fn rows_strategy(arity: usize) -> impl Strategy<Value = Vec<Vec<Span>>> {
+    proptest::collection::vec(
+        proptest::collection::vec(span_strategy(), arity..arity + 1),
+        0..8,
+    )
+}
+
+fn relation_of(arity: usize, rows: &[Vec<Span>]) -> SpanRelation {
+    SpanRelation::from_rows(arity, rows.len(), rows.concat())
+}
+
+fn rows_of(rel: &SpanRelation) -> Vec<Vec<Span>> {
+    rel.iter().map(|r| r.spans().to_vec()).collect()
 }
 
 proptest! {
@@ -135,6 +158,56 @@ proptest! {
             && crate::equiv::spanner_equivalent(&a, &b).unwrap().holds()
         {
             prop_assert_eq!(eval(&a, &doc), eval(&b, &doc));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn flat_relation_agrees_with_a_row_set_model(
+        drawn in (0..4usize).prop_flat_map(|arity| {
+            (Just(arity), rows_strategy(arity), rows_strategy(arity), rows_strategy(arity))
+        }),
+        other_arity in 0..4usize,
+        s in span_strategy(),
+    ) {
+        let (arity, a, b, probes) = &drawn;
+        let arity = *arity;
+        let model: BTreeSet<Vec<Span>> = a.iter().cloned().collect();
+        let model_b: BTreeSet<Vec<Span>> = b.iter().cloned().collect();
+        let rel = relation_of(arity, a);
+        let tuples: Vec<SpanTuple> = a.iter().map(|r| SpanTuple::new(r.clone())).collect();
+        prop_assert_eq!(&rel, &SpanRelation::from_tuples(tuples));
+        prop_assert_eq!(rows_of(&rel), model.iter().cloned().collect::<Vec<_>>());
+        prop_assert_eq!(rel.len(), model.len());
+        prop_assert_eq!(rel.is_empty(), model.is_empty());
+        for (i, row) in rel.iter().enumerate() {
+            prop_assert_eq!(rel.tuple(i), row);
+            prop_assert_eq!(row, row.to_owned());
+        }
+        for probe in a.iter().chain(probes) {
+            prop_assert_eq!(rel.contains(&SpanTuple::new(probe.clone())), model.contains(probe));
+        }
+
+        let union: Vec<Vec<Span>> = model.union(&model_b).cloned().collect();
+        prop_assert_eq!(rows_of(&rel.union(&relation_of(arity, b))), union);
+
+        let shifted: BTreeSet<Vec<Span>> = model
+            .iter()
+            .map(|r| r.iter().map(|sp| sp.shift(s)).collect())
+            .collect();
+        prop_assert_eq!(rows_of(&rel.shift(s)), shifted.into_iter().collect::<Vec<_>>());
+
+        // Empties are normalised; a Boolean relation holds at most `()`.
+        let empty = relation_of(arity, &[]);
+        prop_assert_eq!(&empty, &SpanRelation::from_rows(other_arity, 0, Vec::new()));
+        prop_assert_eq!(&empty, &SpanRelation::empty());
+        prop_assert_eq!(rel.is_empty(), rel == empty);
+        if arity == 0 {
+            prop_assert!(rel.len() <= 1);
+            prop_assert!(rel.spans().is_empty());
         }
     }
 }

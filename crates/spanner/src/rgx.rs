@@ -625,7 +625,7 @@ mod tests {
         assert!(r.is_functional());
         let rel = eval(&r.to_vsa().unwrap(), b"abbc");
         assert_eq!(rel.len(), 1);
-        assert_eq!(rel.tuples()[0].get(VarId(0)), Span::new(1, 3));
+        assert_eq!(rel.tuple(0).get(VarId(0)), Span::new(1, 3));
     }
 
     #[test]
@@ -711,7 +711,7 @@ mod tests {
         let v = r.to_vsa().unwrap();
         let rel = eval(&v, b"a b c");
         assert_eq!(rel.len(), 1);
-        let t = &rel.tuples()[0];
+        let t = rel.tuple(0);
         let outer = v.vars().lookup("outer").unwrap();
         let inner = v.vars().lookup("inner").unwrap();
         assert_eq!(t.get(outer), Span::new(0, 5));

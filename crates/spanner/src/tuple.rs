@@ -1,7 +1,20 @@
 //! `(V, d)`-tuples and span relations (paper §2).
+//!
+//! A [`SpanRelation`] stores its tuples **row-major** in one flat span
+//! buffer: row `i` is `spans[i·arity .. (i+1)·arity]`, in variable order.
+//! Rows are sorted lexicographically over their span slices — the order
+//! [`SpanTuple`] derives — and distinct. Iteration hands out borrowed
+//! rows ([`TupleRef`]); [`SpanTuple`] is the owned tuple, used where a
+//! single tuple outlives its relation (witnesses, oracles, membership
+//! probes).
+//!
+//! The empty relation is normalised to arity 0, so empty relations
+//! compare equal whatever spanner produced them. A non-empty Boolean
+//! (arity-0) relation holds exactly the unit tuple `()` and no spans.
 
 use crate::span::Span;
 use crate::vars::{VarId, VarTable};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A `(V, d)`-tuple: a total assignment of spans to the variables of a
@@ -29,6 +42,12 @@ impl SpanTuple {
         }
     }
 
+    /// This tuple as a borrowed row.
+    #[inline]
+    fn row(&self) -> TupleRef<'_> {
+        TupleRef { spans: &self.spans }
+    }
+
     /// Number of variables.
     #[inline]
     pub fn arity(&self) -> usize {
@@ -49,17 +68,7 @@ impl SpanTuple {
 
     /// The paper's tuple shift `t ≫ s`: shifts every span by `s`.
     pub fn shift(&self, s: Span) -> SpanTuple {
-        SpanTuple {
-            spans: self.spans.iter().map(|sp| sp.shift(s)).collect(),
-        }
-    }
-
-    /// [`SpanTuple::shift`] on an owned tuple: rewrites the spans where
-    /// they are instead of allocating a shifted copy.
-    pub fn shift_in_place(&mut self, s: Span) {
-        for sp in self.spans.iter_mut() {
-            *sp = sp.shift(s);
-        }
+        self.row().shift(s)
     }
 
     /// Inverse shift; `None` if some span is not contained in `s`.
@@ -74,26 +83,82 @@ impl SpanTuple {
     /// Whether `s` *covers* this tuple: `s` contains every assigned span
     /// (Definition 5.2).
     pub fn covered_by(&self, s: Span) -> bool {
-        self.spans.iter().all(|sp| s.contains_span(*sp))
+        self.row().covered_by(s)
     }
 
     /// The minimal span containing every assigned span, or `None` for the
     /// empty tuple (which is covered by any span).
     pub fn minimal_cover(&self) -> Option<Span> {
+        self.row().minimal_cover()
+    }
+
+    /// Renders with variable names.
+    pub fn display<'a>(&'a self, table: &'a VarTable) -> TupleDisplay<'a> {
+        self.row().display(table)
+    }
+}
+
+/// One row of a [`SpanRelation`], borrowed: the tuple's spans in
+/// variable order. Ordered like [`SpanTuple`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct TupleRef<'a> {
+    spans: &'a [Span],
+}
+
+impl<'a> TupleRef<'a> {
+    /// Span assigned to `v`.
+    #[inline]
+    pub fn get(self, v: VarId) -> Span {
+        self.spans[v.index()]
+    }
+
+    /// All spans in variable order.
+    #[inline]
+    pub fn spans(self) -> &'a [Span] {
+        self.spans
+    }
+
+    /// An owned copy of the row.
+    pub fn to_owned(self) -> SpanTuple {
+        SpanTuple::new(self.spans.to_vec())
+    }
+
+    /// The paper's tuple shift `t ≫ s`: shifts every span by `s`.
+    pub fn shift(self, s: Span) -> SpanTuple {
+        SpanTuple {
+            spans: self.spans.iter().map(|sp| sp.shift(s)).collect(),
+        }
+    }
+
+    /// Whether `s` *covers* this tuple: `s` contains every assigned span
+    /// (Definition 5.2).
+    pub fn covered_by(self, s: Span) -> bool {
+        self.spans.iter().all(|sp| s.contains_span(*sp))
+    }
+
+    /// The minimal span containing every assigned span, or `None` for the
+    /// empty tuple (which is covered by any span).
+    pub fn minimal_cover(self) -> Option<Span> {
         let start = self.spans.iter().map(|s| s.start).min()?;
         let end = self.spans.iter().map(|s| s.end).max()?;
         Some(Span::new(start, end))
     }
 
     /// Renders with variable names.
-    pub fn display<'a>(&'a self, table: &'a VarTable) -> TupleDisplay<'a> {
+    pub fn display(self, table: &'a VarTable) -> TupleDisplay<'a> {
         TupleDisplay { tuple: self, table }
+    }
+}
+
+impl PartialEq<SpanTuple> for TupleRef<'_> {
+    fn eq(&self, other: &SpanTuple) -> bool {
+        self.spans == other.spans()
     }
 }
 
 /// Display helper pairing a tuple with its variable table.
 pub struct TupleDisplay<'a> {
-    tuple: &'a SpanTuple,
+    tuple: TupleRef<'a>,
     table: &'a VarTable,
 }
 
@@ -111,75 +176,169 @@ impl fmt::Display for TupleDisplay<'_> {
 }
 
 /// A span relation: the output of a spanner on one document — a sorted,
-/// duplicate-free set of tuples.
+/// duplicate-free set of tuples, stored row-major in one `Vec<Span>`
+/// (see the [module docs](self) for the layout, the order and the
+/// normalised empty relation).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SpanRelation {
-    tuples: Vec<SpanTuple>,
+    arity: usize,
+    len: usize,
+    spans: Vec<Span>,
 }
 
 impl SpanRelation {
     /// The empty relation.
     pub fn empty() -> SpanRelation {
-        SpanRelation { tuples: Vec::new() }
+        SpanRelation::default()
     }
 
-    /// Builds a relation, sorting and deduplicating. Already-sorted
+    /// Builds a relation from `len` rows of `arity` spans each, laid out
+    /// row-major in `spans`, sorting and deduplicating. Already-sorted
     /// inputs (the common case for evaluator output merged across
     /// ordered disjoint chunks) are detected in `O(n)` and not re-sorted.
-    pub fn from_tuples(mut tuples: Vec<SpanTuple>) -> SpanRelation {
-        if !tuples.windows(2).all(|w| w[0] <= w[1]) {
-            tuples.sort_unstable();
+    ///
+    /// Panics if `spans.len() != arity · len`.
+    pub fn from_rows(arity: usize, len: usize, mut spans: Vec<Span>) -> SpanRelation {
+        assert_eq!(spans.len(), arity * len, "row-major buffer size");
+        if len == 0 {
+            return SpanRelation::empty();
         }
-        tuples.dedup();
-        SpanRelation { tuples }
+        if arity == 0 {
+            // Every row is the unit tuple: the set holds it once.
+            return SpanRelation {
+                arity,
+                len: 1,
+                spans,
+            };
+        }
+        let sorted = spans
+            .chunks_exact(arity)
+            .zip(spans.chunks_exact(arity).skip(1))
+            .all(|(a, b)| a <= b);
+        if !sorted {
+            let mut rows: Vec<&[Span]> = spans.chunks_exact(arity).collect();
+            rows.sort_unstable();
+            spans = rows.concat();
+        }
+        // Compact duplicate neighbours in place.
+        let mut kept = 1;
+        for i in 1..len {
+            let row = i * arity;
+            if spans[row..row + arity] != spans[(kept - 1) * arity..kept * arity] {
+                if kept != i {
+                    spans.copy_within(row..row + arity, kept * arity);
+                }
+                kept += 1;
+            }
+        }
+        spans.truncate(kept * arity);
+        SpanRelation {
+            arity,
+            len: kept,
+            spans,
+        }
+    }
+
+    /// Builds a relation from owned tuples, sorting and deduplicating.
+    ///
+    /// Panics if the tuples disagree on their arity.
+    pub fn from_tuples(tuples: Vec<SpanTuple>) -> SpanRelation {
+        let Some(first) = tuples.first() else {
+            return SpanRelation::empty();
+        };
+        let arity = first.arity();
+        let mut spans = Vec::with_capacity(arity * tuples.len());
+        for t in &tuples {
+            assert_eq!(t.arity(), arity, "tuples of one relation share an arity");
+            spans.extend_from_slice(t.spans());
+        }
+        SpanRelation::from_rows(arity, tuples.len(), spans)
     }
 
     /// Number of tuples.
     #[inline]
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.len
     }
 
     /// Whether the relation is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.len == 0
     }
 
-    /// The tuples, sorted.
+    /// Number of variables per tuple (0 for the empty relation).
     #[inline]
-    pub fn tuples(&self) -> &[SpanTuple] {
-        &self.tuples
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// Every span of every row, row-major.
+    #[inline]
+    pub fn spans(&self) -> &[Span] {
+        &self.spans
+    }
+
+    /// The `i`-th tuple in order. Panics if `i >= len()`.
+    #[inline]
+    pub fn tuple(&self, i: usize) -> TupleRef<'_> {
+        assert!(i < self.len, "tuple index out of range");
+        TupleRef {
+            spans: &self.spans[i * self.arity..(i + 1) * self.arity],
+        }
     }
 
     /// Membership test (binary search).
     pub fn contains(&self, t: &SpanTuple) -> bool {
-        self.tuples.binary_search(t).is_ok()
+        if self.is_empty() || t.arity() != self.arity {
+            return false;
+        }
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.tuple(mid).spans().cmp(t.spans()) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return true,
+            }
+        }
+        false
     }
 
     /// Union of two relations.
+    ///
+    /// Panics if both are non-empty and their arities differ.
     pub fn union(&self, other: &SpanRelation) -> SpanRelation {
-        let mut all = self.tuples.clone();
-        all.extend(other.tuples.iter().cloned());
-        SpanRelation::from_tuples(all)
+        if self.is_empty() {
+            return other.clone();
+        }
+        let mut spans = self.spans.clone();
+        spans.extend_from_slice(&other.spans);
+        SpanRelation::from_rows(self.arity, self.len + other.len, spans)
     }
 
     /// Shifts every tuple by `s` (used when assembling `P ∘ S` outputs).
     pub fn shift(&self, s: Span) -> SpanRelation {
-        // Shifting preserves order, so no re-sort is needed.
-        SpanRelation {
-            tuples: self.tuples.iter().map(|t| t.shift(s)).collect(),
+        let mut out = self.clone();
+        out.shift_in_place(s);
+        out
+    }
+
+    /// [`SpanRelation::shift`] on an owned relation: rewrites the spans
+    /// where they are. Shifting preserves the row order, so no re-sort
+    /// is needed.
+    pub fn shift_in_place(&mut self, s: Span) {
+        for sp in &mut self.spans {
+            *sp = sp.shift(s);
         }
     }
 
-    /// Iterates the tuples.
-    pub fn iter(&self) -> impl Iterator<Item = &SpanTuple> {
-        self.tuples.iter()
-    }
-
-    /// The sorted tuples, by value.
-    pub fn into_tuples(self) -> Vec<SpanTuple> {
-        self.tuples
+    /// Iterates the tuples in order, as borrowed rows.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = TupleRef<'_>> + DoubleEndedIterator {
+        let arity = self.arity;
+        (0..self.len).map(move |i| TupleRef {
+            spans: &self.spans[i * arity..(i + 1) * arity],
+        })
     }
 }
 
@@ -210,14 +369,17 @@ mod tests {
     #[test]
     fn shift_in_place_equals_shift() {
         let s = Span::new(5, 20);
-        for tu in [
-            t(&[(1, 3), (2, 2), (0, 0)]),
-            t(&[(4, 9)]),
-            SpanTuple::unit(),
+        for rel in [
+            SpanRelation::from_tuples(vec![t(&[(1, 3), (2, 2)]), t(&[(0, 0), (4, 9)])]),
+            SpanRelation::from_tuples(vec![t(&[(4, 9)])]),
+            SpanRelation::from_tuples(vec![SpanTuple::unit()]),
+            SpanRelation::empty(),
         ] {
-            let mut owned = tu.clone();
+            let mut owned = rel.clone();
             owned.shift_in_place(s);
-            assert_eq!(owned, tu.shift(s));
+            assert_eq!(owned, rel.shift(s));
+            let shifted: Vec<SpanTuple> = rel.iter().map(|r| r.shift(s)).collect();
+            assert_eq!(owned, SpanRelation::from_tuples(shifted));
         }
     }
 
@@ -245,7 +407,7 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert!(r.contains(&t(&[(0, 1)])));
         assert!(!r.contains(&t(&[(5, 6)])));
-        assert_eq!(r.tuples()[0], t(&[(0, 1)]));
+        assert_eq!(r.tuple(0), t(&[(0, 1)]));
     }
 
     #[test]

@@ -753,7 +753,7 @@ mod tests {
         // Exactly one iteration survives functionalization.
         let rel = eval(&f, b"a");
         assert_eq!(rel.len(), 1);
-        assert_eq!(rel.tuples()[0].get(VarId(0)), Span::new(0, 1));
+        assert_eq!(rel.tuple(0).get(VarId(0)), Span::new(0, 1));
         assert!(eval(&f, b"").is_empty());
         assert!(eval(&f, b"aa").is_empty());
     }
@@ -834,7 +834,7 @@ mod tests {
             assert_eq!(t.get(x_of(&v, "x")), t.get(x_of(&v, "y")));
         }
         assert_eq!(rel.len(), 1); // x = y = [0,2)? No: x{a*} consumes all.
-        let t = &rel.tuples()[0];
+        let t = rel.tuple(0);
         assert_eq!(t.get(x_of(&v, "x")), Span::new(0, 2));
     }
 
@@ -846,13 +846,13 @@ mod tests {
         let lp = p.concat_lang_left(&lang).unwrap();
         let rel = eval(&lp, b"abc");
         assert_eq!(rel.len(), 1);
-        assert_eq!(rel.tuples()[0].get(VarId(0)), Span::new(2, 3));
+        assert_eq!(rel.tuple(0).get(VarId(0)), Span::new(2, 3));
         assert!(eval(&lp, b"xbc").is_empty());
         // P · L on "cab": x = [0,1).
         let pl = p.concat_lang_right(&lang).unwrap();
         let rel = eval(&pl, b"cab");
         assert_eq!(rel.len(), 1);
-        assert_eq!(rel.tuples()[0].get(VarId(0)), Span::new(0, 1));
+        assert_eq!(rel.tuple(0).get(VarId(0)), Span::new(0, 1));
     }
 
     #[test]
@@ -874,6 +874,6 @@ mod tests {
         // Boolean spanner accepting a*.
         let rel = eval(&b.functionalize(), b"aaa");
         assert_eq!(rel.len(), 1);
-        assert_eq!(rel.tuples()[0], SpanTuple::unit());
+        assert_eq!(rel.tuple(0), SpanTuple::unit());
     }
 }

@@ -129,7 +129,7 @@ mod tests {
         let doc = b"intro words Acme paid Globex 500 more words.";
         let rel = eval(&p, doc);
         assert_eq!(rel.len(), 1);
-        let t = &rel.tuples()[0];
+        let t = rel.tuple(0);
         let a = p.vars().lookup("a").unwrap();
         let amt = p.vars().lookup("amt").unwrap();
         assert_eq!(t.get(a).slice(doc), b"Acme");
@@ -147,7 +147,7 @@ mod tests {
         let rel = eval(&p, doc);
         assert_eq!(rel.len(), 1);
         let t = p.vars().lookup("t").unwrap();
-        assert_eq!(rel.tuples()[0].get(t).slice(doc), b"soup");
+        assert_eq!(rel.tuple(0).get(t).slice(doc), b"soup");
         assert!(eval(&p, b"the soup was great").is_empty());
     }
 

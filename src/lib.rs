@@ -73,6 +73,7 @@ pub mod prelude {
     pub use splitc_spanner::splitter as splitters;
     pub use splitc_spanner::splitter::native as native_splitters;
     pub use splitc_spanner::{
-        eval::eval, PrefilterStats, Rgx, Span, SpanRelation, SpanTuple, Splitter, VarTable, Vsa,
+        eval::eval, PrefilterStats, Rgx, Span, SpanRelation, SpanTuple, Splitter, TupleRef,
+        VarTable, Vsa,
     };
 }

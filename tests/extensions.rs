@@ -98,7 +98,7 @@ fn blackbox_inference_on_transactions() {
     let j = eval(&join, doc);
     assert_eq!(j.len(), 1);
     let amt = join.vars().lookup("amt").unwrap();
-    assert_eq!(j.tuples()[0].get(amt).slice(doc), b"500");
+    assert_eq!(j.tuple(0).get(amt).slice(doc), b"500");
 }
 
 /// Annotated splittability produces a canonical mapping that the
