@@ -1,12 +1,12 @@
-//! E9 — AOT minimized-DFA tier vs the lazy dense engine on the e1–e4
+//! E9 — AOT table tier vs the lazy dense engine on the e1–e4
 //! hot loops.
 //!
 //! The four extraction workloads of the paper-reproduction experiments
 //! (Wikipedia N-grams, PubMed N-grams, Reuters transactions, Amazon
 //! review sentiment) are replayed single-threaded under two engines:
 //! the PR 6 lazy dense engine (on-the-fly DFA cache) and the AOT tier
-//! (fully determinized, Hopcroft-minimized, premultiplied `u16`
-//! tables). Emits one `BENCH` row per (workload, engine); the
+//! (fully determinized backward viability DFA, premultiplied `u16`
+//! table). Emits one `BENCH` row per (workload, engine); the
 //! `--gate aot:<ratio>` check in `scripts/bench_check.py` compares the
 //! pairs and requires the AOT tier to win on at least two workloads.
 //!
@@ -67,7 +67,7 @@ fn workloads() -> Vec<Workload> {
 fn main() {
     // Accepted for smoke-runner uniformity; both engines always run.
     let _ = engine_arg();
-    println!("E9: AOT minimized-DFA tier vs lazy dense on the e1-e4 hot loops");
+    println!("E9: AOT table tier vs lazy dense on the e1-e4 hot loops");
 
     let mut table = Table::new(
         "E9 — AOT vs lazy dense (single-threaded full-corpus evaluation)",

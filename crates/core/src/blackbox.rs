@@ -145,12 +145,12 @@ impl Instance {
     /// Materializes the join `α ⋈ P₁ ⋈ ⋯ ⋈ P_k` over the signature
     /// order.
     pub fn join_with(&self, alpha: &Vsa, signature: &Signature) -> Result<Vsa, String> {
-        let mut acc: EVsa = crate::util::normal_evsa(alpha);
+        let mut acc: EVsa = EVsa::from_vsa(alpha);
         for sym in signature.symbols() {
             let p = self
                 .get(&sym.name)
                 .ok_or_else(|| format!("symbol {} is unbound", sym.name))?;
-            acc = acc.join(&crate::util::normal_evsa(p));
+            acc = acc.join(&EVsa::from_vsa(p));
         }
         // Convert back to a classic automaton via the normalized NFA.
         let ext =
@@ -274,7 +274,7 @@ mod tests {
         assert!(crate::self_splittable(&p2, &s).unwrap().holds());
         // The join on "aba" outputs ([1,2⟩,[2,3⟩,[3,4⟩) (1-based) whose
         // minimal cover is the whole document — no split covers it.
-        let j = crate::util::normal_evsa(&p1).join(&crate::util::normal_evsa(&p2));
+        let j = EVsa::from_vsa(&p1).join(&EVsa::from_vsa(&p2));
         let rel = splitc_spanner::eval::eval_evsa(&j, b"aba");
         assert_eq!(rel.len(), 1);
         let t = rel.tuple(0);
@@ -310,8 +310,7 @@ mod tests {
             unreachable!()
         };
         // Witness for the join: α_S ⋈ P1 (Theorem 7.4's construction).
-        let join_witness_e =
-            crate::util::normal_evsa(&alpha_witness).join(&crate::util::normal_evsa(&p1));
+        let join_witness_e = EVsa::from_vsa(&alpha_witness).join(&EVsa::from_vsa(&p1));
         let doc = b"qaq ab. qbq ba";
         let mut expected = Vec::new();
         for sp in s.split(doc) {

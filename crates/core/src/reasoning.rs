@@ -17,6 +17,7 @@ use crate::split_correctness::{CounterExample, Verdict};
 use crate::util;
 use splitc_automata::nfa::StateId;
 use splitc_automata::ops::{self, Containment};
+use splitc_spanner::evsa::EVsa;
 use splitc_spanner::ext::ExtAlphabet;
 use splitc_spanner::splitter::{compose_splitter, Splitter};
 use splitc_spanner::vars::{VarOp, VarTable};
@@ -78,8 +79,8 @@ fn filtered_splitter_equiv(
     }
     let ext = ExtAlphabet::from_masks(table.clone(), &masks);
 
-    let ea = util::normal_evsa(&av);
-    let eb = util::normal_evsa(&bv);
+    let ea = EVsa::from_vsa(&av);
+    let eb = EVsa::from_vsa(&bv);
     let na = util::lifted_nfa(&ea, &ext, &[]).remove_eps();
     let nb = util::lifted_nfa(&eb, &ext, &[]).remove_eps();
 

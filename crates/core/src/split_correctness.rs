@@ -32,6 +32,7 @@ use crate::util;
 use splitc_automata::nfa::{Nfa, StateId, Sym};
 use splitc_automata::ops::{self, Containment};
 use splitc_spanner::equiv::{CheckStrategy, SpannerCheck};
+use splitc_spanner::evsa::EVsa;
 use splitc_spanner::ext::ExtAlphabet;
 use splitc_spanner::span::Span;
 use splitc_spanner::splitter::{compose, Splitter};
@@ -292,9 +293,9 @@ impl ProductPieces {
             .replace_var_table(VarTable::new([xname.clone()]).expect("single name"))
             .expect("splitter has one variable");
 
-        let ep = util::normal_evsa(p);
-        let eps_ = util::normal_evsa(ps);
-        let es = util::normal_evsa(&s_renamed);
+        let ep = EVsa::from_vsa(p);
+        let eps_ = EVsa::from_vsa(ps);
+        let es = EVsa::from_vsa(&s_renamed);
 
         let x_loops = vec![ext.op_sym(VarOp::Open(x)), ext.op_sym(VarOp::Close(x))];
         let v_loops: Vec<Sym> = p

@@ -182,17 +182,6 @@ pub fn decode_split_witness(
     Some((doc, SpanTuple::new(spans), Span::new(x_open, x_close)))
 }
 
-/// Builds the normalized block form of a spanner, functionalizing when
-/// necessary.
-pub fn normal_evsa(vsa: &Vsa) -> EVsa {
-    let f = if vsa.is_functional() {
-        vsa.trim()
-    } else {
-        vsa.functionalize()
-    };
-    EVsa::from_functional(&f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,7 +211,7 @@ mod tests {
     #[test]
     fn lifted_nfa_self_loops() {
         let v = Rgx::parse("y{a}").unwrap().to_vsa().unwrap();
-        let e = normal_evsa(&v);
+        let e = EVsa::from_vsa(&v);
         let merged = VarTable::new(["x", "y"]).unwrap();
         let ext = ExtAlphabet::from_masks(merged.clone(), &v.byte_masks());
         let x = merged.lookup("x").unwrap();

@@ -173,18 +173,17 @@ impl SegmentWork for ExecSpanner {
         (dense, prefilter): &mut Self::Scratch,
         mut emit: impl FnMut(usize, SpanRelation),
     ) {
-        let backend = self.backend();
         match cache {
             Some(sc) => emit(
                 0,
                 SpanRelation::clone(
                     &sc.get_or_eval(self.cache_id(), bytes, || {
-                        backend.eval_scratch(bytes, dense, prefilter)
+                        self.eval_with(bytes, dense, prefilter)
                     })
                     .0,
                 ),
             ),
-            None => emit(0, backend.eval_scratch(bytes, dense, prefilter)),
+            None => emit(0, self.eval_with(bytes, dense, prefilter)),
         }
     }
 

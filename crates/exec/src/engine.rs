@@ -1,17 +1,23 @@
-//! The parallel split-evaluation engine.
+//! The parallel split-evaluation engine: [`ExecSpanner`], a shared
+//! handle on the tiered engine core
+//! ([`splitc_spanner::engine::TieredEvsa`], which owns tier selection,
+//! the document gate and pooled scan caches; [`Engine`] is re-exported
+//! from there), and the split / many-document evaluation entry points
+//! over a scoped thread pool.
 
 use crate::pipeline::concat_rows;
-use splitc_spanner::aot::{AotConfig, AotEvsa};
-use splitc_spanner::dense::{DenseCache, DenseConfig, DenseEvsa};
-use splitc_spanner::eval::eval_evsa;
+use splitc_spanner::dense::DenseCache;
+use splitc_spanner::engine::TieredEvsa;
 use splitc_spanner::evsa::EVsa;
-use splitc_spanner::prefilter::{PrefilterStats, PrefilteredEvsa};
+use splitc_spanner::prefilter::PrefilterStats;
 use splitc_spanner::span::Span;
 use splitc_spanner::splitter::Splitter;
 use splitc_spanner::tuple::SpanRelation;
 use splitc_spanner::vsa::Vsa;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+pub use splitc_spanner::engine::Engine;
 
 /// A splitting function: documents to split spans. Native splitters
 /// (`splitc_spanner::splitter::native`) are used on large corpora;
@@ -24,207 +30,12 @@ pub fn split_fn_of_splitter(s: &Splitter) -> SplitFn {
     Arc::new(move |doc| compiled.split(doc))
 }
 
-/// Evaluation engine selection for [`ExecSpanner`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Per-position NFA simulation over raw byte-set transitions.
-    Nfa,
-    /// Byte-class tables + memory-bounded lazy-DFA cache with exact NFA
-    /// fallback (see [`splitc_spanner::dense`]). The default.
-    #[default]
-    Dense,
-    /// The dense engine behind a literal prefilter: documents are gated
-    /// by the spanner's required prefix / byte class / minimum match
-    /// length, and lazy-DFA self-loops are crossed by a SWAR skip-loop
-    /// (see [`splitc_spanner::prefilter`]). Falls back to plain dense
-    /// behavior when the analysis finds nothing usable.
-    Prefilter,
-    /// Ahead-of-time tier: full determinization under a state budget,
-    /// Hopcroft-minimized forward DFA, flat premultiplied `u16` tables
-    /// stepped 4 bytes per iteration, composed with the prefilter gate
-    /// and skip-loop (see [`splitc_spanner::aot`]). Tiering is automatic
-    /// at compile time: when determinization exceeds the budget the
-    /// spanner silently degrades to the lazy [`Engine::Dense`] tier —
-    /// [`ExecSpanner::engine`] still reports `Aot` (the request),
-    /// [`ExecSpanner::tier`] reports what actually compiled.
-    Aot,
-}
-
-impl Engine {
-    /// Stable lowercase name (as accepted by the bench `--engine` flag).
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Nfa => "nfa",
-            Engine::Dense => "dense",
-            Engine::Prefilter => "prefilter",
-            Engine::Aot => "aot",
-        }
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Engine, String> {
-        match s {
-            "nfa" => Ok(Engine::Nfa),
-            "dense" => Ok(Engine::Dense),
-            "prefilter" => Ok(Engine::Prefilter),
-            "aot" => Ok(Engine::Aot),
-            other => Err(format!(
-                "unknown engine {other:?} (expected nfa|dense|prefilter|aot)"
-            )),
-        }
-    }
-}
-
-/// The object-safe interface every evaluation engine sits behind.
-///
-/// Backends are the *core* engines — NFA simulation, dense lazy-DFA,
-/// prefiltered dense — unified so that executors ([`crate::CorpusRunner`],
-/// the fleet engine) dispatch through one vtable instead of matching on
-/// engine variants. Scan *frontends* (a per-spanner literal gate, the
-/// fleet's shared multi-needle scanner) are pluggable stages layered in
-/// front of a backend: they may prove a document's relation empty and
-/// skip the call entirely, but whenever they do call, the backend alone
-/// determines the result — which is why fused and sequential evaluation
-/// agree byte-for-byte.
-///
-/// All backends are exact (they produce the relation of
-/// [`eval_evsa`]); they differ only in speed and in how much
-/// caller-owned scratch they exploit.
-pub trait EngineBackend: std::fmt::Debug + Send + Sync {
-    /// The engine selection this backend implements.
-    fn kind(&self) -> Engine;
-
-    /// The compiled block-normal-form automaton.
-    fn evsa(&self) -> &Arc<EVsa>;
-
-    /// Evaluates one document with caller-owned scratch: a lazy-DFA
-    /// cache and a prefilter-stats accumulator, typically one pair per
-    /// worker thread. Backends that use neither (the NFA engine)
-    /// ignore them.
-    fn eval_scratch(
-        &self,
-        doc: &[u8],
-        cache: &mut DenseCache,
-        stats: &mut PrefilterStats,
-    ) -> SpanRelation;
-
-    /// Evaluates one document using backend-internal pooled scratch.
-    fn eval_pooled(&self, doc: &[u8]) -> SpanRelation;
-}
-
-/// Per-position NFA simulation — no scratch, no compilation beyond the
-/// eVSA itself.
-#[derive(Debug)]
-struct NfaBackend(Arc<EVsa>);
-
-impl EngineBackend for NfaBackend {
-    fn kind(&self) -> Engine {
-        Engine::Nfa
-    }
-    fn evsa(&self) -> &Arc<EVsa> {
-        &self.0
-    }
-    fn eval_scratch(
-        &self,
-        doc: &[u8],
-        _cache: &mut DenseCache,
-        _stats: &mut PrefilterStats,
-    ) -> SpanRelation {
-        eval_evsa(&self.0, doc)
-    }
-    fn eval_pooled(&self, doc: &[u8]) -> SpanRelation {
-        eval_evsa(&self.0, doc)
-    }
-}
-
-/// The dense lazy-DFA engine.
-#[derive(Debug)]
-struct DenseBackend(Arc<DenseEvsa>);
-
-impl EngineBackend for DenseBackend {
-    fn kind(&self) -> Engine {
-        Engine::Dense
-    }
-    fn evsa(&self) -> &Arc<EVsa> {
-        self.0.evsa_arc()
-    }
-    fn eval_scratch(
-        &self,
-        doc: &[u8],
-        cache: &mut DenseCache,
-        _stats: &mut PrefilterStats,
-    ) -> SpanRelation {
-        self.0.eval_with(doc, cache)
-    }
-    fn eval_pooled(&self, doc: &[u8]) -> SpanRelation {
-        self.0.eval(doc)
-    }
-}
-
-/// The dense engine behind a literal prefilter gate.
-#[derive(Debug)]
-struct PrefilterBackend(Arc<PrefilteredEvsa>);
-
-impl EngineBackend for PrefilterBackend {
-    fn kind(&self) -> Engine {
-        Engine::Prefilter
-    }
-    fn evsa(&self) -> &Arc<EVsa> {
-        self.0.evsa_arc()
-    }
-    fn eval_scratch(
-        &self,
-        doc: &[u8],
-        cache: &mut DenseCache,
-        stats: &mut PrefilterStats,
-    ) -> SpanRelation {
-        self.0.eval_with(doc, cache, stats)
-    }
-    fn eval_pooled(&self, doc: &[u8]) -> SpanRelation {
-        self.0.eval(doc)
-    }
-}
-
-/// The ahead-of-time premultiplied-table engine.
-#[derive(Debug)]
-struct AotBackend(Arc<AotEvsa>);
-
-impl EngineBackend for AotBackend {
-    fn kind(&self) -> Engine {
-        Engine::Aot
-    }
-    fn evsa(&self) -> &Arc<EVsa> {
-        self.0.evsa_arc()
-    }
-    fn eval_scratch(
-        &self,
-        doc: &[u8],
-        cache: &mut DenseCache,
-        stats: &mut PrefilterStats,
-    ) -> SpanRelation {
-        self.0.eval_with(doc, cache, stats)
-    }
-    fn eval_pooled(&self, doc: &[u8]) -> SpanRelation {
-        self.0.eval(doc)
-    }
-}
-
-/// A spanner compiled for repeated evaluation.
+/// A spanner compiled for repeated evaluation: a shared handle on the
+/// tiered engine core ([`TieredEvsa`]), which holds the tier, the
+/// optional document gate and the pooled scan caches.
 #[derive(Debug, Clone)]
 pub struct ExecSpanner {
-    evsa: Arc<EVsa>,
-    /// The engine the caller asked for (what [`ExecSpanner::engine`]
-    /// reports); compile-time tiering may have placed the backend on a
-    /// lower tier (see [`ExecSpanner::tier`]).
-    requested: Engine,
-    /// The engine behind the object-safe backend interface. The dense
-    /// and prefilter backends pool scan caches internally; executors
-    /// that manage per-worker scratch call
-    /// [`EngineBackend::eval_scratch`] instead.
-    backend: Arc<dyn EngineBackend>,
+    core: Arc<TieredEvsa>,
 }
 
 impl ExecSpanner {
@@ -243,69 +54,17 @@ impl ExecSpanner {
             .compile_spanner(vsa)
     }
 
-    /// [`ExecSpanner::compile_with`] plus an explicit dense-engine
-    /// configuration (cache bound, skip-loop) applied to whichever tier
-    /// actually compiles — used by the engine-matrix differential
-    /// harness to starve lazy-DFA caches under every engine. Thin
-    /// wrapper over [`crate::CompileOptions::dense`].
-    pub fn compile_with_config(vsa: &Vsa, engine: Engine, config: DenseConfig) -> ExecSpanner {
-        crate::CompileOptions::new()
-            .engine(engine)
-            .dense(config)
-            .compile_spanner(vsa)
-    }
-
-    /// Builds the spanner for an already-compiled automaton, optionally
-    /// indexing the dense tables by a shared byte partition (the fleet
-    /// engine passes the coarsest common refinement across its
-    /// members; see [`DenseEvsa::compile_with_classes`]).
-    pub(crate) fn from_evsa(
-        evsa: Arc<EVsa>,
-        engine: Engine,
-        classes: Option<splitc_automata::classes::ByteClasses>,
-        config: DenseConfig,
-    ) -> ExecSpanner {
-        let backend: Arc<dyn EngineBackend> = match engine {
-            Engine::Nfa => Arc::new(NfaBackend(evsa.clone())),
-            Engine::Dense => Arc::new(DenseBackend(Arc::new(match classes {
-                Some(c) => DenseEvsa::compile_with_classes(evsa.clone(), config, c),
-                None => DenseEvsa::compile(evsa.clone(), config),
-            }))),
-            Engine::Prefilter => Arc::new(PrefilterBackend(Arc::new(match classes {
-                Some(c) => PrefilteredEvsa::compile_with_classes(evsa.clone(), config, c),
-                None => PrefilteredEvsa::compile(evsa.clone(), config),
-            }))),
-            Engine::Aot => {
-                let aot_config = AotConfig {
-                    dense: config,
-                    ..AotConfig::default()
-                };
-                let aot = match classes.clone() {
-                    Some(c) => AotEvsa::compile_with_classes(evsa.clone(), aot_config, c),
-                    None => AotEvsa::compile(evsa.clone(), aot_config),
-                };
-                match aot {
-                    Some(a) => Arc::new(AotBackend(Arc::new(a))),
-                    // Over budget: degrade to the lazy dense tier, which
-                    // is exact at any automaton size.
-                    None => Arc::new(DenseBackend(Arc::new(match classes {
-                        Some(c) => DenseEvsa::compile_with_classes(evsa.clone(), config, c),
-                        None => DenseEvsa::compile(evsa.clone(), config),
-                    }))),
-                }
-            }
-        };
+    /// Wraps a compiled core.
+    pub(crate) fn from_core(core: TieredEvsa) -> ExecSpanner {
         ExecSpanner {
-            evsa,
-            requested: engine,
-            backend,
+            core: Arc::new(core),
         }
     }
 
     /// The engine this spanner was compiled for (as requested; see
     /// [`ExecSpanner::tier`] for the tier actually chosen).
     pub fn engine(&self) -> Engine {
-        self.requested
+        self.core.engine()
     }
 
     /// The engine tier the compile-time tiering actually selected:
@@ -313,18 +72,12 @@ impl ExecSpanner {
     /// request exceeded the determinization budget and degraded to
     /// [`Engine::Dense`].
     pub fn tier(&self) -> Engine {
-        self.backend.kind()
+        self.core.tier()
     }
 
     /// The compiled block-normal-form automaton.
     pub fn evsa(&self) -> &EVsa {
-        &self.evsa
-    }
-
-    /// The backend, for executors that manage per-worker scratch
-    /// (the corpus and fleet runners).
-    pub(crate) fn backend(&self) -> &Arc<dyn EngineBackend> {
-        &self.backend
+        self.core.evsa()
     }
 
     /// A process-unique identity for this compilation, used as the
@@ -336,12 +89,24 @@ impl ExecSpanner {
     /// cross-request sharing should therefore reuse compiled spanners
     /// (as `splitc-server`'s registry does) rather than recompile.
     pub fn cache_id(&self) -> u64 {
-        Arc::as_ptr(&self.evsa) as u64
+        Arc::as_ptr(self.core.evsa()) as u64
     }
 
     /// Evaluates on one document.
     pub fn eval(&self, doc: &[u8]) -> SpanRelation {
-        self.backend.eval_pooled(doc)
+        self.core.eval(doc)
+    }
+
+    /// Evaluates on one document with caller-owned scratch, typically
+    /// one cache and stats accumulator per worker (the corpus and fleet
+    /// runners); see [`TieredEvsa::eval_with`].
+    pub(crate) fn eval_with(
+        &self,
+        doc: &[u8],
+        cache: &mut DenseCache,
+        stats: &mut PrefilterStats,
+    ) -> SpanRelation {
+        self.core.eval_with(doc, cache, stats)
     }
 }
 

@@ -44,6 +44,7 @@ use parking_lot::Mutex;
 use splitc_automata::classes::{ByteClassBuilder, ByteClasses};
 use splitc_automata::scan::{ByteFinder, MultiNeedle};
 use splitc_spanner::dense::{DenseCache, DenseCacheStats, DenseConfig};
+use splitc_spanner::engine::TieredEvsa;
 use splitc_spanner::evsa::EVsa;
 use splitc_spanner::prefilter::{PrefilterAnalysis, PrefilterStats};
 use splitc_spanner::span::Span;
@@ -195,29 +196,15 @@ impl Fleet {
     /// Compiles a fleet from VSet-automata (functionalization + block
     /// normal form per member, as in [`ExecSpanner::compile_with`]),
     /// sharing one byte partition and one needle scanner across the
-    /// fleet.
+    /// fleet. Thin wrapper over [`crate::CompileOptions::compile_fleet`].
     pub fn compile(vsas: &[Vsa], engine: Engine) -> Fleet {
-        Fleet::compile_with(vsas, engine, DenseConfig::default())
+        crate::CompileOptions::new()
+            .engine(engine)
+            .compile_fleet(vsas)
     }
 
-    /// [`Fleet::compile`] with an explicit dense-engine configuration
-    /// applied to every member (cache bound, skip-loop).
-    pub fn compile_with(vsas: &[Vsa], engine: Engine, config: DenseConfig) -> Fleet {
-        let evsas: Vec<Arc<EVsa>> = vsas
-            .iter()
-            .map(|vsa| {
-                let f = if vsa.is_functional() {
-                    vsa.trim()
-                } else {
-                    vsa.functionalize()
-                };
-                Arc::new(EVsa::from_functional(&f))
-            })
-            .collect();
-        Fleet::compile_evsas(evsas, engine, config)
-    }
-
-    /// Compiles a fleet from already-normalized automata.
+    /// Compiles a fleet from already-normalized automata, with `config`
+    /// applied to every member's dense tier.
     pub fn compile_evsas(evsas: Vec<Arc<EVsa>>, engine: Engine, config: DenseConfig) -> Fleet {
         // The shared partition: coarsest common refinement of every
         // member's transition masks. Refining a refinement stays a
@@ -237,7 +224,8 @@ impl Fleet {
         let mut needle_owner: Vec<u32> = Vec::new();
         for (mi, evsa) in evsas.into_iter().enumerate() {
             let analysis = PrefilterAnalysis::analyze(&evsa);
-            let spanner = ExecSpanner::from_evsa(evsa, engine, classes.clone(), config);
+            let spanner =
+                ExecSpanner::from_core(TieredEvsa::compile(evsa, engine, config, classes.clone()));
             // Content evidence, strongest applicable form first: a
             // required prefix is checked in O(|prefix|) per segment, so
             // such members need no scan enrollment. Everyone else
@@ -424,20 +412,15 @@ impl SegmentWork for Fleet {
             match seg_cache {
                 Some(sc) => {
                     let (rel, _) = sc.get_or_eval(m.spanner.cache_id(), bytes, || {
-                        m.spanner.backend().eval_scratch(
-                            bytes,
-                            &mut scratch.caches[mi],
-                            &mut tally.prefilter,
-                        )
+                        m.spanner
+                            .eval_with(bytes, &mut scratch.caches[mi], &mut tally.prefilter)
                     });
                     sink(mi, SpanRelation::clone(&rel));
                 }
                 None => {
-                    let rel = m.spanner.backend().eval_scratch(
-                        bytes,
-                        &mut scratch.caches[mi],
-                        &mut tally.prefilter,
-                    );
+                    let rel =
+                        m.spanner
+                            .eval_with(bytes, &mut scratch.caches[mi], &mut tally.prefilter);
                     sink(mi, rel);
                 }
             }

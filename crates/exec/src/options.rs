@@ -1,33 +1,31 @@
 //! One front door for engine and runner construction.
 //!
-//! The execution layer grew one entry point per knob combination —
-//! `ExecSpanner::{compile, compile_with, compile_with_config}`,
-//! `Fleet::{compile, compile_with, compile_evsas}`,
-//! `Splitter::{compile, compile_with, compile_tiered}`, and
-//! `{Corpus,Fleet}Runner::{new, with_pool}` — which composed badly (a
-//! caller wanting "AOT splitter + starved dense cache + shared pool +
-//! segment cache" had to know four different signatures). This module
-//! collapses them behind two builders:
+//! The execution layer grew one entry point per knob combination, which
+//! composed badly (a caller wanting "AOT splitter + starved dense cache +
+//! shared pool + segment cache" had to know four different signatures).
+//! This module collapses them behind two builders:
 //!
 //! * [`CompileOptions`] — *what to compile*: the engine request, the
-//!   dense-engine budget and skip-loop, and an optional shared byte
-//!   partition. One options value compiles spanners, fleets, and
-//!   splitters consistently.
+//!   dense-engine cache budget, and an optional shared byte partition.
+//!   One options value compiles spanners, fleets, and splitters
+//!   consistently, each through the tiered engine core
+//!   ([`TieredEvsa`]).
 //! * [`RunnerOptions`] — *how to run*: worker/batch/queue/chunk tuning,
 //!   an optional shared [`EvalPool`], and an optional shared
 //!   [`SegmentCache`]. One options value constructs both runner kinds.
 //!
-//! The legacy entry points remain as thin delegating wrappers because
-//! the repository benchmark (`perfbench/`) calls them (`ExecSpanner::
-//! compile_with`, `Fleet::compile`, `{Corpus,Fleet}Runner::{new,
-//! with_pool}`); removing them would change what it builds.
+//! A few legacy entry points remain as thin delegating wrappers because
+//! the repository benchmark (`perfbench/`) calls them:
+//! `ExecSpanner::{compile, compile_with}`, `Fleet::compile`,
+//! `Splitter::compile` and `{Corpus,Fleet}Runner::{new, with_pool}`;
+//! removing them would change what it builds.
 //!
 //! ```
 //! use splitc_exec::{CompileOptions, RunnerOptions, Engine};
 //! use splitc_spanner::{rgx::Rgx, splitter};
 //!
 //! let vsa = Rgx::parse(".*x{a+}.*").unwrap().to_vsa().unwrap();
-//! let opts = CompileOptions::new().engine(Engine::Prefilter).skip_loop(true);
+//! let opts = CompileOptions::new().engine(Engine::Prefilter);
 //! let spanner = opts.compile_spanner(&vsa);
 //! let split = opts.compile_splitter(&splitter::sentences());
 //! let runner = RunnerOptions::new().workers(2).corpus_runner(spanner, split);
@@ -41,16 +39,16 @@ use crate::fleet::{Fleet, FleetRunner};
 use crate::pool::EvalPool;
 use crate::segcache::SegmentCache;
 use splitc_automata::classes::ByteClasses;
-use splitc_spanner::aot::AotConfig;
 use splitc_spanner::dense::DenseConfig;
+use splitc_spanner::engine::TieredEvsa;
 use splitc_spanner::evsa::EVsa;
 use splitc_spanner::splitter::{CompiledSplitter, Splitter};
 use splitc_spanner::vsa::Vsa;
 use std::sync::Arc;
 
 /// Builder for every compile-time choice of the execution layer: which
-/// engine tier to request, how the dense tier is budgeted, and whether
-/// to index tables by an externally shared byte partition. See the
+/// engine tier to request, how the dense tier's cache is budgeted, and
+/// whether to index tables by an externally shared byte partition. See the
 /// [module docs](self) for the sprawl this replaces.
 #[derive(Debug, Clone, Default)]
 pub struct CompileOptions {
@@ -86,12 +84,6 @@ impl CompileOptions {
         self
     }
 
-    /// Enables the SWAR skip-loop over dense self-loop states.
-    pub fn skip_loop(mut self, on: bool) -> CompileOptions {
-        self.dense.skip_loop = on;
-        self
-    }
-
     /// Indexes dense tables by an externally shared byte partition
     /// (e.g. one computed across a fleet) instead of the automaton's own
     /// classes. Applies to single-spanner compiles; [`Fleet`] compiles
@@ -112,40 +104,41 @@ impl CompileOptions {
     }
 
     /// Compiles one spanner (functionalization + block normal form +
-    /// the requested engine tier). Subsumes `ExecSpanner::compile`,
-    /// `compile_with`, and `compile_with_config`.
+    /// the requested engine tier). Subsumes `ExecSpanner::compile` and
+    /// `compile_with`.
     pub fn compile_spanner(&self, vsa: &Vsa) -> ExecSpanner {
-        let f = if vsa.is_functional() {
-            vsa.trim()
-        } else {
-            vsa.functionalize()
-        };
-        self.compile_evsa(Arc::new(EVsa::from_functional(&f)))
+        self.compile_evsa(Arc::new(EVsa::from_vsa(vsa)))
     }
 
     /// Compiles a spanner from an already-normalized automaton.
     pub fn compile_evsa(&self, evsa: Arc<EVsa>) -> ExecSpanner {
-        ExecSpanner::from_evsa(evsa, self.engine, self.classes.clone(), self.dense)
+        ExecSpanner::from_core(TieredEvsa::compile(
+            evsa,
+            self.engine,
+            self.dense,
+            self.classes.clone(),
+        ))
     }
 
     /// Compiles a fleet for fused evaluation. The fleet computes the
     /// coarsest common refinement of its members itself, so any
     /// [`CompileOptions::shared_classes`] setting is ignored here.
     pub fn compile_fleet(&self, vsas: &[Vsa]) -> Fleet {
-        Fleet::compile_with(vsas, self.engine, self.dense)
+        let evsas = vsas.iter().map(|v| Arc::new(EVsa::from_vsa(v))).collect();
+        Fleet::compile_evsas(evsas, self.engine, self.dense)
     }
 
-    /// Compiles a splitter on the tier matching the engine request: an
-    /// [`Engine::Aot`] request compiles the tiered (AOT-with-fallback)
-    /// splitter, everything else the dense one with this configuration.
+    /// Compiles a splitter. Splitters always run gated: an
+    /// [`Engine::Aot`] request compiles the AOT tier (with its dense
+    /// fallback), every other request the `prefilter` engine that
+    /// [`Splitter::compile`] uses, with this cache budget.
     pub fn compile_splitter(&self, splitter: &Splitter) -> CompiledSplitter {
-        match self.engine {
-            Engine::Aot => splitter.compile_tiered(AotConfig {
-                dense: self.dense,
-                ..AotConfig::default()
-            }),
-            _ => splitter.compile_with(self.dense),
-        }
+        let engine = match self.engine {
+            Engine::Aot => Engine::Aot,
+            _ => Engine::Prefilter,
+        };
+        let evsa = Arc::new(EVsa::from_vsa(splitter.vsa()));
+        CompiledSplitter::new(TieredEvsa::compile(evsa, engine, self.dense, None))
     }
 }
 
@@ -272,9 +265,8 @@ mod tests {
 
     #[test]
     fn dense_knobs_apply() {
-        let opts = CompileOptions::new().max_cache_states(3).skip_loop(true);
+        let opts = CompileOptions::new().max_cache_states(3);
         assert_eq!(opts.dense_config().max_cache_states, 3);
-        assert!(opts.dense_config().skip_loop);
         // A starved cache still evaluates exactly.
         let sp = opts.compile_spanner(&vsa(".*x{a+}.*"));
         let full = ExecSpanner::compile(&vsa(".*x{a+}.*"));
@@ -336,11 +328,7 @@ mod tests {
             .fleet_runner(fleet.clone(), opts.compile_splitter(&splitter::sentences()))
             .run_slices(&docs);
         let legacy = FleetRunner::new(
-            Arc::new(Fleet::compile_with(
-                &vsas,
-                Engine::Prefilter,
-                DenseConfig::default(),
-            )),
+            Arc::new(Fleet::compile(&vsas, Engine::Prefilter)),
             splitter::sentences().compile(),
             CorpusRunnerConfig::default(),
         )

@@ -149,7 +149,7 @@ proptest! {
 //    never changes any member's output.
 
 use crate::fleet::{Fleet, FleetRunner};
-use splitc_spanner::dense::DenseConfig;
+use crate::options::CompileOptions;
 use splitc_spanner::vsa::Vsa;
 use splitc_textgen::spangen::{rand_fleet, Mix};
 use std::sync::Arc;
@@ -192,11 +192,10 @@ proptest! {
         };
         // A 2-state cache bound starves the lazy DFA into its exact
         // NFA-fallback path mid-corpus; results must not move.
-        let dense = DenseConfig {
-            max_cache_states: if starve { 2 } else { 8192 },
-            skip_loop: false,
-        };
-        let fleet = Arc::new(Fleet::compile_with(&vsas, engine, dense));
+        let opts = CompileOptions::new()
+            .engine(engine)
+            .max_cache_states(if starve { 2 } else { 8192 });
+        let fleet = Arc::new(opts.compile_fleet(&vsas));
         let runner = FleetRunner::new(fleet, splitter::sentences().compile(), config);
         let refs: Vec<&[u8]> = docs.iter().map(Vec::as_slice).collect();
         let got = runner.run_slices(&refs);

@@ -199,10 +199,11 @@ fn aot_and_dense_engines_are_distinct_entries_with_identical_bytes() {
     let mut client = Client::new(server.addr());
     let splitter = register_sentences(&mut client);
 
-    // The same pattern under `aot` and `dense` engines: the compile
-    // cache must key on the tier, producing two distinct entries...
+    // The same pattern under every engine name: the compile cache must
+    // key on the tier, producing one distinct entry per engine...
+    const ENGINES: [&str; 4] = ["nfa", "dense", "prefilter", "aot"];
     let mut ids = Vec::new();
-    for engine in ["aot", "dense"] {
+    for engine in ENGINES {
         let (status, body) = client
             .post(
                 "/spanners",
@@ -219,9 +220,16 @@ fn aot_and_dense_engines_are_distinct_entries_with_identical_bytes() {
         assert_eq!(body.get("tier").unwrap().as_str(), Some(engine));
         ids.push(body.get("id").unwrap().as_str().unwrap().to_string());
     }
-    assert_ne!(ids[0], ids[1], "tiers must not share compile-cache keys");
+    let mut distinct = ids.clone();
+    distinct.sort();
+    distinct.dedup();
+    assert_eq!(
+        distinct.len(),
+        ENGINES.len(),
+        "tiers must not share compile-cache keys"
+    );
     // ...and re-registering under each engine hits its own entry.
-    for (engine, id) in [("aot", &ids[0]), ("dense", &ids[1])] {
+    for (&engine, id) in ENGINES.iter().zip(&ids) {
         let (_, body) = client
             .post(
                 "/spanners",
@@ -235,7 +243,7 @@ fn aot_and_dense_engines_are_distinct_entries_with_identical_bytes() {
         assert_eq!(body.get("id").unwrap().as_str().unwrap(), id);
     }
 
-    // /extract bytes are identical under both tiers.
+    // /extract bytes are identical under every tier.
     let docs = ["aaa bb. cc aa", "", "no match here.", "a.a.a"];
     let mut relations = Vec::new();
     for id in &ids {
@@ -252,10 +260,12 @@ fn aot_and_dense_engines_are_distinct_entries_with_identical_bytes() {
         assert_eq!(status, 200, "{body}");
         relations.push(body.get("relations").unwrap().to_string());
     }
-    assert_eq!(
-        relations[0], relations[1],
-        "aot and dense tiers must extract byte-identical relations"
-    );
+    for (engine, rel) in ENGINES.iter().zip(&relations) {
+        assert_eq!(
+            rel, &relations[0],
+            "{engine} must extract the same bytes as nfa"
+        );
+    }
 
     // /stats reports the chosen tier per registry entry.
     let (status, stats) = client.get("/stats").unwrap();
@@ -267,7 +277,7 @@ fn aot_and_dense_engines_are_distinct_entries_with_identical_bytes() {
         .unwrap()
         .as_arr()
         .unwrap();
-    assert_eq!(entries.len(), 2);
+    assert_eq!(entries.len(), ENGINES.len());
     for id in &ids {
         let entry = entries
             .iter()

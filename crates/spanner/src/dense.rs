@@ -20,10 +20,11 @@
 //!    falls back to the exact NFA simulation, so results never change —
 //!    only speed.
 //!
-//! The lazy DFA runs in two directions: forward for Boolean acceptance
-//! ([`DenseEvsa::accepts`]) and backward for the viability pass feeding
-//! tuple enumeration ([`DenseEvsa::eval`]), which then reuses the shared
-//! forward search of [`crate::eval`] over the dense tables.
+//! The lazy DFA runs backward: it is the viability pass feeding tuple
+//! enumeration ([`DenseEvsa::eval_with`]), which then reuses the shared
+//! forward search of [`crate::eval`] over the dense tables. The
+//! prefilter engine ([`crate::engine`]) runs the same pass with the
+//! skip-loop on.
 
 use crate::byteset::ByteSet;
 use crate::eval::{
@@ -37,15 +38,15 @@ use splitc_automata::nfa::StateId;
 use splitc_automata::scan::ByteFinder;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Source of unique per-[`DenseEvsa`] identities, used by
 /// [`DenseCache`] ownership tracking.
 static ENGINE_IDS: AtomicU64 = AtomicU64::new(0);
 
-/// Tuning knobs of the dense engine.
+/// Tuning knob of the dense engine.
 ///
-/// The single knob trades memory for lazy-DFA coverage. The governing
+/// The knob trades memory for lazy-DFA coverage. The governing
 /// invariant — relied on throughout the workspace and asserted by the
 /// differential test suites — is **fallback-on-overflow**: a scan that
 /// would exceed the bound switches to the exact NFA simulation for that
@@ -57,21 +58,10 @@ static ENGINE_IDS: AtomicU64 = AtomicU64::new(0);
 /// `u32` row per byte class).
 #[derive(Debug, Clone, Copy)]
 pub struct DenseConfig {
-    /// Upper bound on interned power-set states per lazy DFA direction.
-    /// When a document scan would exceed it, the engine falls back to
-    /// the exact NFA simulation for that scan (results are unchanged).
+    /// Upper bound on interned power-set states of the lazy DFA. When a
+    /// document scan would exceed it, the engine falls back to the exact
+    /// NFA simulation for that scan (results are unchanged).
     pub max_cache_states: usize,
-    /// Enables the **skip-loop**: when a scan detects that the lazy DFA
-    /// sits in a self-loop (the successor power-set state equals the
-    /// current one), the engine probes which byte classes stay in the
-    /// loop and jumps via a SWAR scanner
-    /// ([`splitc_automata::scan::ByteFinder`]) to the next escape byte
-    /// instead of stepping the transition table byte by byte. Exact by
-    /// construction — skipped positions provably keep the same DFA state
-    /// — so the flag changes speed only, never results (the prefilter
-    /// differential suite asserts this). Off by default; the prefilter
-    /// engine ([`crate::prefilter`]) turns it on.
-    pub skip_loop: bool,
 }
 
 impl Default for DenseConfig {
@@ -81,7 +71,6 @@ impl Default for DenseConfig {
         // (each state costs `⌈|Q|/64⌉` words + one row of `u32`s).
         DenseConfig {
             max_cache_states: 8192,
-            skip_loop: false,
         }
     }
 }
@@ -96,8 +85,7 @@ const UNEXPLORED: u32 = u32::MAX;
 /// immediately and jump the rest in one scan.
 const SKIP_STREAK: u32 = 8;
 
-/// Transition-level statistics of one [`DenseCache`], aggregated over
-/// both lazy-DFA directions.
+/// Transition-level statistics of one [`DenseCache`].
 ///
 /// A *hit* is a scan step answered by a memoized `(state, class)` row; a
 /// *miss* computes (and interns) the successor power-set state. Because
@@ -132,8 +120,8 @@ impl DenseCacheStats {
     }
 }
 
-/// One direction of the lazily-determinized DFA: interned power-set
-/// states (bitsets over the eVSA states) and a dense `state × class`
+/// The lazily-determinized backward DFA: interned power-set states
+/// (bitsets over the eVSA states) and a dense `state × class`
 /// transition table filled on demand.
 #[derive(Debug, Default)]
 struct LazyDfa {
@@ -164,10 +152,10 @@ impl LazyDfa {
     }
 }
 
-/// Scratch state for dense scans: the two lazy DFAs plus a reusable
+/// Scratch state for dense scans: the lazy DFA plus a reusable
 /// per-position buffer. Caches persist across documents (that is the
-/// point of *lazy* determinization); obtain one per worker via the
-/// compiled automaton's internal pool.
+/// point of *lazy* determinization); keep one per worker, or let
+/// [`crate::engine::TieredEvsa`] pool them.
 ///
 /// A cache is safe to hand between different compiled engines: every
 /// interned power set and transition row is meaningful only for the
@@ -179,7 +167,6 @@ impl LazyDfa {
 /// to correct-but-cold scans instead of corrupting results.
 #[derive(Debug, Default)]
 pub struct DenseCache {
-    fwd: LazyDfa,
     bwd: LazyDfa,
     /// Identity of the [`DenseEvsa`] whose lazy-DFA state this cache
     /// currently holds (`None` = fresh).
@@ -198,19 +185,18 @@ pub struct DenseCache {
 
 impl DenseCache {
     /// Transition-level hit/miss statistics accumulated by every scan
-    /// that used this cache (both DFA directions combined). Counters
-    /// survive overflow-triggered cache resets.
+    /// that used this cache. Counters survive overflow-triggered cache
+    /// resets.
     pub fn stats(&self) -> DenseCacheStats {
         DenseCacheStats {
-            hits: self.fwd.hits + self.bwd.hits,
-            misses: self.fwd.misses + self.bwd.misses,
+            hits: self.bwd.hits,
+            misses: self.bwd.misses,
         }
     }
 
-    /// Bytes this cache resolved through the skip-loop scanner instead
-    /// of stepping the transition table (0 unless
-    /// [`DenseConfig::skip_loop`] is on). Monotone across scans, like
-    /// the hit/miss counters.
+    /// Bytes this cache resolved through a skip-loop scanner instead of
+    /// stepping a transition table (0 under the plain dense engine).
+    /// Monotone across scans, like the hit/miss counters.
     pub fn skipped_bytes(&self) -> u64 {
         self.skipped
     }
@@ -219,8 +205,8 @@ impl DenseCache {
 /// An [`EVsa`] compiled for the dense engine.
 ///
 /// Construction cost is `O(|Q| · classes + |δ|)`; evaluation reuses the
-/// compiled tables and an internal pool of [`DenseCache`]s, so the type
-/// is cheap to share across worker threads (wrap in `Arc`).
+/// compiled tables and a caller-owned [`DenseCache`], so the type is
+/// cheap to share across worker threads (wrap in `Arc`).
 #[derive(Debug)]
 pub struct DenseEvsa {
     evsa: Arc<EVsa>,
@@ -228,8 +214,8 @@ pub struct DenseEvsa {
     /// Unique identity for [`DenseCache`] ownership checks.
     engine_id: u64,
     classes: ByteClasses,
-    /// Number of byte classes. The adjacency CSRs below are shared with
-    /// the AOT engine ([`crate::aot`]), which determinizes them eagerly.
+    /// Number of byte classes. The predecessor CSR below is shared with
+    /// the AOT engine ([`crate::aot`]), which determinizes it eagerly.
     pub(crate) nc: usize,
     /// Number of eVSA states.
     ns: usize,
@@ -239,20 +225,13 @@ pub struct DenseEvsa {
     /// `evsa.transitions_from(state)`.
     edge_off: Vec<u32>,
     edge_pool: Vec<u32>,
-    /// CSR of deduplicated successor states per `(state, class)`.
-    pub(crate) succ_off: Vec<u32>,
-    pub(crate) succ_pool: Vec<StateId>,
     /// CSR of deduplicated predecessor states per `(state, class)`.
     pub(crate) pred_off: Vec<u32>,
     pub(crate) pred_pool: Vec<StateId>,
     /// States with at least one final block, as a bitset.
     pub(crate) finals: Box<[u64]>,
-    /// `{start}` as a bitset.
-    pub(crate) start_set: Box<[u64]>,
     /// Post flags (see [`crate::eval`]), precomputed once.
     pub(crate) post: Vec<bool>,
-    /// Reusable scan caches, one handed to each concurrent evaluation.
-    caches: Mutex<Vec<DenseCache>>,
 }
 
 /// Flattens per-key vectors into CSR offsets + pool.
@@ -326,24 +305,20 @@ impl DenseEvsa {
         };
 
         let mut edges: Vec<Vec<u32>> = vec![Vec::new(); ns * nc];
-        let mut succs: Vec<Vec<StateId>> = vec![Vec::new(); ns * nc];
         let mut preds: Vec<Vec<StateId>> = vec![Vec::new(); ns * nc];
         for q in 0..ns {
             for (i, (_, mask, r)) in evsa.transitions_from(q as StateId).iter().enumerate() {
                 for c in classes_of_mask(mask) {
-                    let key = q * nc + c as usize;
-                    edges[key].push(i as u32);
-                    succs[key].push(*r);
+                    edges[q * nc + c as usize].push(i as u32);
                     preds[*r as usize * nc + c as usize].push(q as StateId);
                 }
             }
         }
-        for v in succs.iter_mut().chain(preds.iter_mut()) {
+        for v in preds.iter_mut() {
             v.sort_unstable();
             v.dedup();
         }
         let (edge_off, edge_pool) = to_csr(edges);
-        let (succ_off, succ_pool) = to_csr(succs);
         let (pred_off, pred_pool) = to_csr(preds);
 
         let mut finals = vec![0u64; words].into_boxed_slice();
@@ -351,11 +326,6 @@ impl DenseEvsa {
             if !evsa.final_blocks(q as StateId).is_empty() {
                 finals[q >> 6] |= 1u64 << (q & 63);
             }
-        }
-        let mut start_set = vec![0u64; words].into_boxed_slice();
-        if ns > 0 {
-            let s = evsa.start() as usize;
-            start_set[s >> 6] |= 1u64 << (s & 63);
         }
         let post = if ns > 0 {
             post_states(&evsa)
@@ -373,14 +343,10 @@ impl DenseEvsa {
             words,
             edge_off,
             edge_pool,
-            succ_off,
-            succ_pool,
             pred_off,
             pred_pool,
             finals,
-            start_set,
             post,
-            caches: Mutex::new(Vec::new()),
         }
     }
 
@@ -389,31 +355,9 @@ impl DenseEvsa {
         &self.evsa
     }
 
-    /// The compiled automaton behind its shared handle.
-    pub fn evsa_arc(&self) -> &Arc<EVsa> {
-        &self.evsa
-    }
-
     /// The byte-class partition the tables are indexed by.
     pub fn classes(&self) -> &ByteClasses {
         &self.classes
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> DenseConfig {
-        self.config
-    }
-
-    fn take_cache(&self) -> DenseCache {
-        self.caches
-            .lock()
-            .expect("cache pool poisoned")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn return_cache(&self, cache: DenseCache) {
-        self.caches.lock().expect("cache pool poisoned").push(cache);
     }
 
     /// Binds `cache` to this engine before a scan. A cache last used by
@@ -421,11 +365,10 @@ impl DenseEvsa {
     /// over that engine's state numbering and byte classes — reading
     /// them here would silently corrupt results (or index rows out of
     /// bounds when the class counts differ). An ownership change resets
-    /// both lazy DFAs; the hit/miss/skip counters survive, as with
+    /// the lazy DFA; the hit/miss/skip counters survive, as with
     /// overflow resets.
     fn adopt(&self, cache: &mut DenseCache) {
         if cache.owner != Some(self.engine_id) {
-            cache.fwd.clear();
             cache.bwd.clear();
             cache.owner = Some(self.engine_id);
         }
@@ -446,22 +389,17 @@ impl DenseEvsa {
         Some(id)
     }
 
-    /// One lazy-DFA step: successor of interned state `id` on byte class
-    /// `c`, computed (and memoized) on first use. `backward` selects the
-    /// predecessor adjacency (viability) over the successor adjacency
-    /// (acceptance). `None` = cache bound hit.
-    fn step(&self, dfa: &mut LazyDfa, id: u32, c: usize, backward: bool) -> Option<u32> {
+    /// One lazy-DFA step: predecessor set of interned state `id` on byte
+    /// class `c`, computed (and memoized) on first use. `None` = cache
+    /// bound hit.
+    fn step(&self, dfa: &mut LazyDfa, id: u32, c: usize) -> Option<u32> {
         let cached = dfa.rows[id as usize * self.nc + c];
         if cached != UNEXPLORED {
             dfa.hits += 1;
             return Some(cached);
         }
         dfa.misses += 1;
-        let (off, pool) = if backward {
-            (&self.pred_off, &self.pred_pool)
-        } else {
-            (&self.succ_off, &self.succ_pool)
-        };
+        let (off, pool) = (&self.pred_off, &self.pred_pool);
         let mut out = vec![0u64; self.words].into_boxed_slice();
         for w in 0..self.words {
             let mut bits = dfa.sets[id as usize][w];
@@ -479,16 +417,13 @@ impl DenseEvsa {
         Some(nid)
     }
 
-    /// The raw successor power-set of `set` on class `c`, computed into
-    /// `out` without interning (so skip-loop probing can never trigger a
-    /// cache-bound fallback that plain scanning would not have hit).
-    fn successor_set(&self, set: &[u64], c: usize, backward: bool, out: &mut [u64]) {
+    /// The raw predecessor power-set of `set` on class `c`, computed
+    /// into `out` without interning (so skip-loop probing can never
+    /// trigger a cache-bound fallback that plain scanning would not have
+    /// hit).
+    fn predecessor_set(&self, set: &[u64], c: usize, out: &mut [u64]) {
         out.iter_mut().for_each(|w| *w = 0);
-        let (off, pool) = if backward {
-            (&self.pred_off, &self.pred_pool)
-        } else {
-            (&self.succ_off, &self.succ_pool)
-        };
+        let (off, pool) = (&self.pred_off, &self.pred_pool);
         for (w, &word) in set.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
@@ -507,18 +442,13 @@ impl DenseEvsa {
     /// set covers most of the alphabet — compiles a SWAR finder for the
     /// *escape* bytes. Memoized per state in the cache; invalidated with
     /// the cache on overflow.
-    fn escape_finder<'a>(
-        &self,
-        dfa: &'a mut LazyDfa,
-        id: u32,
-        backward: bool,
-    ) -> Option<&'a ByteFinder> {
+    fn escape_finder<'a>(&self, dfa: &'a mut LazyDfa, id: u32) -> Option<&'a ByteFinder> {
         if !dfa.loops.contains_key(&id) {
             let set = &dfa.sets[id as usize];
             let mut stay = ByteSet::EMPTY;
             let mut out = vec![0u64; self.words];
             for c in 0..self.nc {
-                self.successor_set(set, c, backward, &mut out);
+                self.predecessor_set(set, c, &mut out);
                 if out[..] == set[..] {
                     for b in self.classes.bytes_of(c) {
                         stay.insert(b);
@@ -541,11 +471,13 @@ impl DenseEvsa {
     /// Runs the backward lazy DFA over `doc`, filling `cache.ids_buf`
     /// with the viability-set id per position. `None` = cache bound hit.
     ///
-    /// With [`DenseConfig::skip_loop`] on, a detected self-loop is
-    /// resolved by scanning *backwards* for the previous escape byte
+    /// With `skip_loop` on (the prefilter engine), a detected self-loop
+    /// is resolved by scanning *backwards* for the previous escape byte
     /// ([`ByteFinder::rfind`]) and bulk-filling the id buffer for the
-    /// provably-unchanged positions in between.
-    fn lazy_viability(&self, doc: &[u8], cache: &mut DenseCache) -> Option<()> {
+    /// provably-unchanged positions in between. Exact by construction —
+    /// skipped positions provably keep the same DFA state — so the flag
+    /// changes speed only, never results.
+    fn lazy_viability(&self, doc: &[u8], cache: &mut DenseCache, skip_loop: bool) -> Option<()> {
         let n = doc.len();
         let fid = self.intern(&mut cache.bwd, self.finals.clone())?;
         cache.ids_buf.clear();
@@ -558,14 +490,14 @@ impl DenseEvsa {
         let mut streak = 0u32;
         while i > 0 {
             let c = self.classes.class_of(doc[i - 1]);
-            let next = self.step(&mut cache.bwd, cur, c, true)?;
+            let next = self.step(&mut cache.bwd, cur, c)?;
             cache.ids_buf[i - 1] = next;
             i -= 1;
             streak = if next == cur { streak + 1 } else { 0 };
-            if self.config.skip_loop && streak >= SKIP_STREAK && i > 0 {
+            if skip_loop && streak >= SKIP_STREAK && i > 0 {
                 streak = 0;
                 let jump = self
-                    .escape_finder(&mut cache.bwd, cur, true)
+                    .escape_finder(&mut cache.bwd, cur)
                     .map(|f| f.rfind(&doc[..i]));
                 match jump {
                     // Bytes after the last escape all stay in the loop.
@@ -588,23 +520,26 @@ impl DenseEvsa {
         Some(())
     }
 
-    /// Evaluates on a document, producing exactly the relation of
-    /// [`eval::eval_evsa`]. Uses a pooled [`DenseCache`].
-    pub fn eval(&self, doc: &[u8]) -> SpanRelation {
-        let mut cache = self.take_cache();
-        let out = self.eval_with(doc, &mut cache);
-        self.return_cache(cache);
-        out
+    /// Evaluates on a document with an explicit scan cache (one per
+    /// worker; reuse amortizes lazy determinization across documents),
+    /// producing exactly the relation of [`eval::eval_evsa`].
+    pub fn eval_with(&self, doc: &[u8], cache: &mut DenseCache) -> SpanRelation {
+        self.eval_scan(doc, cache, false)
     }
 
-    /// Evaluates on a document with an explicit scan cache (one per
-    /// worker; reuse amortizes lazy determinization across documents).
-    pub fn eval_with(&self, doc: &[u8], cache: &mut DenseCache) -> SpanRelation {
+    /// [`DenseEvsa::eval_with`] with the skip-loop of
+    /// [`DenseEvsa::lazy_viability`] switched by the engine.
+    pub(crate) fn eval_scan(
+        &self,
+        doc: &[u8],
+        cache: &mut DenseCache,
+        skip_loop: bool,
+    ) -> SpanRelation {
         if self.ns == 0 {
             return SpanRelation::empty();
         }
         self.adopt(cache);
-        if self.lazy_viability(doc, cache).is_none() {
+        if self.lazy_viability(doc, cache, skip_loop).is_none() {
             // Cache bound hit: exact fallback via the materialized
             // bitset viability table. Drop the overflowed cache state so
             // later (smaller) scans start fresh.
@@ -631,71 +566,6 @@ impl DenseEvsa {
             &DenseEdges(self),
             &mut cache.scratch,
         )
-    }
-
-    /// Boolean acceptance (at least one output tuple), equal to
-    /// [`eval::accepts_evsa`]. Uses a pooled [`DenseCache`].
-    pub fn accepts(&self, doc: &[u8]) -> bool {
-        let mut cache = self.take_cache();
-        let out = self.accepts_with(doc, &mut cache);
-        self.return_cache(cache);
-        out
-    }
-
-    /// Boolean acceptance with an explicit scan cache. With
-    /// [`DenseConfig::skip_loop`] on, a detected forward self-loop jumps
-    /// via [`ByteFinder::find`] to the next escape byte.
-    pub fn accepts_with(&self, doc: &[u8], cache: &mut DenseCache) -> bool {
-        if self.ns == 0 {
-            return false;
-        }
-        self.adopt(cache);
-        let Some(mut cur) = self.intern(&mut cache.fwd, self.start_set.clone()) else {
-            cache.fwd.clear();
-            return eval::accepts_evsa(&self.evsa, doc);
-        };
-        let n = doc.len();
-        let mut pos = 0;
-        let mut streak = 0u32;
-        while pos < n {
-            let c = self.classes.class_of(doc[pos]);
-            match self.step(&mut cache.fwd, cur, c, false) {
-                Some(id) => {
-                    streak = if id == cur { streak + 1 } else { 0 };
-                    cur = id;
-                    pos += 1;
-                    if cache.fwd.sets[cur as usize].iter().all(|&w| w == 0) {
-                        return false;
-                    }
-                    if self.config.skip_loop && streak >= SKIP_STREAK && pos < n {
-                        streak = 0;
-                        let jump = self
-                            .escape_finder(&mut cache.fwd, cur, false)
-                            .map(|f| f.find(&doc[pos..]));
-                        match jump {
-                            Some(Some(j)) => {
-                                cache.skipped += j as u64;
-                                pos += j;
-                            }
-                            Some(None) => {
-                                cache.skipped += (n - pos) as u64;
-                                pos = n;
-                            }
-                            None => {}
-                        }
-                    }
-                }
-                None => {
-                    // Cache bound hit: exact NFA fallback.
-                    cache.fwd.clear();
-                    return eval::accepts_evsa(&self.evsa, doc);
-                }
-            }
-        }
-        cache.fwd.sets[cur as usize]
-            .iter()
-            .zip(self.finals.iter())
-            .any(|(a, f)| a & f != 0)
     }
 }
 
@@ -730,7 +600,7 @@ impl EdgeSource for DenseEdges<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{accepts_evsa, eval_evsa};
+    use crate::eval::eval_evsa;
     use crate::rgx::Rgx;
     use crate::span::Span;
     use crate::vars::VarId;
@@ -742,6 +612,11 @@ mod tests {
 
     fn dense(pattern: &str) -> DenseEvsa {
         DenseEvsa::compile(compile(pattern), DenseConfig::default())
+    }
+
+    /// One evaluation with a fresh cache.
+    fn eval(d: &DenseEvsa, doc: &[u8]) -> SpanRelation {
+        d.eval_with(doc, &mut DenseCache::default())
     }
 
     #[test]
@@ -762,17 +637,8 @@ mod tests {
             let e = compile(pat);
             let d = DenseEvsa::compile(e.clone(), DenseConfig::default());
             for doc in docs {
-                assert_eq!(d.eval(&doc), eval_evsa(&e, &doc), "pattern {pat}");
+                assert_eq!(eval(&d, &doc), eval_evsa(&e, &doc), "pattern {pat}");
             }
-        }
-    }
-
-    #[test]
-    fn accepts_matches_nfa_engine() {
-        let e = compile("a+b");
-        let d = DenseEvsa::compile(e.clone(), DenseConfig::default());
-        for doc in [b"aab".as_slice(), b"ab c", b"", b"b", b"aaab"] {
-            assert_eq!(d.accepts(doc), accepts_evsa(&e, doc));
         }
     }
 
@@ -785,34 +651,24 @@ mod tests {
             e.clone(),
             DenseConfig {
                 max_cache_states: 1,
-                ..DenseConfig::default()
             },
         );
         let doc = b"aa b aa";
-        assert_eq!(tiny.eval(doc), eval_evsa(&e, doc));
-        assert_eq!(tiny.accepts(doc), accepts_evsa(&e, doc));
-        assert_eq!(tiny.eval(b""), eval_evsa(&e, b""));
+        assert_eq!(eval(&tiny, doc), eval_evsa(&e, doc));
+        assert_eq!(eval(&tiny, b""), eval_evsa(&e, b""));
     }
 
     #[test]
     fn skip_loop_is_exact_and_skips() {
         // A needle in a long flat haystack: the backward viability pass
         // must jump the context via the scanner, with identical results.
-        let e = compile(".*x{q+}.*");
-        let plain = DenseEvsa::compile(e.clone(), DenseConfig::default());
-        let skipping = DenseEvsa::compile(
-            e.clone(),
-            DenseConfig {
-                skip_loop: true,
-                ..DenseConfig::default()
-            },
-        );
+        let d = dense(".*x{q+}.*");
         let mut doc = vec![b'a'; 2048];
         doc[777] = b'q';
         let mut cache = DenseCache::default();
         assert_eq!(
-            skipping.eval_with(&doc, &mut cache),
-            plain.eval(&doc),
+            d.eval_scan(&doc, &mut cache, true),
+            eval(&d, &doc),
             "skip-loop must not change results"
         );
         assert!(
@@ -820,13 +676,9 @@ mod tests {
             "expected a large jump, got {}",
             cache.skipped_bytes()
         );
-        let skipped_after_eval = cache.skipped_bytes();
-        assert_eq!(skipping.accepts_with(&doc, &mut cache), plain.accepts(&doc));
-        assert!(cache.skipped_bytes() > skipped_after_eval);
         // Matchless documents and tiny documents behave identically too.
         for doc in [vec![b'a'; 100], vec![], vec![b'q']] {
-            assert_eq!(skipping.eval_with(&doc, &mut cache), plain.eval(&doc));
-            assert_eq!(skipping.accepts_with(&doc, &mut cache), plain.accepts(&doc));
+            assert_eq!(d.eval_scan(&doc, &mut cache, true), eval(&d, &doc));
         }
     }
 
@@ -847,7 +699,7 @@ mod tests {
     fn long_document_dense() {
         let doc = vec![b'a'; 1 << 18];
         let d = dense("a*x{b*}a*");
-        let rel = d.eval(&doc);
+        let rel = eval(&d, &doc);
         assert_eq!(rel.len(), doc.len() + 1);
         assert_eq!(rel.tuple(0).get(VarId(0)), Span::new(0, 0));
     }
@@ -879,7 +731,7 @@ mod tests {
         let e = hi_range_evsa();
         let d = DenseEvsa::compile(e.clone(), DenseConfig::default());
         for doc in [vec![0x80, 0xC3, 0xFF], vec![0x80, 0x20], vec![0x00], vec![]] {
-            assert_eq!(d.eval(&doc), eval_evsa(&e, &doc));
+            assert_eq!(eval(&d, &doc), eval_evsa(&e, &doc));
         }
     }
 
@@ -900,8 +752,7 @@ mod tests {
             DenseEvsa::compile_with_classes(e.clone(), DenseConfig::default(), builder.build());
         assert!(shared.classes().num_classes() > own.classes().num_classes());
         for doc in [b"aabaa".as_slice(), b"", b"q9a", b"bbb"] {
-            assert_eq!(shared.eval(doc), own.eval(doc));
-            assert_eq!(shared.accepts(doc), own.accepts(doc));
+            assert_eq!(eval(&shared, doc), eval(&own, doc));
         }
     }
 
@@ -942,8 +793,6 @@ mod tests {
                 wide.eval_with(&doc_w, &mut cache),
                 eval_evsa(&wide_e, &doc_w)
             );
-            assert!(narrow.accepts_with(doc_n, &mut cache));
-            assert!(wide.accepts_with(&doc_w, &mut cache));
         }
         // Same-engine reuse still never resets: interned states persist.
         let before = cache.stats();
@@ -956,7 +805,6 @@ mod tests {
         let v = crate::vsa::Vsa::new(crate::vars::VarTable::empty());
         let e = Arc::new(EVsa::from_functional(&v));
         let d = DenseEvsa::compile(e, DenseConfig::default());
-        assert!(d.eval(b"abc").is_empty());
-        assert!(!d.accepts(b"abc"));
+        assert!(eval(&d, b"abc").is_empty());
     }
 }

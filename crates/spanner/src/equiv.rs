@@ -80,16 +80,6 @@ impl SpannerCheck {
     }
 }
 
-/// Compiled form of a spanner ready for language-level comparison.
-pub(crate) fn normalize(vsa: &Vsa) -> EVsa {
-    let f = if vsa.is_functional() {
-        vsa.trim()
-    } else {
-        vsa.functionalize()
-    };
-    EVsa::from_functional(&f)
-}
-
 /// Decides `P(d) ⊆ P′(d)` for all documents `d`.
 ///
 /// Both spanners must have the same variables (`SVars`); this is an
@@ -111,8 +101,8 @@ pub fn spanner_contains_with(
             p_prime.vars()
         ));
     }
-    let ea = normalize(p);
-    let eb = normalize(p_prime);
+    let ea = EVsa::from_vsa(p);
+    let eb = EVsa::from_vsa(p_prime);
     let mut masks = ea.byte_masks();
     masks.extend(eb.byte_masks());
     let ext = ExtAlphabet::from_masks(p.vars().clone(), &masks);

@@ -79,6 +79,17 @@ impl EVsa {
         out
     }
 
+    /// Converts any VSet-automaton into block normal form: trimmed when
+    /// already functional, functionalized otherwise — the normalization
+    /// every compiled spanner, fleet member and splitter goes through.
+    pub fn from_vsa(vsa: &Vsa) -> EVsa {
+        if vsa.is_functional() {
+            EVsa::from_functional(&vsa.trim())
+        } else {
+            EVsa::from_functional(&vsa.functionalize())
+        }
+    }
+
     /// Converts a **functional** VSet-automaton (see
     /// [`Vsa::is_functional`]) into block normal form. Operation/ε paths
     /// between byte transitions are collected into blocks; configurations
@@ -386,31 +397,6 @@ impl EVsa {
             out.finals[id as usize] = new_finals;
         }
         out
-    }
-
-    /// Compiles a shared copy of this automaton for the dense engine
-    /// (byte-class tables + lazy-DFA cache, see [`crate::dense`]).
-    pub fn compile_dense(&self, config: crate::dense::DenseConfig) -> crate::dense::DenseEvsa {
-        crate::dense::DenseEvsa::compile(Arc::new(self.clone()), config)
-    }
-
-    /// Compiles a shared copy of this automaton for the prefiltered
-    /// engine (literal analysis + skip-loop over the dense engine, see
-    /// [`crate::prefilter`]).
-    pub fn compile_prefilter(
-        &self,
-        config: crate::dense::DenseConfig,
-    ) -> crate::prefilter::PrefilteredEvsa {
-        crate::prefilter::PrefilteredEvsa::compile(Arc::new(self.clone()), config)
-    }
-
-    /// Compiles a shared copy of this automaton for the ahead-of-time
-    /// engine (full determinization + Hopcroft minimization + flat
-    /// premultiplied tables, see [`crate::aot`]). Returns `None` when
-    /// determinization exceeds the budget in `config` — callers should
-    /// then fall back to [`EVsa::compile_dense`].
-    pub fn compile_aot(&self, config: crate::aot::AotConfig) -> Option<crate::aot::AotEvsa> {
-        crate::aot::AotEvsa::compile(Arc::new(self.clone()), config)
     }
 
     /// Whether the normalized expansion would be deterministic: at most

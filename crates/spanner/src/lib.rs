@@ -34,19 +34,22 @@
 //! * [`eval`] — evaluation of spanners on documents (output-sensitive
 //!   enumeration) plus a brute-force reference evaluator for testing.
 //! * [`dense`] — the dense engine: byte-class-compressed transition
-//!   tables and a memory-bounded lazy-DFA cache accelerating acceptance,
-//!   the viability pass, and compiled splitters, with exact fallback to
-//!   the NFA engine.
+//!   tables and a memory-bounded lazy-DFA cache accelerating the
+//!   viability pass, with exact fallback to the NFA engine.
 //! * [`prefilter`] — literal prefilters over the dense engine: a
 //!   per-spanner analysis (minimum match length, required prefix
 //!   literal, required byte class) gates documents before any DFA step,
 //!   and the lazy DFA's skip-loop crosses `Σ*` contexts with a SWAR
 //!   scanner; trivial analyses fall back to plain dense evaluation.
 //! * [`aot`] — the ahead-of-time engine tier: budget-bounded full
-//!   determinization of both scan directions, Hopcroft minimization of
-//!   the forward DFA, and flat premultiplied `u16` transition tables
-//!   (accept/empty flags packed into bit 15) stepped 4 bytes per
-//!   iteration; falls back to [`dense`] when the budget is exceeded.
+//!   determinization of the backward viability DFA into a flat
+//!   premultiplied `u16` transition table (empty-set flag packed into
+//!   bit 15) stepped 4 bytes per iteration; falls back to [`dense`] when
+//!   the budget is exceeded.
+//! * [`mod@engine`] — the tiered engine core every compiled spanner and
+//!   splitter sits behind: one mapping from an [`Engine`] request to a
+//!   tier, a document gate and a skip-loop setting, plus pooled scan
+//!   caches.
 //! * [`stream`] — incremental splitter simulation: a forward-only step
 //!   API ([`stream::SplitterState`]) emitting split spans chunk by chunk
 //!   without materializing the document, behind the streaming corpus
@@ -59,6 +62,7 @@
 pub mod aot;
 pub mod byteset;
 pub mod dense;
+pub mod engine;
 pub mod equiv;
 pub mod eval;
 pub mod evsa;
@@ -73,14 +77,15 @@ pub mod tuple;
 pub mod vars;
 pub mod vsa;
 
-pub use aot::{AotConfig, AotEvsa};
+pub use aot::AotEvsa;
 pub use dense::{DenseCache, DenseCacheStats, DenseConfig, DenseEvsa};
+pub use engine::{Engine, TieredEvsa};
 pub use equiv::{
     spanner_contains, spanner_contains_with, spanner_equivalent, spanner_equivalent_with,
     CheckStrategy, SpannerCheck,
 };
 pub use evsa::EVsa;
-pub use prefilter::{PrefilterAnalysis, PrefilterGate, PrefilterStats, PrefilteredEvsa};
+pub use prefilter::{PrefilterAnalysis, PrefilterGate, PrefilterStats};
 pub use rgx::Rgx;
 pub use span::Span;
 pub use splitter::Splitter;

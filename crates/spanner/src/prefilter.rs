@@ -5,7 +5,7 @@
 //! that pay it*. Real corpora are match-sparse — most sentences of a log
 //! or wiki dump contain no transaction, no number, no entity — yet the
 //! dense engine still walks its lazy DFA over every byte of every
-//! segment. A [`PrefilteredEvsa`] answers most of those scans without
+//! segment. The `prefilter` engine answers most of those scans without
 //! touching the DFA at all:
 //!
 //! 1. **Analysis** ([`PrefilterAnalysis::analyze`]) runs once per
@@ -22,26 +22,27 @@
 //!    ([`splitc_automata::scan::ByteFinder`]) → empty relation. Only
 //!    documents that survive — the *candidates* — reach the DFA.
 //! 3. **Skip-loop** — candidates are evaluated by the dense engine with
-//!    [`DenseConfig::skip_loop`] enabled, so `Σ*`-style contexts are
-//!    crossed by the scanner instead of the transition table.
+//!    its skip-loop on, so `Σ*`-style contexts are crossed by the
+//!    scanner instead of the transition table.
+//!
+//! The tiered core ([`crate::engine::TieredEvsa`]) composes the three:
+//! the gate sits in front of both the `prefilter` and the `aot` tier,
+//! and counts [`PrefilterStats`] for each.
 //!
 //! Every test is conservative (may pass a non-matching document, never
 //! rejects a matching one), so the engine is exact: a spanner whose
 //! analysis finds nothing useful (`PrefilterAnalysis::is_trivial`)
-//! degrades to plain dense evaluation automatically — the fallback
-//! invariant the differential suites assert, and the reason the
-//! prefilter engine never loses more than scanner noise on match-dense
-//! workloads.
+//! degrades to plain dense evaluation (plus the skip-loop)
+//! automatically — the fallback invariant the differential suites
+//! assert, and the reason the prefilter engine never loses more than
+//! scanner noise on match-dense workloads.
 
 use crate::byteset::ByteSet;
-use crate::dense::{DenseCache, DenseConfig, DenseEvsa};
 use crate::evsa::EVsa;
-use crate::tuple::SpanRelation;
 use splitc_automata::classes::ByteClassBuilder;
 use splitc_automata::nfa::StateId;
 use splitc_automata::scan::ByteFinder;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 /// Longest required-prefix literal the analysis extracts.
 const MAX_PREFIX: usize = 16;
@@ -135,9 +136,9 @@ impl PrefilterAnalysis {
     }
 
     /// Whether the analysis found nothing a gate could use — the
-    /// documented fallback condition: a trivial analysis makes
-    /// [`PrefilteredEvsa`] behave exactly like the dense engine (plus
-    /// the skip-loop).
+    /// documented fallback condition: a trivial analysis makes the
+    /// `prefilter` engine behave exactly like the dense engine (plus the
+    /// skip-loop).
     pub fn is_trivial(&self) -> bool {
         self.min_len == 0 && self.prefix.is_empty() && self.required.is_none()
     }
@@ -486,206 +487,27 @@ fn contains_literal(doc: &[u8], lit: &[u8], first: &ByteFinder) -> bool {
     false
 }
 
-/// An [`EVsa`] compiled for the prefiltered engine: the dense engine
-/// with the skip-loop enabled, behind a [`PrefilterGate`]. Construct via
-/// [`PrefilteredEvsa::compile`] or [`EVsa::compile_prefilter`]; share
-/// across workers in an `Arc` like [`DenseEvsa`].
-#[derive(Debug)]
-pub struct PrefilteredEvsa {
-    dense: Arc<DenseEvsa>,
-    analysis: PrefilterAnalysis,
-    gate: PrefilterGate,
-    /// Reusable scan caches for the pooled entry points.
-    caches: Mutex<Vec<DenseCache>>,
-    /// Aggregate statistics of the pooled entry points.
-    stats: Mutex<PrefilterStats>,
-}
-
-impl PrefilteredEvsa {
-    /// Analyzes and compiles `evsa`. The dense engine inside always runs
-    /// with [`DenseConfig::skip_loop`] on; the other knobs of `config`
-    /// are passed through.
-    pub fn compile(evsa: Arc<EVsa>, config: DenseConfig) -> PrefilteredEvsa {
-        let analysis = PrefilterAnalysis::analyze(&evsa);
-        let gate = analysis.gate();
-        let dense = Arc::new(DenseEvsa::compile(
-            evsa,
-            DenseConfig {
-                skip_loop: true,
-                ..config
-            },
-        ));
-        PrefilteredEvsa::assemble(dense, analysis, gate)
-    }
-
-    /// Like [`PrefilteredEvsa::compile`], but indexes the dense tables
-    /// by a caller-supplied byte partition (see
-    /// [`DenseEvsa::compile_with_classes`] — the partition must refine
-    /// every transition mask, and the fleet engine passes the coarsest
-    /// common refinement across all members).
-    pub fn compile_with_classes(
-        evsa: Arc<EVsa>,
-        config: DenseConfig,
-        classes: splitc_automata::classes::ByteClasses,
-    ) -> PrefilteredEvsa {
-        let analysis = PrefilterAnalysis::analyze(&evsa);
-        let gate = analysis.gate();
-        let dense = Arc::new(DenseEvsa::compile_with_classes(
-            evsa,
-            DenseConfig {
-                skip_loop: true,
-                ..config
-            },
-            classes,
-        ));
-        PrefilteredEvsa::assemble(dense, analysis, gate)
-    }
-
-    fn assemble(
-        dense: Arc<DenseEvsa>,
-        analysis: PrefilterAnalysis,
-        gate: PrefilterGate,
-    ) -> PrefilteredEvsa {
-        PrefilteredEvsa {
-            dense,
-            analysis,
-            gate,
-            caches: Mutex::new(Vec::new()),
-            stats: Mutex::new(PrefilterStats::default()),
-        }
-    }
-
-    /// The analysis backing the gate.
-    pub fn analysis(&self) -> &PrefilterAnalysis {
-        &self.analysis
-    }
-
-    /// The document gate.
-    pub fn gate(&self) -> &PrefilterGate {
-        &self.gate
-    }
-
-    /// The skip-loop-enabled dense compilation behind the gate.
-    pub fn dense(&self) -> &Arc<DenseEvsa> {
-        &self.dense
-    }
-
-    /// The compiled automaton.
-    pub fn evsa(&self) -> &EVsa {
-        self.dense.evsa()
-    }
-
-    /// The compiled automaton behind its shared handle.
-    pub fn evsa_arc(&self) -> &Arc<EVsa> {
-        self.dense.evsa_arc()
-    }
-
-    /// Snapshot of the statistics accumulated by the pooled entry points
-    /// ([`PrefilteredEvsa::eval`] / [`PrefilteredEvsa::accepts`]).
-    /// Callers driving [`PrefilteredEvsa::eval_with`] own their stats.
-    pub fn stats(&self) -> PrefilterStats {
-        *self.stats.lock().expect("stats poisoned")
-    }
-
-    /// Evaluates on a document, producing exactly the relation of the
-    /// dense and NFA engines. Uses pooled caches and the internal stats
-    /// aggregate.
-    pub fn eval(&self, doc: &[u8]) -> SpanRelation {
-        let mut cache = self.take_cache();
-        let mut stats = PrefilterStats::default();
-        let out = self.eval_with(doc, &mut cache, &mut stats);
-        self.return_cache(cache);
-        let mut agg = self.stats.lock().expect("stats poisoned");
-        *agg = agg.merge(stats);
-        out
-    }
-
-    /// Evaluates with an explicit scan cache and stats accumulator (one
-    /// pair per worker; the cache amortizes lazy determinization, the
-    /// stats feed `CorpusStats`).
-    pub fn eval_with(
-        &self,
-        doc: &[u8],
-        cache: &mut DenseCache,
-        stats: &mut PrefilterStats,
-    ) -> SpanRelation {
-        if self.gate.rejects(doc) {
-            stats.bytes_skipped += doc.len() as u64;
-            return SpanRelation::empty();
-        }
-        if !self.gate.is_transparent() {
-            stats.candidates += 1;
-        }
-        let skipped_before = cache.skipped_bytes();
-        let rel = self.dense.eval_with(doc, cache);
-        stats.bytes_skipped += cache.skipped_bytes() - skipped_before;
-        if rel.is_empty() && !self.gate.is_transparent() {
-            stats.false_candidates += 1;
-        }
-        rel
-    }
-
-    /// Boolean acceptance through the gate (pooled cache + stats).
-    pub fn accepts(&self, doc: &[u8]) -> bool {
-        let mut cache = self.take_cache();
-        let mut stats = PrefilterStats::default();
-        let out = self.accepts_with(doc, &mut cache, &mut stats);
-        self.return_cache(cache);
-        let mut agg = self.stats.lock().expect("stats poisoned");
-        *agg = agg.merge(stats);
-        out
-    }
-
-    /// Boolean acceptance with an explicit cache and stats accumulator.
-    pub fn accepts_with(
-        &self,
-        doc: &[u8],
-        cache: &mut DenseCache,
-        stats: &mut PrefilterStats,
-    ) -> bool {
-        if self.gate.rejects(doc) {
-            stats.bytes_skipped += doc.len() as u64;
-            return false;
-        }
-        if !self.gate.is_transparent() {
-            stats.candidates += 1;
-        }
-        let skipped_before = cache.skipped_bytes();
-        let accepted = self.dense.accepts_with(doc, cache);
-        stats.bytes_skipped += cache.skipped_bytes() - skipped_before;
-        if !accepted && !self.gate.is_transparent() {
-            stats.false_candidates += 1;
-        }
-        accepted
-    }
-
-    fn take_cache(&self) -> DenseCache {
-        self.caches
-            .lock()
-            .expect("cache pool poisoned")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn return_cache(&self, cache: DenseCache) {
-        self.caches.lock().expect("cache pool poisoned").push(cache);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::DenseCacheStats;
+    use crate::dense::{DenseCache, DenseCacheStats, DenseConfig};
+    use crate::engine::{Engine, TieredEvsa};
     use crate::eval::eval_evsa;
     use crate::rgx::Rgx;
+    use std::sync::Arc;
 
     fn compile(pattern: &str) -> Arc<EVsa> {
         let vsa = Rgx::parse(pattern).unwrap().to_vsa().unwrap();
         Arc::new(EVsa::from_functional(&vsa.functionalize()))
     }
 
-    fn prefiltered(pattern: &str) -> PrefilteredEvsa {
-        PrefilteredEvsa::compile(compile(pattern), DenseConfig::default())
+    /// The `prefilter` engine: the dense tier behind the gate.
+    fn engine(e: &Arc<EVsa>, engine: Engine) -> TieredEvsa {
+        TieredEvsa::compile(e.clone(), engine, DenseConfig::default(), None)
+    }
+
+    fn prefiltered(pattern: &str) -> TieredEvsa {
+        engine(&compile(pattern), Engine::Prefilter)
     }
 
     #[test]
@@ -725,7 +547,7 @@ mod tests {
         assert!(a.literal.is_empty());
         // Gate + engine equivalence on literal-gated documents.
         let e = compile(".*x{qab[0-9]+}.*");
-        let p = PrefilteredEvsa::compile(e.clone(), DenseConfig::default());
+        let p = engine(&e, Engine::Prefilter);
         for doc in [
             b"qab1 and qab22".as_slice(),
             b"qa b a b q no hit",
@@ -758,16 +580,17 @@ mod tests {
     #[test]
     fn shared_classes_prefilter_matches_own_partition() {
         let e = compile("(.*[^0-9]|)x{[0-9]+}([^0-9].*|)");
-        let own = PrefilteredEvsa::compile(e.clone(), DenseConfig::default());
+        let own = engine(&e, Engine::Prefilter);
         let mut builder = ByteClassBuilder::new();
         for m in e.byte_masks() {
             builder.add_set(|b| m.contains(b));
         }
         builder.add_set(|b: u8| b.is_ascii_lowercase());
-        let shared = PrefilteredEvsa::compile_with_classes(
+        let shared = TieredEvsa::compile(
             e.clone(),
+            Engine::Prefilter,
             DenseConfig::default(),
-            builder.build(),
+            Some(builder.build()),
         );
         for doc in [b"x 12 y".as_slice(), b"plain", b"", b"7"] {
             assert_eq!(shared.eval(doc), own.eval(doc));
@@ -793,9 +616,8 @@ mod tests {
         let e = Arc::new(EVsa::from_functional(&v));
         let a = PrefilterAnalysis::analyze(&e);
         assert_eq!(a.min_len, usize::MAX);
-        let p = PrefilteredEvsa::compile(e, DenseConfig::default());
+        let p = engine(&e, Engine::Prefilter);
         assert!(p.eval(b"anything").is_empty());
-        assert!(!p.accepts(b"anything"));
     }
 
     #[test]
@@ -826,14 +648,9 @@ mod tests {
             (".*x{}.*", vec![b"ab".to_vec(), b"".to_vec()]),
         ] {
             let e = compile(pat);
-            let p = PrefilteredEvsa::compile(e.clone(), DenseConfig::default());
+            let p = engine(&e, Engine::Prefilter);
             for doc in docs {
                 assert_eq!(p.eval(&doc), eval_evsa(&e, &doc), "pattern {pat}");
-                assert_eq!(
-                    p.accepts(&doc),
-                    !eval_evsa(&e, &doc).is_empty(),
-                    "pattern {pat}"
-                );
             }
         }
     }
@@ -841,7 +658,7 @@ mod tests {
     #[test]
     fn short_documents_short_circuit_without_touching_the_dfa() {
         let p = prefiltered("ab(x{c+})d");
-        assert_eq!(p.analysis().min_len, 4);
+        assert_eq!(PrefilterAnalysis::analyze(p.evsa()).min_len, 4);
         let mut cache = DenseCache::default();
         let mut stats = PrefilterStats::default();
         assert!(p.eval_with(b"abc", &mut cache, &mut stats).is_empty());
@@ -854,33 +671,51 @@ mod tests {
         // Zero-length-match corner: min length 0 never rejects; the
         // empty document still produces its tuple.
         let z = prefiltered(".*x{}.*");
-        assert_eq!(z.analysis().min_len, 0);
+        assert_eq!(PrefilterAnalysis::analyze(z.evsa()).min_len, 0);
         assert_eq!(z.eval(b"").len(), 1);
     }
 
     #[test]
     fn stats_count_candidates_and_false_candidates() {
-        let p = prefiltered("(.*[^0-9]|)x{[0-9]+}([^0-9].*|)");
-        let mut cache = DenseCache::default();
-        let mut stats = PrefilterStats::default();
-        // Gate-rejected (no digit): skipped, not a candidate.
-        assert!(p
-            .eval_with(b"plain words only", &mut cache, &mut stats)
-            .is_empty());
-        assert_eq!(stats.candidates, 0);
-        assert_eq!(stats.bytes_skipped, 16);
-        // True candidate with a match.
-        assert!(!p.eval_with(b"x 12 y", &mut cache, &mut stats).is_empty());
-        assert_eq!(stats.candidates, 1);
-        assert_eq!(stats.false_candidates, 0);
-        let merged = stats.merge(PrefilterStats {
-            bytes_skipped: 1,
-            candidates: 1,
+        // The counters behind `/stats` and perfbench's `prefilter.*`
+        // lines, per engine over one fixed document set with per-call
+        // scratch: both gated engines count the same candidates and
+        // false candidates, the ungated ones count nothing, and every
+        // gate-rejected document adds its full length to bytes_skipped.
+        let e = compile(".*x{qab[0-9]+}.*");
+        let docs: [&[u8]; 5] = [
+            b"plain words only", // rejected: no "qab"
+            b"qab12",            // candidate with a match
+            b"",                 // rejected: too short
+            b"qabx",             // literal present, no digit: false candidate
+            b"qa b",             // rejected: no "qab"
+        ];
+        // Candidates are shorter than the skip-loop's streak threshold,
+        // so only rejected documents add skipped bytes.
+        let rejected_bytes = 16 + 4;
+        let count = |kind: Engine| {
+            let t = engine(&e, kind);
+            let mut stats = PrefilterStats::default();
+            for doc in docs {
+                let rel = t.eval_with(doc, &mut DenseCache::default(), &mut stats);
+                assert_eq!(rel, eval_evsa(&e, doc), "{kind:?}");
+            }
+            stats
+        };
+        for ungated in [Engine::Nfa, Engine::Dense] {
+            assert_eq!(count(ungated), PrefilterStats::default(), "{ungated:?}");
+        }
+        let expected = PrefilterStats {
+            bytes_skipped: rejected_bytes,
+            candidates: 2,
             false_candidates: 1,
-        });
-        assert_eq!(merged.candidates, 2);
-        assert_eq!(merged.false_candidates, 1);
-        assert_eq!(merged.bytes_skipped, stats.bytes_skipped + 1);
+        };
+        assert_eq!(count(Engine::Prefilter), expected);
+        assert_eq!(count(Engine::Aot), expected);
+        let merged = expected.merge(expected);
+        assert_eq!(merged.candidates, 4);
+        assert_eq!(merged.false_candidates, 2);
+        assert_eq!(merged.bytes_skipped, 2 * rejected_bytes);
     }
 
     #[test]
@@ -898,15 +733,5 @@ mod tests {
             stats.bytes_skipped > 3000,
             "skip-loop should cross the flat context: {stats:?}"
         );
-    }
-
-    #[test]
-    fn pooled_entry_points_aggregate_stats() {
-        let p = prefiltered(".*x{a+}.*");
-        assert!(p.eval(b"bbbb").is_empty());
-        assert!(p.accepts(b"bba"));
-        let s = p.stats();
-        assert!(s.bytes_skipped >= 4, "rejected doc counted: {s:?}");
-        assert_eq!(s.candidates, 1);
     }
 }

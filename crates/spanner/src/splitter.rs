@@ -17,10 +17,11 @@
 //!   test suite.
 
 use crate::byteset::ByteSet;
-use crate::dense::{DenseConfig, DenseEvsa};
+use crate::dense::DenseConfig;
+use crate::engine::{Engine, TieredEvsa};
 use crate::eval::eval;
 use crate::evsa::EVsa;
-use crate::prefilter::{PrefilterAnalysis, PrefilterGate};
+use crate::prefilter::PrefilterGate;
 use crate::rgx::{Ast, Rgx};
 use crate::span::Span;
 use crate::stream::{SplitterState, StreamTables};
@@ -77,58 +78,15 @@ impl Splitter {
     }
 
     /// Compiled splitting for repeated use: block normal form plus the
-    /// dense byte-class / lazy-DFA fast path (see [`crate::dense`]).
+    /// `prefilter` engine (the dense byte-class / lazy-DFA fast path
+    /// behind the splitter's document gate; see [`CompiledSplitter`]).
     pub fn compile(&self) -> CompiledSplitter {
-        self.compile_with(DenseConfig::default())
-    }
-
-    /// [`Splitter::compile`] with explicit dense-engine configuration.
-    pub fn compile_with(&self, config: DenseConfig) -> CompiledSplitter {
-        let f = if self.vsa.is_functional() {
-            self.vsa.trim()
-        } else {
-            self.vsa.functionalize()
-        };
-        let evsa = Arc::new(EVsa::from_functional(&f));
-        let gate = Arc::new(PrefilterAnalysis::analyze(&evsa).gate());
-        CompiledSplitter {
-            dense: Arc::new(DenseEvsa::compile(evsa, config)),
-            aot: None,
-            gate,
-            stream: OnceLock::new(),
-        }
-    }
-
-    /// [`Splitter::compile`] with automatic engine tiering: the splitter
-    /// runs on the ahead-of-time premultiplied tables
-    /// ([`crate::aot`]) when determinization fits the budget in
-    /// `config`, and degrades to the lazy dense engine otherwise
-    /// (splits are byte-identical either way; see
-    /// [`CompiledSplitter::is_aot`]).
-    pub fn compile_tiered(&self, config: crate::aot::AotConfig) -> CompiledSplitter {
-        let f = if self.vsa.is_functional() {
-            self.vsa.trim()
-        } else {
-            self.vsa.functionalize()
-        };
-        let evsa = Arc::new(EVsa::from_functional(&f));
-        let gate = Arc::new(PrefilterAnalysis::analyze(&evsa).gate());
-        match crate::aot::AotEvsa::compile(evsa.clone(), config) {
-            Some(aot) => CompiledSplitter {
-                // The AOT compilation embeds a dense compilation; share
-                // it rather than compiling the tables twice.
-                dense: aot.dense().clone(),
-                aot: Some(Arc::new(aot)),
-                gate,
-                stream: OnceLock::new(),
-            },
-            None => CompiledSplitter {
-                dense: Arc::new(DenseEvsa::compile(evsa, config.dense)),
-                aot: None,
-                gate,
-                stream: OnceLock::new(),
-            },
-        }
+        CompiledSplitter::new(TieredEvsa::compile(
+            Arc::new(EVsa::from_vsa(&self.vsa)),
+            Engine::Prefilter,
+            DenseConfig::default(),
+            None,
+        ))
     }
 
     /// Proposition 5.5: whether the splitter is *disjoint* — for every
@@ -295,59 +253,58 @@ pub fn two_run_report(e1: &EVsa, e2: &EVsa) -> TwoRunReport {
     report
 }
 
-/// A splitter compiled to block normal form, with the dense engine's
-/// byte-class tables and lazy-DFA cache as the splitting fast path, plus
-/// [`StreamTables`] for incremental (chunk-by-chunk) splitting, built
-/// lazily on the first [`CompiledSplitter::stream`] call so batch-only
-/// callers never pay the phase-DFA determinization.
+/// A splitter compiled to block normal form on the tiered engine core
+/// ([`TieredEvsa`]) — the gated `prefilter` engine by default, or the
+/// `aot` tier — plus [`StreamTables`] for incremental (chunk-by-chunk)
+/// splitting, built lazily on the first [`CompiledSplitter::stream`]
+/// call so batch-only callers never pay the phase-DFA determinization.
 #[derive(Debug, Clone)]
 pub struct CompiledSplitter {
-    dense: Arc<DenseEvsa>,
-    /// Ahead-of-time tier (premultiplied tables), present when compiled
-    /// via [`Splitter::compile_tiered`] and determinization fit the
-    /// budget; `split` prefers it over the lazy dense path.
-    aot: Option<Arc<crate::aot::AotEvsa>>,
-    /// Document gate from the splitter's prefilter analysis: documents
-    /// shorter than the minimum split length (or missing a required
-    /// byte) split to nothing without touching the engine.
-    gate: Arc<PrefilterGate>,
+    core: Arc<TieredEvsa>,
     stream: OnceLock<Arc<StreamTables>>,
 }
 
 impl CompiledSplitter {
+    /// Wraps a compiled unary automaton (see [`Splitter::compile`] for
+    /// the default engine).
+    ///
+    /// # Panics
+    ///
+    /// When the automaton does not have exactly one variable.
+    pub fn new(core: TieredEvsa) -> CompiledSplitter {
+        assert_eq!(core.evsa().vars().len(), 1, "a splitter is unary");
+        CompiledSplitter {
+            core: Arc::new(core),
+            stream: OnceLock::new(),
+        }
+    }
+
     /// The underlying block-normal-form automaton.
     pub fn evsa(&self) -> &EVsa {
-        self.dense.evsa()
+        self.core.evsa()
     }
 
-    /// The dense-engine compilation of the splitter.
-    pub fn dense(&self) -> &DenseEvsa {
-        &self.dense
+    /// The tier the splitter compiled to (see [`TieredEvsa::tier`]).
+    pub fn tier(&self) -> Engine {
+        self.core.tier()
     }
 
-    /// The splitter's document gate (see [`crate::prefilter`]).
-    pub fn gate(&self) -> &PrefilterGate {
-        &self.gate
+    /// The splitter's document gate (see [`crate::prefilter`]):
+    /// documents shorter than the minimum split length (or missing a
+    /// required byte) split to nothing without touching the tables.
+    /// `None` only when an `aot` request fell back to plain dense.
+    pub fn gate(&self) -> Option<&PrefilterGate> {
+        self.core.gate()
     }
 
-    /// Whether the ahead-of-time tier is active (see
-    /// [`Splitter::compile_tiered`]).
-    pub fn is_aot(&self) -> bool {
-        self.aot.is_some()
-    }
-
-    /// Splits a document (prefilter gate, then the AOT premultiplied
-    /// tables when tiered in, else the dense fast path; exact NFA
-    /// fallback when the lazy-DFA cache bound is hit).
+    /// Splits a document (the gate, then the compiled tier; exact NFA
+    /// fallback when a lazy-DFA cache bound is hit).
     pub fn split(&self, doc: &[u8]) -> Vec<Span> {
-        if self.gate.rejects(doc) {
-            return Vec::new();
-        }
-        let rel = match &self.aot {
-            Some(aot) => aot.eval(doc),
-            None => self.dense.eval(doc),
-        };
-        rel.iter().map(|t| t.get(VarId(0))).collect()
+        self.core
+            .eval(doc)
+            .iter()
+            .map(|t| t.get(VarId(0)))
+            .collect()
     }
 
     /// Starts an incremental split of one document stream: feed bytes
@@ -361,7 +318,7 @@ impl CompiledSplitter {
     pub fn stream(&self) -> SplitterState {
         let tables = self
             .stream
-            .get_or_init(|| Arc::new(StreamTables::compile(self.dense.evsa())));
+            .get_or_init(|| Arc::new(StreamTables::compile(self.evsa())));
         SplitterState::new(Arc::clone(tables))
     }
 }
@@ -776,26 +733,32 @@ mod tests {
 
     #[test]
     fn tiered_compile_splits_identically() {
-        use crate::aot::AotConfig;
+        let tiered = |s: &Splitter, budget| {
+            CompiledSplitter::new(TieredEvsa::compile_within(
+                Arc::new(EVsa::from_vsa(s.vsa())),
+                Engine::Aot,
+                DenseConfig::default(),
+                None,
+                budget,
+            ))
+        };
         for s in [sentences(), lines(), paragraphs()] {
             let dense = s.compile();
-            let tiered = s.compile_tiered(AotConfig::default());
+            let aot = tiered(&s, crate::aot::AOT_BUDGET);
+            assert_eq!(aot.tier(), Engine::Aot);
             for doc in [
                 b"Hello world. How are you. Fine".as_slice(),
                 b"a b\nc\n\nd\n",
                 b"",
                 b"...",
             ] {
-                assert_eq!(tiered.split(doc), dense.split(doc));
+                assert_eq!(aot.split(doc), dense.split(doc));
             }
         }
         // A starved budget degrades to dense, with identical splits.
         let s = sentences();
-        let starved = s.compile_tiered(AotConfig {
-            max_states: 1,
-            ..AotConfig::default()
-        });
-        assert!(!starved.is_aot());
+        let starved = tiered(&s, 1);
+        assert_eq!(starved.tier(), Engine::Dense);
         let doc = b"Hello world. Fine";
         assert_eq!(starved.split(doc), s.compile().split(doc));
     }
@@ -944,12 +907,12 @@ mod tests {
         // document and all-period documents are gate-rejected, with
         // results identical to the ungated path.
         let c = sentences().compile();
-        assert!(c.gate().rejects(b""));
+        assert!(c.gate().unwrap().rejects(b""));
         assert_eq!(c.split(b""), sentences().split(b""));
         assert_eq!(c.split(b"..."), sentences().split(b"..."));
         // char_windows(3) has min split length 3.
         let w = char_windows(3).compile();
-        assert!(w.gate().rejects(b"ab"));
+        assert!(w.gate().unwrap().rejects(b"ab"));
         for doc in [b"ab".as_slice(), b"abc", b"abcd"] {
             assert_eq!(w.split(doc), char_windows(3).split(doc));
         }

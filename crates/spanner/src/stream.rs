@@ -1373,10 +1373,13 @@ mod tests {
         // tuple enumeration, not just the batch splitter wrapper.
         let s = splitter::sentences();
         let c = s.compile();
+        let dense = crate::dense::DenseEvsa::compile(
+            Arc::new(c.evsa().clone()),
+            crate::dense::DenseConfig::default(),
+        );
         let doc = b"aa.bb cc.dd";
-        let spans: Vec<Span> = c
-            .dense()
-            .eval(doc)
+        let spans: Vec<Span> = dense
+            .eval_with(doc, &mut crate::dense::DenseCache::default())
             .iter()
             .map(|t| t.get(VarId(0)))
             .collect();

@@ -16,8 +16,8 @@
 //! Run with: `cargo run --release --example sparse_scan`
 
 use split_correctness::prelude::*;
-use split_correctness::spanner::dense::DenseConfig;
 use split_correctness::spanner::evsa::EVsa;
+use split_correctness::spanner::prefilter::PrefilterAnalysis;
 use split_correctness::textgen::{self, CorpusConfig};
 use std::time::Instant;
 
@@ -30,9 +30,7 @@ fn main() {
     // time: every match needs at least one byte, and that byte must be
     // a digit — so a document without digits can be answered by one
     // SWAR scan.
-    let compiled =
-        EVsa::from_functional(&p.functionalize()).compile_prefilter(DenseConfig::default());
-    let analysis = compiled.analysis();
+    let analysis = PrefilterAnalysis::analyze(&EVsa::from_vsa(&p));
     println!("pattern:          {pattern}");
     println!("min match length: {}", analysis.min_len);
     println!("required prefix:  {:?}", analysis.prefix);

@@ -5,8 +5,9 @@
 # (python3 stdlib http.client — no extra dependencies), compares the
 # extraction relations byte-for-byte against `splitc-server --offline`
 # (the no-server differential reference) for a spanner, a corpus
-# resource and a two-member fleet, and finally delivers SIGTERM
-# and asserts a graceful exit 0 with "shutdown complete" on stdout.
+# resource, a two-member fleet and the spanner under every engine name,
+# and finally delivers SIGTERM and asserts a graceful exit 0 with
+# "shutdown complete" on stdout.
 #
 # Usage: scripts/server_smoke.sh [server-binary]
 #        (default: ./target/release/splitc-server)
@@ -90,8 +91,10 @@ def extract_stats(req):
     return json.loads(call("POST", "/extract", req))["stats"]
 
 
-def offline_relations(docs, patterns=None):
+def offline_relations(docs, patterns=None, engine=None):
     target = {"pattern": PATTERN} if patterns is None else {"patterns": patterns}
+    if engine is not None:
+        target["engine"] = engine
     offline_req = json.dumps(
         {**target, "splitter_builtin": "sentences", "docs": docs})
     offline = subprocess.run(
@@ -197,8 +200,24 @@ assert fleet_rel == offline_fleet, (
 assert '"y"' in fleet_rel and '"x"' in fleet_rel, \
     f"fleet smoke docs must produce tuples for both members: {fleet_rel}"
 
+# One out-of-process differential per engine (after the /stats counts
+# above): PATTERN registered under each engine name compiles to that
+# tier, and its relations over DOCS are byte-identical to `--offline`
+# run with the same engine.
+for engine in ["nfa", "dense", "prefilter", "aot"]:
+    entry = json.loads(call("POST", "/spanners",
+                            {"pattern": PATTERN, "engine": engine}))
+    assert entry["engine"] == engine and entry["tier"] == engine, \
+        f"{engine} registers on its own tier: {entry}"
+    engine_rel = extract_relations(
+        {"spanner": entry["id"], "splitter": splitter["id"], "docs": DOCS})
+    assert engine_rel == offline_relations(DOCS, engine=engine), \
+        f"{engine}: server and offline relations differ: {engine_rel}"
+    assert engine_rel != "[]", f"{engine}: smoke corpus must produce tuples"
+
 print("== round-trip OK: relations byte-identical to offline reference,"
-      f" {len(json.loads(server_rel))} docs extracted; fleet of 2 agrees")
+      f" {len(json.loads(server_rel))} docs extracted; fleet of 2 agrees;"
+      " all four engines agree")
 PY
 
 # Graceful shutdown: SIGTERM -> in-flight work completes, exit 0.

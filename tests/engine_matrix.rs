@@ -17,7 +17,9 @@
 //! test below fails compilation until the `match` is updated too).
 
 use proptest::prelude::*;
-use split_correctness::exec::{CorpusRunner, CorpusRunnerConfig, Engine, ExecSpanner, Fleet};
+use split_correctness::exec::{
+    CompileOptions, CorpusRunner, CorpusRunnerConfig, Engine, ExecSpanner,
+};
 use split_correctness::spanner::dense::DenseConfig;
 use split_correctness::spanner::rgx::Rgx;
 use split_correctness::spanner::splitter;
@@ -36,15 +38,18 @@ fn cache_configs() -> [DenseConfig; 2] {
         DenseConfig::default(),
         DenseConfig {
             max_cache_states: 2,
-            skip_loop: false,
         },
     ]
+}
+
+fn options(engine: Engine, config: DenseConfig) -> CompileOptions {
+    CompileOptions::new().engine(engine).dense(config)
 }
 
 fn compile_matrix(vsa: &Vsa, config: DenseConfig) -> Vec<(Engine, ExecSpanner)> {
     ENGINES
         .iter()
-        .map(|&e| (e, ExecSpanner::compile_with_config(vsa, e, config)))
+        .map(|&e| (e, options(e, config).compile_spanner(vsa)))
         .collect()
 }
 
@@ -198,7 +203,7 @@ proptest! {
             .collect();
         for config in cache_configs() {
             for engine in ENGINES {
-                let fleet = Fleet::compile_with(&vsas, engine, config);
+                let fleet = options(engine, config).compile_fleet(&vsas);
                 for (di, doc) in docs.iter().enumerate() {
                     let fused = fleet.eval(doc);
                     for (mi, rel) in fused.iter().enumerate() {

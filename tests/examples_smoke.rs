@@ -241,16 +241,14 @@ fn fleet_certification_main_path() {
 /// gate statistics show most segments never touched a DFA.
 #[test]
 fn sparse_scan_main_path() {
-    use split_correctness::spanner::dense::DenseConfig;
     use split_correctness::spanner::evsa::EVsa;
+    use split_correctness::spanner::prefilter::PrefilterAnalysis;
 
     let p = Rgx::parse("(.*[^0-9]|)x{[0-9]+}([^0-9].*|)")
         .unwrap()
         .to_vsa()
         .unwrap();
-    let compiled =
-        EVsa::from_functional(&p.functionalize()).compile_prefilter(DenseConfig::default());
-    let analysis = compiled.analysis();
+    let analysis = PrefilterAnalysis::analyze(&EVsa::from_vsa(&p));
     assert_eq!(analysis.min_len, 1);
     assert!(analysis.required.is_some(), "digits must be required");
     assert!(!analysis.is_trivial());
