@@ -69,7 +69,7 @@ impl ExecSpanner {
 
     /// The engine tier the compile-time tiering actually selected:
     /// equals [`ExecSpanner::engine`] except when an [`Engine::Aot`]
-    /// request exceeded the determinization budget and degraded to
+    /// request exceeded the AOT state budget and degraded to
     /// [`Engine::Dense`].
     pub fn tier(&self) -> Engine {
         self.core.tier()

@@ -1,56 +1,60 @@
-//! The ahead-of-time (AOT) engine: a fully determinized backward
-//! viability DFA frozen into a flat premultiplied `u16` transition table.
+//! The ahead-of-time (AOT) engine: the dense engine's backward viability
+//! DFA explored to completion, then frozen into a flat premultiplied
+//! `u16` transition table.
 //!
-//! The dense engine ([`crate::dense`]) pays lazy-DFA bookkeeping on the
-//! hot path: a memoization probe, a hit/miss counter and a
+//! The lazy dense tier ([`crate::dense`]) pays lazy-DFA bookkeeping on
+//! the hot path: a memoization probe, a hit/miss counter and a
 //! `state * num_classes + class` multiply per scanned byte, plus hash
 //! interning whenever a scan reaches a new power-set state. For the
 //! small hot spanners that dominate the e-series benchmarks and the
-//! server's warm paths, this module removes all of it at compile time:
+//! server's warm paths, this module moves all of it to compile time:
 //!
-//! 1. **Full determinization under a budget** — the backward
-//!    *viability* DFA that feeds tuple enumeration is determinized
-//!    eagerly over the dense engine's byte-class predecessor adjacency.
-//!    Construction aborts — and the caller falls back to the lazy dense
-//!    tier — as soon as it would intern more than [`AOT_BUDGET`] sets
-//!    (or more than the packed table can address). The DFA is *not*
-//!    minimized: each of its states is an observable set of viable eVSA
-//!    states (tuple enumeration reads the membership bitsets), and
-//!    merging language-equivalent sets would change results.
-//! 2. **Premultiplied `u16` tables** — state ids are stored
+//! 1. **Explore under a budget** — the lazy DFA is explored
+//!    breadth-first over every `(state, class)` through the dense
+//!    engine's own memoised step, with [`AOT_BUDGET`] (or the number of
+//!    states the packed table can address, if smaller) as its intern
+//!    cap. Exploration aborts — and the caller stays on the lazy dense
+//!    tier — as soon as the cap is hit. The DFA is *not* minimized:
+//!    each of its states is an observable set of viable eVSA states
+//!    (tuple enumeration reads the membership bitsets), and merging
+//!    language-equivalent sets would change results.
+//! 2. **Freeze into premultiplied `u16` tables** — state ids are stored
 //!    pre-multiplied by the row stride (the class count rounded up to a
-//!    power of two), with the empty-set flag packed into bit 15, so the
-//!    inner loop is `table[(id & MASK) | class]`: one AND, one OR, one
-//!    load — no multiply, no branch. The pass steps 4 bytes per
-//!    iteration (unrolled) and crosses flat regions with precompiled
-//!    skip-loop escape scanners; the document gate in front of it is
-//!    the tiered core's ([`crate::engine`]).
+//!    power of two), with the empty-set flag packed into bit 15, so a
+//!    step is `table[(id & MASK) | class]`: one AND, one OR, one load —
+//!    no multiply, no branch. The explored DFA's membership sets, in its
+//!    own numbering, feed enumeration; skip-loop escape scanners and
+//!    per-state scan-skip tables are precompiled once.
 //!
-//! Exactness: the backward table's states are exactly the viability sets
-//! the lazy dense engine would intern, and the forward tuple enumeration
-//! is the shared [`crate::eval`] search over the same dense edge tables —
-//! so relations are byte-identical to the NFA, dense and prefilter
-//! engines (asserted by the repository-wide engine-matrix differential
-//! harness).
+//! The frozen table runs the dense module's one `viability_pass` (as
+//! its `BackwardTable`), so the unroll, skip-loop and empty-set stop are
+//! the lazy tier's; the document gate in front of it is the tiered
+//! core's ([`crate::engine`]).
+//!
+//! Exactness: the frozen states *are* the lazy DFA's, and the forward
+//! tuple enumeration is the shared [`crate::eval`] search over the same
+//! dense edge tables — so relations are byte-identical to the NFA, dense
+//! and prefilter engines (asserted by the repository-wide engine-matrix
+//! differential harness).
 
-use crate::dense::{DenseCache, DenseEdges, DenseEvsa};
-use crate::eval::forward_enumerate_scratch;
-use crate::eval::ViableSource;
+use crate::byteset::ByteSet;
+use crate::dense::{
+    escape_finder, viability_pass, BackwardTable, DenseCache, DenseEvsa, FlatViable, LazyDfa,
+};
 use crate::tuple::SpanRelation;
 use splitc_automata::nfa::StateId;
 use splitc_automata::scan::ByteFinder;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Upper bound on determinized backward states. When the subset
-/// construction would exceed it — or the premultiplied ids would no
-/// longer fit in the 15 addressable bits of a `u16` — compilation
-/// returns `None` and the caller stays on the lazy dense tier.
-/// Determinization cost is bounded by `O(budget · classes · |Q|/64)`, so
-/// an adversarial automaton cannot make compilation blow up. Hot
-/// production spanners determinize to a handful of states; the budget
-/// admits all of them while keeping the packed table comfortably
-/// cache-resident (at most `1024 · stride` `u16` entries).
+/// Upper bound on determinized backward states. When exploration would
+/// exceed it — or the premultiplied ids would no longer fit in the 15
+/// addressable bits of a `u16` — compilation returns `None` and the
+/// caller stays on the lazy dense tier. Exploration cost is bounded by
+/// `O(budget · classes · |Q|/64)`, so an adversarial automaton cannot
+/// make compilation blow up. Hot production spanners determinize to a
+/// handful of states; the budget admits all of them while keeping the
+/// packed table comfortably cache-resident (at most `1024 · stride`
+/// `u16` entries).
 pub const AOT_BUDGET: usize = 1024;
 
 /// Flag bit packed into a table entry's id: *empty viability set*.
@@ -58,10 +62,6 @@ const FLAG: u16 = 1 << 15;
 
 /// Mask selecting the premultiplied state id (low 15 bits).
 const MASK: u16 = FLAG - 1;
-
-/// Consecutive self-steps before a pass consults its precompiled
-/// skip-loop scanner (same rationale and value as the dense engine).
-const SKIP_STREAK: u32 = 8;
 
 /// Packs a state index into a premultiplied table entry.
 ///
@@ -79,116 +79,12 @@ fn unpack(id: u16, shift: u32) -> usize {
     ((id & MASK) >> shift) as usize
 }
 
-/// The eagerly determinized backward DFA: interned power sets and a
-/// total `index × class` transition table (the empty set is explicit).
-struct SubsetDfa {
-    /// Flattened membership bitsets, `words` per state.
-    sets: Vec<u64>,
-    /// `trans[index * nc + class]` → successor index (total).
-    trans: Vec<u32>,
-    /// Index of the seed set.
-    start: u32,
-}
-
-impl SubsetDfa {
-    fn num_states(&self, words: usize) -> usize {
-        self.sets.len().checked_div(words).unwrap_or(0)
-    }
-}
-
-/// Budget-bounded subset construction over the dense engine's
-/// predecessor CSR, seeded with the final states. Returns `None` when
-/// more than `budget` sets would be interned.
-fn determinize_bounded(dense: &DenseEvsa, budget: usize) -> Option<SubsetDfa> {
-    let nc = dense.nc;
-    let words = dense.words;
-    let (off, pool) = (&dense.pred_off, &dense.pred_pool);
-    let mut sets: Vec<u64> = Vec::new();
-    let mut ids: HashMap<Box<[u64]>, u32> = HashMap::new();
-    let mut trans: Vec<u32> = Vec::new();
-    fn intern(
-        set: Box<[u64]>,
-        nc: usize,
-        budget: usize,
-        ids: &mut HashMap<Box<[u64]>, u32>,
-        sets: &mut Vec<u64>,
-        trans: &mut Vec<u32>,
-    ) -> Option<u32> {
-        if let Some(&id) = ids.get(&set) {
-            return Some(id);
-        }
-        if ids.len() >= budget {
-            return None;
-        }
-        let id = ids.len() as u32;
-        sets.extend_from_slice(&set);
-        trans.resize(trans.len() + nc, u32::MAX);
-        ids.insert(set, id);
-        Some(id)
-    }
-    let start = intern(
-        dense.finals.clone(),
-        nc,
-        budget,
-        &mut ids,
-        &mut sets,
-        &mut trans,
-    )?;
-    let mut next = 0usize;
-    let mut out = vec![0u64; words];
-    while next < ids.len() {
-        let id = next;
-        next += 1;
-        for c in 0..nc {
-            out.iter_mut().for_each(|w| *w = 0);
-            for w in 0..words {
-                let mut bits = sets[id * words + w];
-                while bits != 0 {
-                    let q = (w << 6) + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let base = q * nc + c;
-                    for &t in &pool[off[base] as usize..off[base + 1] as usize] {
-                        out[t as usize >> 6] |= 1u64 << (t & 63);
-                    }
-                }
-            }
-            let rid = intern(
-                out.clone().into_boxed_slice(),
-                nc,
-                budget,
-                &mut ids,
-                &mut sets,
-                &mut trans,
-            )?;
-            trans[id * nc + c] = rid;
-        }
-    }
-    Some(SubsetDfa { sets, trans, start })
-}
-
-/// Precompiled scan-skip analysis for one eVSA state with a block-free
-/// self-loop (a "scanning" state: the `.*` context of an extractor).
-///
-/// `ok` is a bitvec indexed by `(backward id << shift) | class`: the bit
-/// is set when, for a document byte of that class with that viability id
-/// *after* it, the state's only viable move is the self-loop — the
-/// self-loop mask contains the class, the state itself is in the
-/// viability set, and every other transition either misses the class or
-/// targets a state outside the set. Under those conditions the forward
-/// enumeration can cross the byte without a stack frame (see
-/// [`crate::eval::ViableSource::scan_skip`]); the lazy dense tier cannot
-/// precompute this table because its cache ids are unstable under
-/// eviction.
-#[derive(Debug)]
-struct ScanSkip {
-    ok: Vec<u64>,
-}
-
 /// An [`EVsa`](crate::evsa::EVsa) compiled for the AOT engine: the
-/// premultiplied backward (viability) DFA table, with the dense engine's
-/// edge tables driving tuple enumeration. Construct via [`AotEvsa::compile`]; `None` means
-/// the automaton exceeded the budget and the caller should stay on the
-/// lazy dense tier ([`crate::engine::TieredEvsa`] does exactly that).
+/// frozen backward (viability) DFA table, with the dense engine's edge
+/// tables driving tuple enumeration. Construct via
+/// [`AotEvsa::compile`]; `None` means the automaton exceeded the budget
+/// and the caller should stay on the lazy dense tier
+/// ([`crate::engine::TieredEvsa`] does exactly that).
 #[derive(Debug)]
 pub struct AotEvsa {
     /// The embedded dense compilation: byte classes, edge tables for the
@@ -198,34 +94,38 @@ pub struct AotEvsa {
     shift: u32,
     /// Byte → class, widened for direct OR-ing into a premultiplied id.
     cls: Box<[u16; 256]>,
-    /// Backward table: `bwd_tbl[(id & MASK) | class]` → packed successor
-    /// (bit 15 = empty viability set).
-    bwd_tbl: Vec<u16>,
+    /// `tbl[(id & MASK) | class]` → packed predecessor state (bit 15 =
+    /// empty viability set).
+    tbl: Vec<u16>,
     /// Packed start entry of the pass.
-    bwd_start: u16,
-    /// Bitset words per viability set.
-    words: usize,
-    /// Flattened viability membership bitsets, `words` per backward
-    /// state, indexed by unpacked backward ids.
-    bwd_sets: Vec<u64>,
+    start: u16,
+    /// The explored DFA's membership bitsets, `words` per state, indexed
+    /// by unpacked ids.
+    sets: Vec<u64>,
+    /// Skip-loop escape scanners per state index.
+    escapes: Vec<Option<ByteFinder>>,
     /// Per-eVSA-state scan-skip tables (`None` = no block-free
-    /// self-loop, the state never scans).
-    scan: Vec<Option<ScanSkip>>,
-    /// Precompiled skip-loop escape scanners per state index (`None` =
-    /// the state escapes too often for skipping to pay).
-    bwd_escape: Vec<Option<ByteFinder>>,
-    /// State count of the determinization — the number the budget is
-    /// charged against.
-    raw_bwd: usize,
+    /// self-loop, the state never scans). Each is a bitvec indexed by
+    /// `(backward id << shift) | class`: the bit is set when, for a
+    /// document byte of that class with that viability id *after* it,
+    /// the state's only viable move is the self-loop — the self-loop
+    /// mask contains the class, the state itself is in the viability
+    /// set, and every other transition either misses the class or
+    /// targets a state outside the set. Under those conditions the
+    /// forward enumeration can cross the byte without a stack frame (see
+    /// [`crate::eval::ViableSource::scan_skip`]); the lazy tier cannot
+    /// precompute this table because its cache ids are unstable under
+    /// eviction.
+    scan: Vec<Option<Vec<u64>>>,
 }
 
 impl AotEvsa {
-    /// Determinizes and freezes the automaton of `dense` under
+    /// Explores and freezes the backward DFA of `dense` under
     /// [`AOT_BUDGET`], sharing `dense`'s byte classes and edge tables.
-    /// `None` when the automaton is empty, the subset construction
-    /// exceeds the budget, or the packed ids would overflow the 15
-    /// addressable bits of a `u16` — callers then stay on the lazy dense
-    /// tier (which is exact at any size). A shared partition (see
+    /// `None` when the automaton is empty, exploration exceeds the
+    /// budget, or the packed ids would overflow the 15 addressable bits
+    /// of a `u16` — callers then stay on the lazy dense tier (which is
+    /// exact at any size). A shared partition (see
     /// [`DenseEvsa::compile_with_classes`]) widens the row stride, so a
     /// fleet member that fits alone may degrade to lazy dense.
     pub fn compile(dense: &Arc<DenseEvsa>) -> Option<AotEvsa> {
@@ -239,125 +139,74 @@ impl AotEvsa {
         if evsa.num_states() == 0 {
             return None;
         }
-        let nc = dense.nc;
-        let words = dense.words;
+        let (nc, words) = (dense.nc, dense.words);
         let stride = nc.next_power_of_two();
         let shift = stride.trailing_zeros();
         // Ids are premultiplied by `stride`, so `states * stride` must
-        // stay below bit 15; charging the budget with the same cap keeps
-        // construction memory proportional to what can be packed.
-        let budget = max_states.min((1usize << 15) / stride);
-        if budget == 0 {
-            return None;
-        }
-
-        let bwd_raw = determinize_bounded(dense, budget)?;
-        let raw_bwd = bwd_raw.num_states(words);
-
-        // Every state's membership set feeds tuple enumeration, so the
-        // determinization is packed unminimized.
-        if raw_bwd * stride > 1 << 15 {
-            return None;
-        }
-        let empty_of = |i: usize| (0..words).all(|w| bwd_raw.sets[i * words + w] == 0);
-        let mut bwd_tbl = vec![0u16; raw_bwd * stride];
-        for q in 0..raw_bwd {
-            for c in 0..nc {
-                let r = bwd_raw.trans[q * nc + c] as usize;
-                bwd_tbl[(q << shift) | c] = pack(r, shift, empty_of(r));
-            }
-            // Padding classes are never indexed (cls[b] < nc); keep them
-            // self-looping so a stray read cannot leave the table.
-            for c in nc..stride {
-                bwd_tbl[(q << shift) | c] = pack(q, shift, empty_of(q));
+        // stay within bit 15; capping the exploration at the same bound
+        // keeps construction memory proportional to what can be packed.
+        let cap = max_states.min((1usize << 15) / stride);
+        let dfa = explore(dense, cap)?;
+        let states = dfa.len();
+        let row = |q: usize, c: usize| dfa.rows[q * nc + c] as usize;
+        let packed = |q: usize| pack(q, shift, dfa.dead == Some(q as u32));
+        let mut tbl = vec![0u16; states * stride];
+        for q in 0..states {
+            for c in 0..stride {
+                // Padding classes are never indexed (cls[b] < nc); keep
+                // them self-looping so a stray read cannot leave the
+                // table.
+                tbl[(q << shift) | c] = packed(if c < nc { row(q, c) } else { q });
             }
         }
-        let bwd_start = pack(
-            bwd_raw.start as usize,
-            shift,
-            empty_of(bwd_raw.start as usize),
-        );
-
         let classes = dense.classes();
-        let mut cls = Box::new([0u16; 256]);
-        for b in 0..=255u8 {
-            cls[b as usize] = classes.class_of(b) as u16;
-        }
-
-        // Precompile skip-loop escape scanners: a state that self-loops
-        // on ≥ 192 of the 256 bytes gets a SWAR finder for its escapes
-        // (same threshold as the dense engine's lazy probe).
-        let bwd_escape: Vec<Option<ByteFinder>> = (0..raw_bwd)
-            .map(|q| {
-                let own = (q << shift) as u16;
-                let mut stay = crate::byteset::ByteSet::EMPTY;
-                for c in 0..nc {
-                    if bwd_tbl[(q << shift) | c] & MASK == own {
-                        for b in classes.bytes_of(c) {
-                            stay.insert(b);
-                        }
-                    }
-                }
-                if stay.len() >= 192 {
-                    Some(ByteFinder::from_predicate(|b| !stay.contains(b)))
-                } else {
-                    None
-                }
-            })
+        let cls = Box::new(std::array::from_fn(|b| classes.class_of(b as u8) as u16));
+        let escapes = (0..states)
+            .map(|q| escape_finder(classes, |c| row(q, c) == q))
             .collect();
 
-        // Scan-skip tables (see [`ScanSkip`]): the backward ids are a
-        // frozen, exhaustive enumeration of every viability set, so the
-        // "is the self-loop the only viable move?" predicate can be
-        // answered per (id, class) once, at compile time. The class
-        // partition refines every transition mask, so testing one
-        // representative byte per class is exact.
+        // Scan-skip tables: the frozen ids are an exhaustive enumeration
+        // of every viability set, so the "is the self-loop the only
+        // viable move?" predicate can be answered per (id, class) once,
+        // at compile time. The class partition refines every transition
+        // mask, so testing one representative byte per class is exact.
         let set_has = |id: usize, q: StateId| {
-            bwd_raw.sets[id * words + (q as usize >> 6)] & (1u64 << (q & 63)) != 0
+            dfa.sets[id * words + (q as usize >> 6)] & (1u64 << (q & 63)) != 0
         };
-        let scan: Vec<Option<ScanSkip>> = (0..evsa.num_states())
+        let reps = classes.representatives();
+        let scan = (0..evsa.num_states())
             .map(|qi| {
                 let s = qi as StateId;
+                let (loops, others): (Vec<_>, Vec<_>) = evsa
+                    .transitions_from(s)
+                    .iter()
+                    .partition(|(block, _, r)| *r == s && block.is_empty());
+                let self_mask = loops
+                    .iter()
+                    .fold(ByteSet::EMPTY, |m, (_, mask, _)| m.or(mask));
                 // Post states emit-and-cut on entry: no frame ever
                 // scans from one.
-                if dense.post[qi] {
+                if dense.post[qi] || self_mask.is_empty() {
                     return None;
                 }
-                let ts = evsa.transitions_from(s);
-                let mut self_mask = crate::byteset::ByteSet::EMPTY;
-                for (block, mask, r) in ts {
-                    if *r == s && block.is_empty() {
-                        self_mask = self_mask.or(mask);
-                    }
-                }
-                if self_mask.is_empty() {
-                    return None;
-                }
-                let others: Vec<_> = ts
+                let only_loop = |id: usize, b: u8| {
+                    set_has(id, s)
+                        && !others
+                            .iter()
+                            .any(|(_, m, r)| m.contains(b) && set_has(id, *r))
+                };
+                let mut ok = vec![0u64; (states << shift).div_ceil(64)];
+                for (c, &b) in reps
                     .iter()
-                    .filter(|(block, _, r)| !(*r == s && block.is_empty()))
-                    .map(|(_, mask, r)| (mask, *r))
-                    .collect();
-                let bits = raw_bwd << shift;
-                let mut ok = vec![0u64; bits.div_ceil(64)];
-                for c in 0..nc {
-                    let Some(b) = classes.bytes_of(c).next() else {
-                        continue;
-                    };
-                    if !self_mask.contains(b) {
-                        continue;
-                    }
-                    for id in 0..raw_bwd {
-                        if !set_has(id, s)
-                            || others.iter().any(|(m, r)| m.contains(b) && set_has(id, *r))
-                        {
-                            continue;
-                        }
+                    .enumerate()
+                    .filter(|(_, &b)| self_mask.contains(b))
+                {
+                    for id in (0..states).filter(|&id| only_loop(id, b)) {
                         let idx = (id << shift) | c;
                         ok[idx >> 6] |= 1u64 << (idx & 63);
                     }
                 }
-                Some(ScanSkip { ok })
+                Some(ok)
             })
             .collect();
 
@@ -365,13 +214,11 @@ impl AotEvsa {
             dense: dense.clone(),
             shift,
             cls,
-            bwd_tbl,
-            bwd_start,
-            words,
-            bwd_sets: bwd_raw.sets,
+            tbl,
+            start: packed(0),
+            sets: dfa.sets,
+            escapes,
             scan,
-            bwd_escape,
-            raw_bwd,
         })
     }
 
@@ -379,80 +226,7 @@ impl AotEvsa {
     /// [`AOT_BUDGET`]. Exposed so the tiering boundary can be pinned by
     /// regression tests.
     pub fn determinized_states(&self) -> usize {
-        self.raw_bwd
-    }
-
-    /// One backward table step.
-    #[inline(always)]
-    fn bstep(&self, cur: u16, b: u8) -> u16 {
-        self.bwd_tbl[((cur & MASK) | self.cls[b as usize]) as usize]
-    }
-
-    /// Runs the backward viability pass, filling `cache.ids_buf` with
-    /// the backward state *index* per position. Unrolled 4 bytes per
-    /// iteration; flat regions are crossed by the precompiled escape
-    /// scanners; an empty viability set short-circuits the rest (the
-    /// empty set is a fixpoint of the predecessor step).
-    fn viability_pass(&self, doc: &[u8], cache: &mut DenseCache) {
-        let n = doc.len();
-        cache.ids_buf.clear();
-        cache.ids_buf.resize(n + 1, 0);
-        let mut cur = self.bwd_start;
-        cache.ids_buf[n] = unpack(cur, self.shift) as u32;
-        let mut i = n;
-        let mut streak = 0u32;
-        while i > 0 {
-            if cur & FLAG != 0 {
-                // Empty viability set: every earlier position is empty.
-                let idx = unpack(cur, self.shift) as u32;
-                cache.ids_buf[..i].fill(idx);
-                return;
-            }
-            if streak >= SKIP_STREAK {
-                streak = 0;
-                let idx = unpack(cur, self.shift);
-                if let Some(f) = &self.bwd_escape[idx] {
-                    match f.rfind(&doc[..i]) {
-                        Some(j) => {
-                            // Bytes after the last escape all stay put.
-                            cache.ids_buf[j + 1..i].fill(idx as u32);
-                            cache.skipped += (i - (j + 1)) as u64;
-                            i = j + 1;
-                            if i == 0 {
-                                return;
-                            }
-                        }
-                        None => {
-                            cache.ids_buf[..i].fill(idx as u32);
-                            cache.skipped += i as u64;
-                            return;
-                        }
-                    }
-                }
-            }
-            if i >= 4 {
-                let prev = cur;
-                cur = self.bstep(cur, doc[i - 1]);
-                cache.ids_buf[i - 1] = unpack(cur, self.shift) as u32;
-                cur = self.bstep(cur, doc[i - 2]);
-                cache.ids_buf[i - 2] = unpack(cur, self.shift) as u32;
-                cur = self.bstep(cur, doc[i - 3]);
-                cache.ids_buf[i - 3] = unpack(cur, self.shift) as u32;
-                cur = self.bstep(cur, doc[i - 4]);
-                cache.ids_buf[i - 4] = unpack(cur, self.shift) as u32;
-                i -= 4;
-                // Block-level streak: a state unchanged across 4 steps
-                // is (heuristically) sitting in a self-loop; the escape
-                // probe above is exact either way.
-                streak = if cur == prev { streak + 4 } else { 0 };
-            } else {
-                let prev = cur;
-                cur = self.bstep(cur, doc[i - 1]);
-                cache.ids_buf[i - 1] = unpack(cur, self.shift) as u32;
-                i -= 1;
-                streak = if cur == prev { streak + 1 } else { 0 };
-            }
-        }
+        self.escapes.len()
     }
 
     /// Evaluates with an explicit scan cache (one per worker), producing
@@ -461,60 +235,30 @@ impl AotEvsa {
     /// lazy-DFA state is untouched (the AOT table is static), so a cache
     /// may alternate between engines freely.
     pub fn eval_with(&self, doc: &[u8], cache: &mut DenseCache) -> SpanRelation {
-        self.viability_pass(doc, cache);
-        let viable = AotViable {
+        viability_pass(&mut &*self, doc, &mut cache.ids_buf, &mut cache.skipped)
+            .expect("a frozen table has no cache bound");
+        let viable = FlatViable {
             ids: &cache.ids_buf,
-            sets: &self.bwd_sets,
-            words: self.words,
-            scan: &self.scan,
-            shift: self.shift,
-            cls: &self.cls,
+            sets: &self.sets,
+            words: self.dense.words,
+            scan: Some(self),
         };
-        forward_enumerate_scratch(
-            self.dense.evsa(),
-            doc,
-            &self.dense.post,
-            &viable,
-            &DenseEdges(&self.dense),
-            &mut cache.scratch,
-        )
-    }
-}
-
-/// Viability view over the AOT backward table's membership bitsets.
-struct AotViable<'a> {
-    /// Backward state index per document position.
-    ids: &'a [u32],
-    /// Flattened membership bitsets, `words` per state.
-    sets: &'a [u64],
-    words: usize,
-    /// Per-eVSA-state scan-skip tables.
-    scan: &'a [Option<ScanSkip>],
-    /// `log2(stride)` — the scan tables share the premultiplied layout.
-    shift: u32,
-    /// Byte → class.
-    cls: &'a [u16; 256],
-}
-
-impl ViableSource for AotViable<'_> {
-    #[inline]
-    fn viable(&self, pos: usize, q: StateId) -> bool {
-        let q = q as usize;
-        let base = self.ids[pos] as usize * self.words;
-        self.sets[base + (q >> 6)] & (1u64 << (q & 63)) != 0
+        self.dense.enumerate(doc, &viable, &mut cache.scratch)
     }
 
+    /// The scan-skip hook of [`FlatViable`] over this table's ids (see
+    /// [`crate::eval::ViableSource::scan_skip`]): one load and bit test
+    /// per crossed byte, against the per-byte frame push/pop and edge
+    /// iteration this replaces.
     #[inline]
-    fn scan_skip(&self, doc: &[u8], mut pos: usize, q: StateId) -> usize {
-        let Some(skip) = self.scan[q as usize].as_ref() else {
+    pub(crate) fn scan_skip(&self, ids: &[u32], doc: &[u8], mut pos: usize, q: StateId) -> usize {
+        let Some(ok) = self.scan[q as usize].as_ref() else {
             return pos;
         };
-        // One load + bit test per crossed byte, against the per-byte
-        // frame push/pop + edge iteration this replaces.
         while pos < doc.len() {
             let idx =
-                ((self.ids[pos + 1] as usize) << self.shift) | self.cls[doc[pos] as usize] as usize;
-            if skip.ok[idx >> 6] & (1u64 << (idx & 63)) == 0 {
+                ((ids[pos + 1] as usize) << self.shift) | self.cls[doc[pos] as usize] as usize;
+            if ok[idx >> 6] & (1u64 << (idx & 63)) == 0 {
                 break;
             }
             pos += 1;
@@ -523,13 +267,58 @@ impl ViableSource for AotViable<'_> {
     }
 }
 
+/// The lazy DFA of `dense` explored breadth-first over every
+/// `(id, class)` — so ids are numbered in discovery order from the seed
+/// — or `None` when it has more than `cap` states.
+fn explore(dense: &DenseEvsa, cap: usize) -> Option<LazyDfa> {
+    let mut dfa = LazyDfa::default();
+    dense.seed(&mut dfa, cap)?;
+    let mut id = 0;
+    while id < dfa.len() {
+        for c in 0..dense.nc {
+            dense.step(&mut dfa, id as u32, c, cap)?;
+        }
+        id += 1;
+    }
+    Some(dfa)
+}
+
+/// The frozen table: a step is one premultiplied load.
+impl BackwardTable for &AotEvsa {
+    type Id = u16;
+
+    fn start(&mut self) -> Option<u16> {
+        Some(self.start)
+    }
+
+    #[inline(always)]
+    fn step(&mut self, cur: u16, b: u8) -> Option<u16> {
+        Some(self.tbl[((cur & MASK) | self.cls[b as usize]) as usize])
+    }
+
+    #[inline(always)]
+    fn index(&self, cur: u16) -> u32 {
+        unpack(cur, self.shift) as u32
+    }
+
+    #[inline(always)]
+    fn is_dead(&self, cur: u16) -> bool {
+        cur & FLAG != 0
+    }
+
+    fn escape(&mut self, cur: u16) -> Option<&ByteFinder> {
+        self.escapes[unpack(cur, self.shift)].as_ref()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::DenseConfig;
-    use crate::eval::eval_evsa;
+    use crate::dense::{DenseConfig, Lazy};
+    use crate::eval::{self, eval_evsa, ViableSource};
     use crate::evsa::EVsa;
     use crate::rgx::Rgx;
+    use proptest::prelude::*;
     use splitc_automata::classes::ByteClasses;
 
     fn compile(pattern: &str) -> Arc<EVsa> {
@@ -744,6 +533,165 @@ mod tests {
         .unwrap();
         for doc in [b"aabaa".as_slice(), b"", b"q9a", b"bbb"] {
             assert_eq!(eval(&shared, doc), eval(&own, doc));
+        }
+    }
+
+    /// Every pattern the spanner crate's tests compile: the proptest
+    /// spanners and splitters, and this module's own.
+    fn all_patterns() -> Vec<&'static str> {
+        let own = [
+            ".*x{a+}.*",
+            "x{a*}y{b*}",
+            "(a|b)*x{ab}(a|b)*",
+            ".*x{}.*",
+            "x{[^.]+}(\\..*)?",
+            "x{ab}b|a(x{bb})",
+            ".*x{q+}.*",
+            "(.*[^ab]|)x{a+b}([^ab].*|)",
+        ];
+        let (spanners, splitters) = (
+            crate::proptests::PATTERNS,
+            crate::proptests::SPLITTER_PATTERNS,
+        );
+        let mut all: Vec<&str> = spanners
+            .iter()
+            .chain(splitters)
+            .chain(&own)
+            .copied()
+            .collect();
+        all.sort_unstable();
+        all.dedup();
+        all
+    }
+
+    /// Textbook subset construction of the backward viability DFA,
+    /// straight from the eVSA's byte-set transitions: seed = the final
+    /// states, successors numbered breadth-first by id, then class.
+    /// Returns the sets in discovery order and `trans[id * nc + class]`.
+    fn reference_subsets(e: &EVsa, classes: &ByteClasses) -> (Vec<Vec<u64>>, Vec<usize>) {
+        let ns = e.num_states();
+        let has = |set: &[u64], q: usize| set[q >> 6] & (1u64 << (q & 63)) != 0;
+        let mut seed = vec![0u64; ns.div_ceil(64)];
+        for q in (0..ns).filter(|&q| !e.final_blocks(q as StateId).is_empty()) {
+            seed[q >> 6] |= 1u64 << (q & 63);
+        }
+        let mut sets = vec![seed];
+        let mut trans = Vec::new();
+        let mut next = 0;
+        while next < sets.len() {
+            for b in classes.representatives() {
+                let mut out = vec![0u64; sets[next].len()];
+                for q in 0..ns {
+                    let ts = e.transitions_from(q as StateId);
+                    if ts
+                        .iter()
+                        .any(|(_, m, r)| m.contains(b) && has(&sets[next], *r as usize))
+                    {
+                        out[q >> 6] |= 1u64 << (q & 63);
+                    }
+                }
+                let id = match sets.iter().position(|s| *s == out) {
+                    Some(id) => id,
+                    None => {
+                        sets.push(out);
+                        sets.len() - 1
+                    }
+                };
+                trans.push(id);
+            }
+            next += 1;
+        }
+        (sets, trans)
+    }
+
+    #[test]
+    fn frozen_table_is_the_explored_lazy_dfa() {
+        for pat in all_patterns() {
+            let e = compile(pat);
+            let d = dense(&e);
+            let a = aot(&e);
+            let n = a.determinized_states();
+            let (nc, words) = (d.nc, d.words);
+            // The lazy DFA explored to completion under the engine's own
+            // cache bound, and an independent subset construction.
+            let lazy = explore(&d, DenseConfig::default().max_cache_states).unwrap();
+            let (sets, trans) = reference_subsets(&e, d.classes());
+            assert_eq!((lazy.len(), sets.len()), (n, n), "{pat}: state count");
+            assert_eq!(a.sets, lazy.sets, "{pat}: membership sets");
+            assert_eq!(a.sets, sets.concat(), "{pat}: membership sets");
+            assert_eq!(unpack(a.start, a.shift), 0, "{pat}: the seed is state 0");
+            for q in 0..n {
+                for c in 0..nc {
+                    let entry = a.tbl[(q << a.shift) | c];
+                    let r = unpack(entry, a.shift);
+                    assert_eq!(
+                        r,
+                        lazy.rows[q * nc + c] as usize,
+                        "{pat}: row {q} class {c}"
+                    );
+                    assert_eq!(r, trans[q * nc + c], "{pat}: row {q} class {c}");
+                    let empty = a.sets[r * words..][..words].iter().all(|&w| w == 0);
+                    assert_eq!(entry & FLAG != 0, empty, "{pat}: empty flag of {r}");
+                }
+            }
+            assert!(aot_within(&e, n - 1).is_none(), "{pat}: budget n-1");
+            for budget in [n, n + 1] {
+                let at = aot_within(&e, budget).expect("budget n and n+1 fit");
+                assert_eq!(
+                    (at.sets.as_slice(), at.tbl.as_slice()),
+                    (a.sets.as_slice(), a.tbl.as_slice())
+                );
+            }
+        }
+    }
+
+    /// Documents of up to 8 flat runs of up to 63 bytes each, so that
+    /// passes reach the skip-loop streak and the empty set.
+    fn run_doc() -> impl Strategy<Value = Vec<u8>> {
+        let byte = prop_oneof![Just(b'a'), Just(b'b'), Just(b'.')];
+        proptest::collection::vec((byte, 1..64usize), 0..8).prop_map(|runs| {
+            runs.into_iter()
+                .flat_map(|(b, n)| std::iter::repeat_n(b, n))
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn every_pass_decodes_to_the_viability_sets(
+            pi in 0..crate::proptests::PATTERNS.len(),
+            doc in run_doc(),
+        ) {
+            let e = compile(crate::proptests::PATTERNS[pi]);
+            let reference = eval::viability(&e, &doc);
+            let words = e.num_states().div_ceil(64);
+            let decodes = |ids: &[u32], sets: &[u64]| {
+                let view = FlatViable { ids, sets, words, scan: None };
+                (0..=doc.len()).all(|pos| {
+                    (0..e.num_states() as StateId).all(|q| view.viable(pos, q) == reference.viable(pos, q))
+                })
+            };
+            let (mut ids, mut skipped) = (Vec::new(), 0u64);
+            let a = aot(&e);
+            prop_assert!(viability_pass(&mut &a, &doc, &mut ids, &mut skipped).is_some());
+            prop_assert!(decodes(&ids, &a.sets), "frozen pass");
+            // The lazy pass: unbounded, and starved so that it overflows
+            // mid-document (a `None` the engine answers with the NFA).
+            for cap in [DenseConfig::default().max_cache_states, 1, 2] {
+                let d = DenseEvsa::compile(e.clone(), DenseConfig { max_cache_states: cap });
+                for skip_loop in [false, true] {
+                    let mut dfa = LazyDfa::default();
+                    let mut lazy = Lazy { dense: &d, dfa: &mut dfa, cap, skip_loop };
+                    match viability_pass(&mut lazy, &doc, &mut ids, &mut skipped) {
+                        Some(()) => prop_assert!(decodes(&ids, &dfa.sets), "lazy pass, cap {cap}, skip {skip_loop}"),
+                        None => prop_assert!(cap <= 2, "only a starved cache overflows"),
+                    }
+                    let mut cache = DenseCache::default();
+                    prop_assert_eq!(d.eval_scan(&doc, &mut cache, skip_loop), eval_evsa(&e, &doc));
+                }
+            }
         }
     }
 }

@@ -1,4 +1,5 @@
-//! The dense evaluation engine: byte-class tables + a lazy DFA cache.
+//! The dense evaluation engine: byte-class tables + the one backward
+//! viability DFA.
 //!
 //! The NFA engine ([`crate::eval`]) walks raw 256-byte [`ByteSet`]
 //! transitions state-by-state at every document position. This module
@@ -11,21 +12,25 @@
 //!    tables indexed by class are tiny.
 //! 2. **Dense per-state tables** — for every `(state, class)` pair, the
 //!    precompiled list of matching transitions (no mask tests at match
-//!    time) plus deduplicated successor/predecessor state sets.
-//! 3. **A lazily-determinized DFA cache** — power-set states built on
-//!    demand while scanning a document, memoized per compiled automaton
-//!    so repeated evaluations (chunked corpora!) pay determinization
-//!    once. The cache is memory-bounded: when a scan would intern more
-//!    than [`DenseConfig::max_cache_states`] distinct sets, the engine
-//!    falls back to the exact NFA simulation, so results never change —
-//!    only speed.
+//!    time) plus the deduplicated predecessor state set.
+//! 3. **A lazily-determinized backward DFA** — power-set states of the
+//!    *viability* sets, built on demand while scanning a document and
+//!    memoized per compiled automaton, so repeated evaluations (chunked
+//!    corpora!) pay determinization once. The cache is memory-bounded:
+//!    when a scan would intern more than
+//!    [`DenseConfig::max_cache_states`] distinct sets, the engine falls
+//!    back to the exact NFA simulation, so results never change — only
+//!    speed.
 //!
-//! The lazy DFA runs backward: it is the viability pass feeding tuple
-//! enumeration ([`DenseEvsa::eval_with`]), which then reuses the shared
-//! forward search of [`crate::eval`] over the dense tables. The
-//! prefilter engine ([`crate::engine`]) runs the same pass with the
-//! skip-loop on.
+//! This is the crate's only backward DFA. The AOT tier ([`crate::aot`])
+//! is the same DFA explored to completion and frozen, and both tiers run
+//! one `viability_pass`, generic over a `BackwardTable`: the lazy table
+//! is a fallible memoised step (its skip-loop on for the prefilter
+//! engine, off for plain dense), the frozen one a single table load.
+//! Tuple enumeration reads the pass through one `FlatViable` view and
+//! the shared forward search of [`crate::eval`].
 
+use crate::aot::AotEvsa;
 use crate::byteset::ByteSet;
 use crate::eval::{
     self, forward_enumerate_scratch, post_states, EdgeCandidates, EdgeSource, EnumScratch,
@@ -121,18 +126,21 @@ impl DenseCacheStats {
 }
 
 /// The lazily-determinized backward DFA: interned power-set states
-/// (bitsets over the eVSA states) and a dense `state × class`
-/// transition table filled on demand.
+/// (bitsets over the eVSA states, stored flat) and a dense
+/// `state × class` transition table filled on demand. Ids are assigned
+/// in interning order, so exploring every `(id, class)` breadth-first
+/// yields the AOT tier's frozen numbering.
 #[derive(Debug, Default)]
-struct LazyDfa {
-    /// Interned state sets; index = DFA state id.
-    sets: Vec<Box<[u64]>>,
+pub(crate) struct LazyDfa {
+    /// Membership bitsets, `words` per interned state; index = id.
+    pub(crate) sets: Vec<u64>,
     ids: HashMap<Box<[u64]>, u32>,
     /// `rows[id * num_classes + class]` → successor id or [`UNEXPLORED`].
-    rows: Vec<u32>,
-    /// Memoized skip-loop probes per interned state: `Some(finder)` =
-    /// the state self-loops on most bytes and the finder locates the
-    /// escape bytes; `None` = skipping is not worthwhile here.
+    pub(crate) rows: Vec<u32>,
+    /// Id of the empty set, once interned (a fixpoint of every step).
+    pub(crate) dead: Option<u32>,
+    /// Memoized skip-loop escape scanners per interned state (see
+    /// [`escape_finder`]).
     loops: HashMap<u32, Option<ByteFinder>>,
     /// Steps answered from a memoized row.
     hits: u64,
@@ -148,7 +156,13 @@ impl LazyDfa {
         self.sets.clear();
         self.ids.clear();
         self.rows.clear();
+        self.dead = None;
         self.loops.clear();
+    }
+
+    /// Number of interned states.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
     }
 }
 
@@ -171,9 +185,10 @@ pub struct DenseCache {
     /// Identity of the [`DenseEvsa`] whose lazy-DFA state this cache
     /// currently holds (`None` = fresh).
     owner: Option<u64>,
-    /// Backward-DFA state id per document position (`len = doc.len()+1`).
-    /// Shared with the AOT engine ([`crate::aot`]), which rewrites it
-    /// wholesale per scan (no ownership hazard: nothing lazy survives).
+    /// Backward-DFA state index per document position
+    /// (`len = doc.len()+1`). Shared with the AOT engine, which rewrites
+    /// it wholesale per scan (no ownership hazard: nothing lazy
+    /// survives).
     pub(crate) ids_buf: Vec<u32>,
     /// Bytes resolved by the skip-loop scanner instead of table steps.
     pub(crate) skipped: u64,
@@ -214,8 +229,7 @@ pub struct DenseEvsa {
     /// Unique identity for [`DenseCache`] ownership checks.
     engine_id: u64,
     classes: ByteClasses,
-    /// Number of byte classes. The predecessor CSR below is shared with
-    /// the AOT engine ([`crate::aot`]), which determinizes it eagerly.
+    /// Number of byte classes.
     pub(crate) nc: usize,
     /// Number of eVSA states.
     ns: usize,
@@ -226,16 +240,16 @@ pub struct DenseEvsa {
     edge_off: Vec<u32>,
     edge_pool: Vec<u32>,
     /// CSR of deduplicated predecessor states per `(state, class)`.
-    pub(crate) pred_off: Vec<u32>,
-    pub(crate) pred_pool: Vec<StateId>,
+    pred_off: Vec<u32>,
+    pred_pool: Vec<StateId>,
     /// States with at least one final block, as a bitset.
-    pub(crate) finals: Box<[u64]>,
+    finals: Box<[u64]>,
     /// Post flags (see [`crate::eval`]), precomputed once.
     pub(crate) post: Vec<bool>,
 }
 
 /// Flattens per-key vectors into CSR offsets + pool.
-fn to_csr<T: Copy>(per_key: Vec<Vec<T>>) -> (Vec<u32>, Vec<T>) {
+pub(crate) fn to_csr<T: Copy>(per_key: Vec<Vec<T>>) -> (Vec<u32>, Vec<T>) {
     let mut off = Vec::with_capacity(per_key.len() + 1);
     let mut pool = Vec::new();
     off.push(0u32);
@@ -374,25 +388,37 @@ impl DenseEvsa {
         }
     }
 
-    /// Interns a power-set state, or `None` when the memory bound is hit.
-    fn intern(&self, dfa: &mut LazyDfa, set: Box<[u64]>) -> Option<u32> {
-        if let Some(&id) = dfa.ids.get(&set) {
-            return Some(id);
+    /// Interns the candidate set appended to the tail of `dfa.sets`: a
+    /// known set is dropped from the tail and keeps its id; a new one
+    /// stays and gets the next id, or is dropped for `None` when `dfa`
+    /// already holds `cap` states.
+    fn intern(&self, dfa: &mut LazyDfa, cap: usize) -> Option<u32> {
+        let n = dfa.len();
+        let set = &dfa.sets[n * self.words..];
+        let known = dfa.ids.get(set).copied();
+        if known.is_some() || n >= cap {
+            dfa.sets.truncate(n * self.words);
+            return known;
         }
-        if dfa.sets.len() >= self.config.max_cache_states {
-            return None;
+        if set.iter().all(|&w| w == 0) {
+            dfa.dead = Some(n as u32);
         }
-        let id = dfa.sets.len() as u32;
-        dfa.ids.insert(set.clone(), id);
-        dfa.sets.push(set);
+        dfa.ids.insert(set.into(), n as u32);
         dfa.rows.resize(dfa.rows.len() + self.nc, UNEXPLORED);
-        Some(id)
+        Some(n as u32)
+    }
+
+    /// Interns the pass's seed, the set of final states (id 0 in a
+    /// fresh `dfa`).
+    pub(crate) fn seed(&self, dfa: &mut LazyDfa, cap: usize) -> Option<u32> {
+        dfa.sets.extend_from_slice(&self.finals);
+        self.intern(dfa, cap)
     }
 
     /// One lazy-DFA step: predecessor set of interned state `id` on byte
-    /// class `c`, computed (and memoized) on first use. `None` = cache
-    /// bound hit.
-    fn step(&self, dfa: &mut LazyDfa, id: u32, c: usize) -> Option<u32> {
+    /// class `c`, computed (and memoized) on first use. `None` = `dfa`
+    /// would exceed `cap` states.
+    pub(crate) fn step(&self, dfa: &mut LazyDfa, id: u32, c: usize, cap: usize) -> Option<u32> {
         let cached = dfa.rows[id as usize * self.nc + c];
         if cached != UNEXPLORED {
             dfa.hits += 1;
@@ -400,31 +426,15 @@ impl DenseEvsa {
         }
         dfa.misses += 1;
         let (off, pool) = (&self.pred_off, &self.pred_pool);
-        let mut out = vec![0u64; self.words].into_boxed_slice();
-        for w in 0..self.words {
-            let mut bits = dfa.sets[id as usize][w];
-            while bits != 0 {
-                let q = (w << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let base = q * self.nc + c;
-                for &t in &pool[off[base] as usize..off[base + 1] as usize] {
-                    out[t as usize >> 6] |= 1u64 << (t & 63);
-                }
-            }
-        }
-        let nid = self.intern(dfa, out)?;
-        dfa.rows[id as usize * self.nc + c] = nid;
-        Some(nid)
-    }
-
-    /// The raw predecessor power-set of `set` on class `c`, computed
-    /// into `out` without interning (so skip-loop probing can never
-    /// trigger a cache-bound fallback that plain scanning would not have
-    /// hit).
-    fn predecessor_set(&self, set: &[u64], c: usize, out: &mut [u64]) {
-        out.iter_mut().for_each(|w| *w = 0);
-        let (off, pool) = (&self.pred_off, &self.pred_pool);
-        for (w, &word) in set.iter().enumerate() {
+        // The predecessor set is built in place at the tail of the
+        // sets, so a step that finds a known set allocates nothing.
+        let n = dfa.sets.len();
+        dfa.sets.resize(n + self.words, 0);
+        let (sets, out) = dfa.sets.split_at_mut(n);
+        for (w, &word) in sets[id as usize * self.words..][..self.words]
+            .iter()
+            .enumerate()
+        {
             let mut bits = word;
             while bits != 0 {
                 let q = (w << 6) + bits.trailing_zeros() as usize;
@@ -435,89 +445,9 @@ impl DenseEvsa {
                 }
             }
         }
-    }
-
-    /// Skip-loop probe for interned state `id`: determines the byte
-    /// classes on which the state steps to itself and — when the stay
-    /// set covers most of the alphabet — compiles a SWAR finder for the
-    /// *escape* bytes. Memoized per state in the cache; invalidated with
-    /// the cache on overflow.
-    fn escape_finder<'a>(&self, dfa: &'a mut LazyDfa, id: u32) -> Option<&'a ByteFinder> {
-        if !dfa.loops.contains_key(&id) {
-            let set = &dfa.sets[id as usize];
-            let mut stay = ByteSet::EMPTY;
-            let mut out = vec![0u64; self.words];
-            for c in 0..self.nc {
-                self.predecessor_set(set, c, &mut out);
-                if out[..] == set[..] {
-                    for b in self.classes.bytes_of(c) {
-                        stay.insert(b);
-                    }
-                }
-            }
-            // Skipping pays when escapes are rare; a state that escapes
-            // on most bytes would bounce out of the scanner immediately,
-            // so mark it not-worthwhile and never probe it again.
-            let info = if stay.len() >= 192 {
-                Some(ByteFinder::from_predicate(|b| !stay.contains(b)))
-            } else {
-                None
-            };
-            dfa.loops.insert(id, info);
-        }
-        dfa.loops.get(&id).expect("probed above").as_ref()
-    }
-
-    /// Runs the backward lazy DFA over `doc`, filling `cache.ids_buf`
-    /// with the viability-set id per position. `None` = cache bound hit.
-    ///
-    /// With `skip_loop` on (the prefilter engine), a detected self-loop
-    /// is resolved by scanning *backwards* for the previous escape byte
-    /// ([`ByteFinder::rfind`]) and bulk-filling the id buffer for the
-    /// provably-unchanged positions in between. Exact by construction —
-    /// skipped positions provably keep the same DFA state — so the flag
-    /// changes speed only, never results.
-    fn lazy_viability(&self, doc: &[u8], cache: &mut DenseCache, skip_loop: bool) -> Option<()> {
-        let n = doc.len();
-        let fid = self.intern(&mut cache.bwd, self.finals.clone())?;
-        cache.ids_buf.clear();
-        cache.ids_buf.resize(n + 1, 0);
-        cache.ids_buf[n] = fid;
-        let mut cur = fid;
-        // `i` = number of unconsumed document bytes; byte `doc[i-1]` is
-        // processed next (the pass runs right to left).
-        let mut i = n;
-        let mut streak = 0u32;
-        while i > 0 {
-            let c = self.classes.class_of(doc[i - 1]);
-            let next = self.step(&mut cache.bwd, cur, c)?;
-            cache.ids_buf[i - 1] = next;
-            i -= 1;
-            streak = if next == cur { streak + 1 } else { 0 };
-            if skip_loop && streak >= SKIP_STREAK && i > 0 {
-                streak = 0;
-                let jump = self
-                    .escape_finder(&mut cache.bwd, cur)
-                    .map(|f| f.rfind(&doc[..i]));
-                match jump {
-                    // Bytes after the last escape all stay in the loop.
-                    Some(Some(j)) => {
-                        cache.ids_buf[j + 1..i].fill(cur);
-                        cache.skipped += (i - (j + 1)) as u64;
-                        i = j + 1;
-                    }
-                    // No escape byte left: the rest of the pass is flat.
-                    Some(None) => {
-                        cache.ids_buf[..i].fill(cur);
-                        cache.skipped += i as u64;
-                        i = 0;
-                    }
-                    None => {}
-                }
-            }
-            cur = next;
-        }
-        Some(())
+        let nid = self.intern(dfa, cap)?;
+        dfa.rows[id as usize * self.nc + c] = nid;
+        Some(nid)
     }
 
     /// Evaluates on a document with an explicit scan cache (one per
@@ -527,8 +457,8 @@ impl DenseEvsa {
         self.eval_scan(doc, cache, false)
     }
 
-    /// [`DenseEvsa::eval_with`] with the skip-loop of
-    /// [`DenseEvsa::lazy_viability`] switched by the engine.
+    /// [`DenseEvsa::eval_with`] with the [`viability_pass`] skip-loop
+    /// switched by the engine.
     pub(crate) fn eval_scan(
         &self,
         doc: &[u8],
@@ -539,54 +469,227 @@ impl DenseEvsa {
             return SpanRelation::empty();
         }
         self.adopt(cache);
-        if self.lazy_viability(doc, cache, skip_loop).is_none() {
-            // Cache bound hit: exact fallback via the materialized
-            // bitset viability table. Drop the overflowed cache state so
-            // later (smaller) scans start fresh.
+        let mut table = Lazy {
+            dense: self,
+            dfa: &mut cache.bwd,
+            cap: self.config.max_cache_states,
+            skip_loop,
+        };
+        if viability_pass(&mut table, doc, &mut cache.ids_buf, &mut cache.skipped).is_none() {
+            // Cache bound hit: exact fallback via the materialized bitset
+            // viability table; later (smaller) scans start fresh.
             cache.bwd.clear();
             let viable = eval::viability(&self.evsa, doc);
-            return forward_enumerate_scratch(
-                &self.evsa,
-                doc,
-                &self.post,
-                &viable,
-                &DenseEdges(self),
-                &mut cache.scratch,
-            );
+            return self.enumerate(doc, &viable, &mut cache.scratch);
         }
-        let viable = LazyViable {
+        let viable = FlatViable {
             ids: &cache.ids_buf,
             sets: &cache.bwd.sets,
+            words: self.words,
+            scan: None,
         };
+        self.enumerate(doc, &viable, &mut cache.scratch)
+    }
+
+    /// The shared forward tuple enumeration over the dense edge tables.
+    pub(crate) fn enumerate<V: ViableSource>(
+        &self,
+        doc: &[u8],
+        viable: &V,
+        scratch: &mut EnumScratch,
+    ) -> SpanRelation {
         forward_enumerate_scratch(
             &self.evsa,
             doc,
             &self.post,
-            &viable,
+            viable,
             &DenseEdges(self),
-            &mut cache.scratch,
+            scratch,
         )
     }
 }
 
-/// Viability view backed by the backward lazy DFA's interned sets.
-struct LazyViable<'a> {
-    ids: &'a [u32],
-    sets: &'a [Box<[u64]>],
+/// The skip-loop escape scanner of a backward DFA state, given which
+/// byte classes step the state to itself: a SWAR finder for the escape
+/// bytes when the state stays on at least 192 of the 256 bytes, else
+/// `None` (a state that escapes on most bytes would bounce out of the
+/// scanner immediately, so skipping does not pay).
+pub(crate) fn escape_finder(
+    classes: &ByteClasses,
+    mut stays: impl FnMut(usize) -> bool,
+) -> Option<ByteFinder> {
+    let mut stay = ByteSet::EMPTY;
+    for c in (0..classes.num_classes()).filter(|&c| stays(c)) {
+        classes.bytes_of(c).for_each(|b| stay.insert(b));
+    }
+    (stay.len() >= 192).then(|| ByteFinder::from_predicate(|b| !stay.contains(b)))
 }
 
-impl ViableSource for LazyViable<'_> {
+/// A backward viability DFA as [`viability_pass`] steps it: the lazy
+/// tier's memoised cache ([`Lazy`]) or the AOT tier's frozen table
+/// (`&AotEvsa`).
+pub(crate) trait BackwardTable {
+    /// A state as the table names it.
+    type Id: Copy + PartialEq;
+    /// The seed state (the final states); `None` = cache bound hit.
+    fn start(&mut self) -> Option<Self::Id>;
+    /// The predecessor of `cur` on byte `b`; `None` = cache bound hit.
+    fn step(&mut self, cur: Self::Id, b: u8) -> Option<Self::Id>;
+    /// The state's index into the table's flat membership sets.
+    fn index(&self, cur: Self::Id) -> u32;
+    /// Whether `cur` is the empty viability set.
+    fn is_dead(&self, cur: Self::Id) -> bool;
+    /// The skip-loop escape scanner of `cur` ([`escape_finder`]), when
+    /// the table skips at all.
+    fn escape(&mut self, cur: Self::Id) -> Option<&ByteFinder>;
+}
+
+/// The backward viability pass: fills `ids` (`len = doc.len() + 1`)
+/// with the table's state index per position, right to left. `None` =
+/// the table hit its cache bound (the caller falls back to the exact
+/// NFA simulation).
+///
+/// The pass steps 4 bytes per iteration. After [`SKIP_STREAK`] bytes
+/// without a state change it asks the table for the state's escape
+/// scanner, and crosses a flat region with one [`ByteFinder::rfind`] for
+/// the previous escape byte, bulk-filling the provably unchanged
+/// positions in between (counted in `skipped`). The empty set is a
+/// fixpoint of the predecessor step, so reaching it fills every earlier
+/// position at once. Both accelerations are exact: they change speed
+/// only, never the ids.
+pub(crate) fn viability_pass<T: BackwardTable>(
+    table: &mut T,
+    doc: &[u8],
+    ids: &mut Vec<u32>,
+    skipped: &mut u64,
+) -> Option<()> {
+    let mut cur = table.start()?;
+    let mut i = doc.len();
+    ids.clear();
+    ids.resize(i + 1, 0);
+    ids[i] = table.index(cur);
+    // `i` bytes are unconsumed; `doc[i-1]` is processed next.
+    let mut streak = 0u32;
+    while i > 0 {
+        if table.is_dead(cur) {
+            ids[..i].fill(table.index(cur));
+            break;
+        }
+        if streak >= SKIP_STREAK {
+            streak = 0;
+            let idx = table.index(cur);
+            if let Some(f) = table.escape(cur) {
+                // Bytes after the last escape all stay put.
+                let j = f.rfind(&doc[..i]).map_or(0, |j| j + 1);
+                ids[j..i].fill(idx);
+                *skipped += (i - j) as u64;
+                i = j;
+                continue;
+            }
+        }
+        let prev = cur;
+        if i >= 4 {
+            for k in 1..=4 {
+                cur = table.step(cur, doc[i - k])?;
+                ids[i - k] = table.index(cur);
+            }
+            i -= 4;
+            // A state unchanged across 4 steps is (heuristically) in a
+            // self-loop; the escape probe above is exact either way.
+            streak = if cur == prev { streak + 4 } else { 0 };
+        } else {
+            cur = table.step(cur, doc[i - 1])?;
+            ids[i - 1] = table.index(cur);
+            i -= 1;
+            streak = if cur == prev { streak + 1 } else { 0 };
+        }
+    }
+    Some(())
+}
+
+/// The lazy tier's [`BackwardTable`]: memoised steps over one cache's
+/// DFA, interning at most `cap` states, with the skip-loop on or off as
+/// the engine says.
+pub(crate) struct Lazy<'a> {
+    pub(crate) dense: &'a DenseEvsa,
+    pub(crate) dfa: &'a mut LazyDfa,
+    pub(crate) cap: usize,
+    pub(crate) skip_loop: bool,
+}
+
+impl BackwardTable for Lazy<'_> {
+    type Id = u32;
+
+    fn start(&mut self) -> Option<u32> {
+        self.dense.seed(self.dfa, self.cap)
+    }
+
+    #[inline(always)]
+    fn step(&mut self, cur: u32, b: u8) -> Option<u32> {
+        let c = self.dense.classes.class_of(b);
+        self.dense.step(self.dfa, cur, c, self.cap)
+    }
+
+    #[inline(always)]
+    fn index(&self, cur: u32) -> u32 {
+        cur
+    }
+
+    #[inline(always)]
+    fn is_dead(&self, cur: u32) -> bool {
+        self.dfa.dead == Some(cur)
+    }
+
+    /// Probed once per state and memoized. The probe steps every class;
+    /// a step that would overflow the cache counts as an escape.
+    fn escape(&mut self, cur: u32) -> Option<&ByteFinder> {
+        if !self.skip_loop {
+            return None;
+        }
+        let (dense, dfa, cap) = (self.dense, &mut *self.dfa, self.cap);
+        if !dfa.loops.contains_key(&cur) {
+            let finder = escape_finder(&dense.classes, |c| {
+                dense.step(dfa, cur, c, cap) == Some(cur)
+            });
+            dfa.loops.insert(cur, finder);
+        }
+        dfa.loops[&cur].as_ref()
+    }
+}
+
+/// Viability view over a backward DFA's flat membership sets — the lazy
+/// cache's or the frozen AOT table's — indexed by the ids of one
+/// [`viability_pass`].
+pub(crate) struct FlatViable<'a> {
+    /// Backward state index per document position.
+    pub(crate) ids: &'a [u32],
+    /// Membership bitsets, `words` per state.
+    pub(crate) sets: &'a [u64],
+    pub(crate) words: usize,
+    /// The frozen tier, whose precompiled scan-skip tables answer
+    /// [`ViableSource::scan_skip`]; the lazy tier has none.
+    pub(crate) scan: Option<&'a AotEvsa>,
+}
+
+impl ViableSource for FlatViable<'_> {
     #[inline]
     fn viable(&self, pos: usize, q: StateId) -> bool {
         let q = q as usize;
-        self.sets[self.ids[pos] as usize][q >> 6] & (1u64 << (q & 63)) != 0
+        let base = self.ids[pos] as usize * self.words;
+        self.sets[base + (q >> 6)] & (1u64 << (q & 63)) != 0
+    }
+
+    #[inline]
+    fn scan_skip(&self, doc: &[u8], pos: usize, q: StateId) -> usize {
+        match self.scan {
+            Some(aot) => aot.scan_skip(self.ids, doc, pos, q),
+            None => pos,
+        }
     }
 }
 
 /// Edge source backed by the precompiled per-(state, class) lists.
-/// Shared with the AOT engine, whose forward enumeration runs over the
-/// same dense edge tables.
-pub(crate) struct DenseEdges<'a>(pub(crate) &'a DenseEvsa);
+struct DenseEdges<'a>(&'a DenseEvsa);
 
 impl EdgeSource for DenseEdges<'_> {
     #[inline]
@@ -680,6 +783,22 @@ mod tests {
         for doc in [vec![b'a'; 100], vec![], vec![b'q']] {
             assert_eq!(d.eval_scan(&doc, &mut cache, true), eval(&d, &doc));
         }
+    }
+
+    #[test]
+    fn empty_set_stops_the_pass() {
+        // Backward from the end, `x{a+}` dies on the first non-`a` byte:
+        // the pass fills the rest from the empty set without stepping.
+        let d = dense("x{a+}");
+        let mut doc = vec![b'a'; 1000];
+        doc[998] = b'b';
+        let mut cache = DenseCache::default();
+        assert!(eval(&d, &doc).is_empty());
+        assert_eq!(d.eval_with(&doc, &mut cache), eval_evsa(&d.evsa, &doc));
+        let stats = cache.stats();
+        assert!(stats.hits + stats.misses <= 8, "{stats:?}");
+        let dead = cache.bwd.dead.expect("the empty set was interned");
+        assert!(cache.ids_buf[..998].iter().all(|&id| id == dead));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! * **tier selection** — NFA simulation ([`crate::eval`]), the lazy
 //!   dense tables ([`crate::dense`]) or the ahead-of-time table
-//!   ([`crate::aot`]), with the AOT → dense fallback when the
-//!   determinization exceeds [`crate::aot::AOT_BUDGET`];
+//!   ([`crate::aot`]: the same lazy backward DFA explored to completion
+//!   and frozen), with the AOT → dense fallback when the exploration
+//!   exceeds [`crate::aot::AOT_BUDGET`];
 //! * **the document gate** — the [`PrefilterGate`] of the automaton's
 //!   [`PrefilterAnalysis`], run exactly once per document, with its
 //!   [`PrefilterStats`] accounting;
@@ -23,11 +24,14 @@
 //! | `nfa` | NFA | — | — |
 //! | `dense` | dense | — | off |
 //! | `prefilter` | dense | yes | on |
-//! | `aot` (fits the budget) | AOT | yes | precompiled escapes |
+//! | `aot` (fits the budget) | AOT | yes | on, escapes precompiled |
 //! | `aot` (over budget) | dense | — | off |
 //!
-//! Every tier is exact, and the gate is conservative, so the choice
-//! changes speed only, never relations.
+//! The dense and AOT tiers run one backward viability pass
+//! (`dense::viability_pass`), monomorphised over the lazy table or the
+//! frozen one; the skip-loop column is that pass's setting. Every tier
+//! is exact, and the gate is conservative, so the choice changes speed
+//! only, never relations.
 
 use crate::aot::{AotEvsa, AOT_BUDGET};
 use crate::dense::{DenseCache, DenseConfig, DenseEvsa};
@@ -53,11 +57,11 @@ pub enum Engine {
     /// (see [`crate::prefilter`]). Behaves like plain dense (plus the
     /// skip-loop) when the analysis finds nothing usable.
     Prefilter,
-    /// Ahead-of-time tier: full determinization of the backward
-    /// viability DFA under a state budget, frozen into a flat
+    /// Ahead-of-time tier: the dense tier's backward viability DFA
+    /// explored to completion under a state budget, frozen into a flat
     /// premultiplied `u16` table stepped 4 bytes per iteration, behind
     /// the prefilter gate (see [`crate::aot`]). Tiering is automatic at
-    /// compile time: when determinization exceeds the budget the
+    /// compile time: when the exploration exceeds the budget the
     /// automaton silently degrades to the lazy [`Engine::Dense`] tier —
     /// [`TieredEvsa::engine`] still reports `Aot` (the request),
     /// [`TieredEvsa::tier`] reports what actually compiled.
@@ -180,7 +184,7 @@ impl TieredEvsa {
 
     /// The tier compile-time tiering actually selected: equals
     /// [`TieredEvsa::engine`] except when an [`Engine::Aot`] request
-    /// exceeded the determinization budget and degraded to
+    /// exceeded the AOT state budget and degraded to
     /// [`Engine::Dense`].
     pub fn tier(&self) -> Engine {
         match (&self.tier, &self.gate) {

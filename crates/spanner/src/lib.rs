@@ -41,11 +41,11 @@
 //!   literal, required byte class) gates documents before any DFA step,
 //!   and the lazy DFA's skip-loop crosses `Σ*` contexts with a SWAR
 //!   scanner; trivial analyses fall back to plain dense evaluation.
-//! * [`aot`] — the ahead-of-time engine tier: budget-bounded full
-//!   determinization of the backward viability DFA into a flat
-//!   premultiplied `u16` transition table (empty-set flag packed into
-//!   bit 15) stepped 4 bytes per iteration; falls back to [`dense`] when
-//!   the budget is exceeded.
+//! * [`aot`] — the ahead-of-time engine tier: [`dense`]'s backward
+//!   viability DFA explored to completion under a budget and frozen
+//!   into a flat premultiplied `u16` transition table (empty-set flag
+//!   packed into bit 15), run by the same viability pass; falls back to
+//!   [`dense`] when the budget is exceeded.
 //! * [`mod@engine`] — the tiered engine core every compiled spanner and
 //!   splitter sits behind: one mapping from an [`Engine`] request to a
 //!   tier, a document gate and a skip-loop setting, plus pooled scan

@@ -17,7 +17,7 @@ use crate::tuple::{SpanRelation, SpanTuple};
 use crate::vsa::Vsa;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-const PATTERNS: &[&str] = &[
+pub(crate) const PATTERNS: &[&str] = &[
     "x{a+}",
     ".*x{a}.*",
     "x{a*}y{b*}",
@@ -30,7 +30,7 @@ const PATTERNS: &[&str] = &[
     ".*x{a.a}.*",
 ];
 
-const SPLITTER_PATTERNS: &[&str] = &[
+pub(crate) const SPLITTER_PATTERNS: &[&str] = &[
     "(.*\\.)?x{[^.]+}(\\..*)?", // sentences
     "x{.*}",                    // whole document
     ".*x{..}.*",                // 2-byte windows (non-disjoint)

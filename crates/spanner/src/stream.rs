@@ -52,6 +52,7 @@
 //! [`SplitterState::low_watermark`] for the contract the execution layer
 //! uses to bound its byte buffer.
 
+use crate::dense::to_csr;
 use crate::evsa::EVsa;
 use crate::span::Span;
 use splitc_automata::classes::{ByteClassBuilder, ByteClasses};
@@ -71,18 +72,6 @@ const DEFAULT_DFA_BUDGET: usize = 4096;
 /// answered "not universal", which only delays emission until
 /// [`SplitterState::finish`] — results are unaffected.
 const MAX_UNIVERSALITY_SETS: usize = 4096;
-
-/// Flattens per-key vectors into CSR offsets + pool.
-fn to_csr(per_key: Vec<Vec<StateId>>) -> (Vec<u32>, Vec<StateId>) {
-    let mut off = Vec::with_capacity(per_key.len() + 1);
-    let mut pool = Vec::new();
-    off.push(0u32);
-    for v in per_key {
-        pool.extend_from_slice(&v);
-        off.push(pool.len() as u32);
-    }
-    (off, pool)
-}
 
 /// One successor table per `(state, class)` pair: CSR target lists for
 /// arbitrary automata, plus a per-entry `u64` successor bitmask fast

@@ -27,6 +27,14 @@ alternating which side goes first, and prints per end-to-end metric:
 Each run's host calibration (`calibration_utf8_ms`) and failed/attempted
 operation counts are printed too, so a swing that tracks the host shows.
 
+After the builds, and again above the report, the script prints each
+benchmark binary's `core::str::from_utf8` address mod 64 (read with
+`nm`; `unknown` when `nm` or the symbol is missing) and warns when the
+two sides differ: the serve workloads' JSON parser calls `from_utf8` per
+character, so their speed follows where the linker placed it, and a
+serve verdict between differently placed binaries measures layout as
+well as code. Verdicts do not take the residues into account.
+
 Revisions are exported with `git archive` into `<work>/<label>-<sha>/src`
 and built into `<work>/<label>-<sha>/target`, so the checkout is never
 touched and builds are reused across invocations. The special revision
@@ -160,6 +168,51 @@ def format_report(metrics, runs, claim=None):
     return out
 
 
+UTF8_SYMBOL = "core3str8converts9from_utf8"
+
+
+def utf8_residue(nm_output):
+    """`core::str::from_utf8`'s address mod 64 in `nm` output (the
+    defined symbol whose mangled name ends with UTF8_SYMBOL), or None
+    when it is not there."""
+    for line in nm_output.splitlines():
+        fields = line.split()
+        if len(fields) == 3 and fields[2].endswith(UTF8_SYMBOL):
+            try:
+                return int(fields[0], 16) % 64
+            except ValueError:
+                return None
+    return None
+
+
+def residue_lines(parent, change):
+    """The residue report: one line with both sides (`unknown` for None)
+    and a warning line when both are known and differ."""
+    shown = ["unknown" if r is None else str(r) for r in (parent, change)]
+    out = [f"from_utf8 address mod 64: parent {shown[0]}, change {shown[1]}"]
+    if parent is not None and change is not None and parent != change:
+        out.append(
+            "warning: from_utf8 residues differ; serve-* timings follow code "
+            "layout as well as code"
+        )
+    return out
+
+
+def binary_residue(src, target, command):
+    """utf8_residue of the benchmark binary built from `src` into
+    `target`, or None when `nm` fails or is not installed."""
+    manifest = command[command.index("--manifest-path") + 1]
+    with open(os.path.join(src, manifest)) as f:
+        name = re.search(r'^name\s*=\s*"([^"]+)"', f.read(), re.M).group(1)
+    try:
+        done = subprocess.run(
+            ["nm", os.path.join(target, "release", name)], capture_output=True, text=True
+        )
+    except OSError:
+        return None
+    return utf8_residue(done.stdout) if done.returncode == 0 else None
+
+
 def git(repo, *args):
     return subprocess.run(
         ["git", "-C", repo, *args], check=True, capture_output=True, text=True
@@ -234,6 +287,9 @@ def main(argv=None):
         "parent": prepare(a.repo, a.work, "parent", a.parent, command),
         "change": prepare(a.repo, a.work, "change", a.change, command),
     }
+    residues = residue_lines(*(binary_residue(*sides[side], command) for side in ("parent", "change")))
+    for line in residues:
+        print(line, flush=True)
     runs = []
     for i in range(a.pairs):
         seed = seeds[i % len(seeds)]
@@ -255,7 +311,7 @@ def main(argv=None):
             )
         runs.append((got["parent"], got["change"]))
     print()
-    for line in format_report(metrics, runs, a.claim):
+    for line in residues + format_report(metrics, runs, a.claim):
         print(line)
     bad = [s for p, c in runs for s, r in (("parent", p), ("change", c))
            if not r["correct"] or r["failed"]]

@@ -3,8 +3,9 @@
 `python3 scripts/test_perf_pairs.py`; the CI `scripts-test` job does).
 
 They pin the statistics (quartiles, pair wins, relative worsening) and
-every verdict's boundary on synthetic run values, and the parsing of a
-benchmark run's output, without building or running the benchmark.
+every verdict's boundary on synthetic run values, the parsing of a
+benchmark run's output and of `nm` output, without building or running
+the benchmark.
 """
 import os
 import sys
@@ -110,6 +111,34 @@ class Parsing(unittest.TestCase):
             ],
         )
         self.assertIn("change won 10/10", lines[0])
+
+
+class Residues(unittest.TestCase):
+    NM = (
+        "00000000001d3560 T _RNvMNtCslNYArtu3iFV_5alloc6stringNtB2_6String15from_utf8_lossy\n"
+        "                 U _RNvNtNtCsXYZ_4core3str8converts9from_utf8\n"
+        "00000000001d9230 T _RNvNtNtCsgEmfK2I1SDS_4core3str8converts9from_utf8\n"
+        "00000000001d9300 T _RNvNtNtCsgEmfK2I1SDS_4core3str8converts17from_utf8_mut\n"
+    )
+
+    def test_residue_of_the_defined_symbol(self):
+        # 0x1d9230 = 64 * 30536 + 48; the lossy, mut and undefined
+        # entries are skipped.
+        self.assertEqual(perf_pairs.utf8_residue(self.NM), 48)
+        self.assertIsNone(perf_pairs.utf8_residue(""))
+        self.assertIsNone(perf_pairs.utf8_residue(self.NM.splitlines()[0]))
+
+    def test_lines_warn_only_on_known_different_residues(self):
+        self.assertEqual(
+            perf_pairs.residue_lines(32, 32), ["from_utf8 address mod 64: parent 32, change 32"]
+        )
+        differ = perf_pairs.residue_lines(32, 0)
+        self.assertEqual(differ[0], "from_utf8 address mod 64: parent 32, change 0")
+        self.assertTrue(differ[1].startswith("warning: from_utf8 residues differ"))
+        self.assertEqual(
+            perf_pairs.residue_lines(None, 16),
+            ["from_utf8 address mod 64: parent unknown, change 16"],
+        )
 
 
 if __name__ == "__main__":
