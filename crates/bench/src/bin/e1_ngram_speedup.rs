@@ -4,10 +4,11 @@
 //!
 //! Reproduction: synthetic Wikipedia-like corpus (`splitc_textgen`),
 //! certified split plan, 5-worker pool simulated from measured per-task
-//! times (the benchmark host is single-core; see `exec::simulate`).
+//! times (the benchmark host is single-core; see `splitc_bench::simulate`).
 
+use splitc_bench::simulate::simulate_split;
 use splitc_bench::{bench_json, engine_arg, ms, scaled, time, time_best, x, Table};
-use splitc_exec::{simulate_split, ExecSpanner, SplitFn};
+use splitc_exec::{ExecSpanner, SplitFn};
 use splitc_spanner::splitter::{self, native};
 use splitc_textgen::{spanners, wiki_corpus, CorpusConfig};
 use std::sync::Arc;

@@ -2,10 +2,11 @@
 //! PubMed sentences gave a 1.9x speedup (5 cores).
 //!
 //! Reproduction: number-heavy PubMed-like corpus, 2-gram extraction,
-//! simulated 5-worker pool (see E1 / `exec::simulate`).
+//! simulated 5-worker pool (see E1 / `splitc_bench::simulate`).
 
+use splitc_bench::simulate::simulate_split;
 use splitc_bench::{bench_json, engine_arg, ms, scaled, time, time_best, x, Table};
-use splitc_exec::{simulate_split, ExecSpanner, SplitFn};
+use splitc_exec::{ExecSpanner, SplitFn};
 use splitc_spanner::splitter::native;
 use splitc_textgen::{pubmed_corpus, spanners};
 use std::sync::Arc;

@@ -7,8 +7,9 @@
 //! per-article vs per-sentence task granularity on a simulated 5-worker
 //! pool.
 
+use splitc_bench::simulate::simulate_collection;
 use splitc_bench::{bench_json, engine_arg, ms, scale, time, x, Table};
-use splitc_exec::{simulate_collection, ExecSpanner, SplitFn};
+use splitc_exec::{ExecSpanner, SplitFn};
 use splitc_spanner::splitter::native;
 use splitc_textgen::{articles_corpus, skewed_articles_corpus, spanners};
 use std::sync::Arc;

@@ -6,8 +6,9 @@
 //! by default; scale with SC_SCALE), per-review vs per-sentence task
 //! granularity on a simulated 5-worker pool.
 
+use splitc_bench::simulate::simulate_collection;
 use splitc_bench::{bench_json, engine_arg, ms, scale, time, x, Table};
-use splitc_exec::{simulate_collection, ExecSpanner, SplitFn};
+use splitc_exec::{ExecSpanner, SplitFn};
 use splitc_spanner::splitter::native;
 use splitc_textgen::{reviews_corpus, spanners};
 use std::sync::Arc;

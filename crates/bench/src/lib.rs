@@ -5,6 +5,7 @@
 use std::time::{Duration, Instant};
 
 pub mod families;
+pub mod simulate;
 
 /// The evaluation engine selected for this run: `--engine {nfa,dense}`
 /// on the command line (also accepted as `--engine=...`), else the

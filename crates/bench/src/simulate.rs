@@ -7,8 +7,8 @@
 //! the *real* single-core duration of every task (chunk or document
 //! evaluation) and computes the makespan a `K`-worker pool would achieve
 //! under greedy list scheduling — the same dynamic work-queue discipline
-//! as [`crate::engine`]'s thread pool and, approximately, Spark's task
-//! scheduler. Serial phases (splitting, result merging) are measured for
+//! as [`splitc_exec::engine`]'s thread pool and, approximately, Spark's
+//! task scheduler. Serial phases (splitting, result merging) are measured for
 //! real and charged to the critical path, so simulated speedups honor
 //! Amdahl's law.
 //!
@@ -16,8 +16,8 @@
 //! ("Experiment binaries"); on a genuinely multi-core host,
 //! `engine::evaluate_split` provides the real thing.
 
-use crate::engine::{ExecSpanner, SplitFn};
-use crate::pipeline::concat_rows;
+use splitc_exec::{ExecSpanner, SplitFn};
+use splitc_spanner::tuple::SpanRelation;
 use std::time::{Duration, Instant};
 
 /// Outcome of a simulated pool run.
@@ -100,7 +100,7 @@ pub fn simulate_split(
 
     // Merge phase (serial).
     let t0 = Instant::now();
-    let merged = concat_rows(partials);
+    let merged = SpanRelation::concat(partials);
     let merge_time = t0.elapsed();
     assert_eq!(
         merged.len(),

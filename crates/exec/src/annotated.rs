@@ -3,7 +3,6 @@
 //! key–spanner mappings certified by `splitc_core::annotated`.
 
 use crate::engine::ExecSpanner;
-use crate::pipeline::concat_rows;
 use splitc_spanner::span::Span;
 use splitc_spanner::tuple::SpanRelation;
 use std::collections::BTreeMap;
@@ -44,7 +43,7 @@ impl AnnotatedPlan {
             local.shift_in_place(sp);
             parts.push(local);
         }
-        Ok(concat_rows(parts))
+        Ok(SpanRelation::concat(parts))
     }
 
     /// The bound keys.

@@ -5,7 +5,6 @@
 //! from there), and the split / many-document evaluation entry points
 //! over a scoped thread pool.
 
-use crate::pipeline::concat_rows;
 use splitc_spanner::dense::DenseCache;
 use splitc_spanner::engine::TieredEvsa;
 use splitc_spanner::evsa::EVsa;
@@ -138,7 +137,7 @@ pub fn evaluate_split(
         local.shift_in_place(sp);
         local
     });
-    concat_rows(results)
+    SpanRelation::concat(results)
 }
 
 /// Evaluates the spanner over a collection of documents, one task per
@@ -183,7 +182,7 @@ pub fn evaluate_many_split(
     for (di, rel) in partials {
         per_doc[di].push(rel);
     }
-    per_doc.into_iter().map(concat_rows).collect()
+    per_doc.into_iter().map(SpanRelation::concat).collect()
 }
 
 /// Runs `n` independent tasks on `workers` threads with work stealing

@@ -285,38 +285,44 @@ impl CorpusHandle {
             .collect();
 
         // Resplit the window [left ..], probing each candidate.
-        let mut st = self.splitter.stream();
         let window = &new_bytes[left..];
         let mut new_segments: Vec<Span> = Vec::new(); // window-local
         let mut new_syncs: Vec<usize> = Vec::new(); // window-local
-        let mut fed = 0usize;
         let mut frontier: Option<(usize, usize)> = None; // (q_old, q_new)
-        for &(q_old, q_new) in &candidates {
-            let target = q_new - left;
-            feed_to(
-                &mut st,
-                window,
-                &mut fed,
-                target,
-                &mut new_segments,
-                &mut new_syncs,
-            );
-            if st.is_quiescent() {
-                frontier = Some((q_old, q_new));
-                break;
+        match self.splitter.stream() {
+            // No stream (over the phase-DFA budget), so no sync points:
+            // `left` is 0 and the whole shard is resplit.
+            None => new_segments = self.splitter.split(window),
+            Some(mut st) => {
+                let mut fed = 0usize;
+                for &(q_old, q_new) in &candidates {
+                    let target = q_new - left;
+                    feed_to(
+                        &mut st,
+                        window,
+                        &mut fed,
+                        target,
+                        &mut new_segments,
+                        &mut new_syncs,
+                    );
+                    if st.is_quiescent() {
+                        frontier = Some((q_old, q_new));
+                        break;
+                    }
+                }
+                if frontier.is_none() {
+                    // No convergence: resplit through the end of the shard.
+                    feed_to(
+                        &mut st,
+                        window,
+                        &mut fed,
+                        window.len(),
+                        &mut new_segments,
+                        &mut new_syncs,
+                    );
+                    new_segments.extend(st.finish());
+                }
             }
-        }
-        if frontier.is_none() {
-            // No convergence: resplit through the end of the shard.
-            feed_to(
-                &mut st,
-                window,
-                &mut fed,
-                window.len(),
-                &mut new_segments,
-                &mut new_syncs,
-            );
-            new_segments.extend(st.finish());
         }
 
         // Reassemble: untouched prefix + resplit window + (shifted)
@@ -522,9 +528,12 @@ fn feed_to(
 }
 
 /// Fully splits `bytes`, recording sync points (the initial-split and
-/// shard-replacement path).
+/// shard-replacement path). A splitter without a stream (over the
+/// phase-DFA budget) records none.
 fn split_recording_syncs(splitter: &CompiledSplitter, bytes: &[u8]) -> (Vec<Span>, Vec<usize>) {
-    let mut st = splitter.stream();
+    let Some(mut st) = splitter.stream() else {
+        return (splitter.split(bytes), Vec::new());
+    };
     let mut segments = Vec::new();
     let mut syncs = Vec::new();
     let mut fed = 0usize;

@@ -57,7 +57,6 @@ pub mod options;
 mod pipeline;
 pub mod pool;
 pub mod segcache;
-pub mod simulate;
 pub mod stream;
 
 pub use annotated::{AnnotatedPlan, AnnotatedSplitFn};
@@ -74,7 +73,6 @@ pub use handle::{CorpusHandle, DeltaStats};
 pub use options::{CompileOptions, RunnerOptions};
 pub use pool::{EvalPool, EvalPoolStats};
 pub use segcache::{SegCacheStats, SegmentCache};
-pub use simulate::{simulate_collection, simulate_split, SimReport};
 pub use stream::{Segment, StreamingSplitter};
 
 #[cfg(test)]

@@ -386,7 +386,7 @@ impl<W: SegmentWork> Pipeline<W> {
         }
         let relations = cells
             .into_iter()
-            .map(|row| row.into_iter().map(concat_rows).collect())
+            .map(|row| row.into_iter().map(SpanRelation::concat).collect())
             .collect();
         Run {
             relations,
@@ -394,22 +394,6 @@ impl<W: SegmentWork> Pipeline<W> {
             tally,
         }
     }
-}
-
-/// The union of shifted per-segment relations: their rows concatenated,
-/// in order, into one buffer sized up front, then
-/// [`SpanRelation::from_rows`], which sorts and dedups whatever arrives
-/// out of order. Empty parts are skipped, so the non-empty ones share
-/// one arity.
-pub(crate) fn concat_rows(parts: Vec<SpanRelation>) -> SpanRelation {
-    let mut spans = Vec::with_capacity(parts.iter().map(|r| r.spans().len()).sum());
-    let (mut arity, mut rows) = (0, 0);
-    for rel in parts.into_iter().filter(|r| !r.is_empty()) {
-        arity = rel.arity();
-        rows += rel.len();
-        spans.extend_from_slice(rel.spans());
-    }
-    SpanRelation::from_rows(arity, rows, spans)
 }
 
 /// One worker: drains the queue and evaluates each segment with

@@ -17,10 +17,16 @@ use proptest::prelude::*;
 use splitc_spanner::rgx::Rgx;
 use splitc_spanner::splitter::{self, Splitter};
 
+/// `sentences` with a before phase that also remembers whether an `a`
+/// sat 12 bytes back: the same language (the extra prefix alternative
+/// is subsumed by `.*\.`), but phase DFAs past the stream budget.
+const OVER_BUDGET_SENTENCES: &str = r"((.*a...........)?.*\.)?x{[^.]+}(\..*)?";
+
 /// Splitters covering the interesting shapes: disjoint delimiters,
 /// overlapping windows, nested candidate spans, empty spans (whole-doc
-/// only, and everywhere — one before each `a`), and a non-universal
-/// post-split language (confirmation only at end of stream).
+/// only, and everywhere — one before each `a`), a non-universal
+/// post-split language (confirmation only at end of stream), and a
+/// splitter past the phase-DFA budget (no stream: split whole).
 pub(crate) fn splitter_pool() -> Vec<Splitter> {
     vec![
         splitter::sentences(),
@@ -33,6 +39,7 @@ pub(crate) fn splitter_pool() -> Vec<Splitter> {
         Splitter::parse("x{aa}|a(x{})a").unwrap(),   // empty spans
         Splitter::parse("x{a*}b*").unwrap(),         // non-universal suffix
         Splitter::parse(".*x{}a.*").unwrap(),        // empty spans everywhere
+        Splitter::parse(OVER_BUDGET_SENTENCES).unwrap(),
     ]
 }
 
@@ -494,5 +501,116 @@ proptest! {
                 op
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Over-budget splitters: no stream, documents split whole.
+
+use splitc_textgen::corpus::{wiki_corpus, CorpusConfig};
+
+fn wiki(bytes: usize, seed: u64) -> Vec<u8> {
+    wiki_corpus(&CorpusConfig {
+        target_bytes: bytes,
+        seed,
+        ..Default::default()
+    })
+}
+
+/// The over-budget splitter has no stream, so each document is buffered
+/// whole and batch-split. It splits exactly like builtin `sentences` on
+/// every runtime path: the streaming splitter (with follow-mode peeks),
+/// the corpus runner and a maintained corpus under point edits and
+/// appends.
+#[test]
+fn over_budget_splitter_matches_sentences_on_every_path() {
+    let over = Splitter::parse(OVER_BUDGET_SENTENCES).unwrap().compile();
+    let ten_dots = OVER_BUDGET_SENTENCES.replacen("...........", "..........", 1);
+    let fits = Splitter::parse(&ten_dots).unwrap().compile();
+    assert!(over.stream().is_none(), "11 dots exceed the budget");
+    assert!(fits.stream().is_some(), "10 dots fit");
+    let sentences = splitter::sentences().compile();
+    let spans_of =
+        |segs: &[crate::stream::Segment]| segs.iter().map(|s| s.span).collect::<Vec<_>>();
+
+    let doc = wiki(16 << 10, 23);
+    for chunk in [1, 7, 4096, doc.len()] {
+        let mut st = StreamingSplitter::new(&over);
+        for (k, piece) in doc.chunks(chunk).enumerate() {
+            assert!(
+                st.push(piece).is_empty(),
+                "nothing is emitted before finish"
+            );
+            if k % 251 == 0 {
+                let fed = st.pos();
+                let peek = st.peek_finish();
+                assert_eq!(
+                    spans_of(&peek),
+                    sentences.split(&doc[..fed]),
+                    "peek at {fed}"
+                );
+                assert!(peek.iter().all(|s| s.bytes == s.span.slice(&doc)));
+            }
+        }
+        assert_eq!(st.last_quiescent(), 0);
+        assert!(!st.is_quiescent(), "only position 0 is quiescent");
+        assert_eq!(st.bytes_skipped(), 0);
+        assert_eq!(st.peak_buffered_bytes(), doc.len(), "one copy, whole");
+        let got = st.finish();
+        assert_eq!(spans_of(&got), sentences.split(&doc), "chunk {chunk}");
+        assert!(got.iter().all(|s| s.bytes == s.span.slice(&doc)));
+    }
+
+    let spanner = ExecSpanner::compile(&Rgx::parse(".*x{a+}.*").unwrap().to_vsa().unwrap());
+    let config = CorpusRunnerConfig {
+        workers: 2,
+        batch_bytes: 512,
+        queue_depth: 2,
+        chunk_bytes: 1000,
+    };
+    let docs: Vec<Vec<u8>> = (0..3).map(|i| wiki(1000, 40 + i)).collect();
+    let refs: Vec<&[u8]> = docs.iter().map(Vec::as_slice).collect();
+    let over_runner = CorpusRunner::new(spanner.clone(), over.clone(), config);
+    let reference = CorpusRunner::new(spanner, sentences.clone(), config);
+    assert_eq!(
+        over_runner.run_slices(&refs).relations,
+        reference.run_slices(&refs).relations
+    );
+
+    let mut handle = CorpusHandle::from_shards(over.clone(), docs.clone());
+    let mut shadow = docs.clone();
+    let edits = [
+        EditOp::Point {
+            shard_pick: 0,
+            start_pick: 500,
+            len_pick: 5,
+            text: b"a. aaaa b.".to_vec(),
+        },
+        EditOp::Append {
+            shard_pick: 1,
+            text: b" tail aaaa. more".to_vec(),
+        },
+        EditOp::Point {
+            shard_pick: 2,
+            start_pick: 0,
+            len_pick: 0,
+            text: b"aaaaaaaaaaaaaa.".to_vec(),
+        },
+        EditOp::Append {
+            shard_pick: 0,
+            text: Vec::new(),
+        },
+    ];
+    for op in &edits {
+        apply_edit(op, &mut handle, &mut shadow);
+        for (i, bytes) in shadow.iter().enumerate() {
+            assert_eq!(handle.segments(i), &sentences.split(bytes)[..], "{op:?}");
+        }
+        let refs: Vec<&[u8]> = shadow.iter().map(Vec::as_slice).collect();
+        assert_eq!(
+            handle.extract(&over_runner).relations,
+            reference.run_slices(&refs).relations,
+            "{op:?}"
+        );
     }
 }

@@ -35,11 +35,18 @@ pub struct Segment {
 /// materialized document (a property the differential proptest suite
 /// asserts over random chunk boundaries). Close the stream with
 /// [`StreamingSplitter::finish`].
+///
+/// A splitter whose phase DFAs exceed their budget has no stream
+/// ([`CompiledSplitter::stream`] is `None`). Its document is buffered
+/// whole, once, and batch-split at [`StreamingSplitter::finish`]: `push`
+/// emits nothing, only position 0 is quiescent, and each
+/// [`StreamingSplitter::peek_finish`] splits everything buffered so far.
 #[derive(Debug)]
 pub struct StreamingSplitter {
-    state: SplitterState,
-    /// Bytes `[base, state.pos())` of the stream still referenced by
-    /// unresolved candidates or by segments not yet handed out.
+    split: Split,
+    /// Bytes `[base, pos)` of the stream still referenced by unresolved
+    /// candidates or by segments not yet handed out (the whole stream
+    /// under [`Split::Whole`]).
     buf: Vec<u8>,
     /// Stream offset of `buf[0]`.
     base: usize,
@@ -47,11 +54,24 @@ pub struct StreamingSplitter {
     peak_buffered: usize,
 }
 
+/// How a [`StreamingSplitter`] finds its segments.
+#[derive(Debug)]
+enum Split {
+    /// Incrementally, through the splitter's phase DFAs.
+    Stream(SplitterState),
+    /// At the end, by batch-splitting the whole buffer (a splitter
+    /// without a stream).
+    Whole(CompiledSplitter),
+}
+
 impl StreamingSplitter {
     /// Starts streaming one document through `splitter`.
     pub fn new(splitter: &CompiledSplitter) -> StreamingSplitter {
         StreamingSplitter {
-            state: splitter.stream(),
+            split: match splitter.stream() {
+                Some(state) => Split::Stream(state),
+                None => Split::Whole(splitter.clone()),
+            },
             buf: Vec::new(),
             base: 0,
             peak_buffered: 0,
@@ -62,9 +82,17 @@ impl StreamingSplitter {
     pub fn push(&mut self, chunk: &[u8]) -> Vec<Segment> {
         self.buf.extend_from_slice(chunk);
         self.peak_buffered = self.peak_buffered.max(self.buf.len());
-        let spans = self.state.push(chunk);
-        let segments = self.detach(spans);
-        self.trim();
+        let Split::Stream(state) = &mut self.split else {
+            return Vec::new();
+        };
+        let spans = state.push(chunk);
+        let segments = detach(&self.buf, self.base, spans);
+        // Discard buffered bytes below the splitter's low watermark.
+        let low = state.low_watermark();
+        if low > self.base {
+            self.buf.drain(..low - self.base);
+            self.base = low;
+        }
         segments
     }
 
@@ -76,17 +104,14 @@ impl StreamingSplitter {
     /// the stream state is untouched (the peek runs on a clone of the
     /// splitter simulation), so subsequent pushes behave exactly as if
     /// the peek never happened. Segments already returned by `push`
-    /// are final and are not repeated here.
+    /// are final and are not repeated here. For a splitter without a
+    /// stream, each peek batch-splits the whole buffer.
     pub fn peek_finish(&self) -> Vec<Segment> {
-        self.state
-            .clone()
-            .finish()
-            .into_iter()
-            .map(|span| Segment {
-                span,
-                bytes: self.buf[span.start - self.base..span.end - self.base].to_vec(),
-            })
-            .collect()
+        let spans = match &self.split {
+            Split::Stream(state) => state.clone().finish(),
+            Split::Whole(splitter) => splitter.split(&self.buf),
+        };
+        detach(&self.buf, self.base, spans)
     }
 
     /// Whether the underlying splitter stream is at a quiescent
@@ -98,7 +123,10 @@ impl StreamingSplitter {
     /// ([`StreamingSplitter::peek_finish`] returns no segments ending
     /// at the current position beyond what `push` already emitted).
     pub fn is_quiescent(&self) -> bool {
-        self.state.is_quiescent()
+        match &self.split {
+            Split::Stream(state) => state.is_quiescent(),
+            Split::Whole(_) => self.pos() == 0,
+        }
     }
 
     /// The largest stream position observed quiescent so far (see
@@ -107,22 +135,19 @@ impl StreamingSplitter {
     /// the corpus-maintenance layer records these as stable resplit
     /// frontiers.
     pub fn last_quiescent(&self) -> usize {
-        self.state.last_quiescent()
+        match &self.split {
+            Split::Stream(state) => state.last_quiescent(),
+            Split::Whole(_) => 0,
+        }
     }
 
     /// Ends the stream and returns the remaining segments.
     pub fn finish(self) -> Vec<Segment> {
-        let StreamingSplitter {
-            state, buf, base, ..
-        } = self;
-        state
-            .finish()
-            .into_iter()
-            .map(|span| Segment {
-                span,
-                bytes: buf[span.start - base..span.end - base].to_vec(),
-            })
-            .collect()
+        let spans = match self.split {
+            Split::Stream(state) => state.finish(),
+            Split::Whole(splitter) => splitter.split(&self.buf),
+        };
+        detach(&self.buf, self.base, spans)
     }
 
     /// Bytes currently buffered.
@@ -139,35 +164,30 @@ impl StreamingSplitter {
 
     /// Bytes consumed from the stream so far.
     pub fn pos(&self) -> usize {
-        self.state.pos()
+        self.base + self.buf.len()
     }
 
     /// Bytes the incremental splitter resolved through its skip-loop
     /// scanner instead of phase-DFA steps (see
     /// `splitc_spanner::stream::SplitterState::bytes_skipped`).
     pub fn bytes_skipped(&self) -> u64 {
-        self.state.bytes_skipped()
-    }
-
-    /// Slices emitted spans out of the buffer into owned segments.
-    fn detach(&self, spans: Vec<Span>) -> Vec<Segment> {
-        spans
-            .into_iter()
-            .map(|span| Segment {
-                span,
-                bytes: self.buf[span.start - self.base..span.end - self.base].to_vec(),
-            })
-            .collect()
-    }
-
-    /// Discards buffered bytes below the splitter's low watermark.
-    fn trim(&mut self) {
-        let low = self.state.low_watermark();
-        if low > self.base {
-            self.buf.drain(..low - self.base);
-            self.base = low;
+        match &self.split {
+            Split::Stream(state) => state.bytes_skipped(),
+            Split::Whole(_) => 0,
         }
     }
+}
+
+/// Slices emitted spans out of `buf` (stream bytes from offset `base`)
+/// into owned segments.
+fn detach(buf: &[u8], base: usize, spans: Vec<Span>) -> Vec<Segment> {
+    spans
+        .into_iter()
+        .map(|span| Segment {
+            span,
+            bytes: buf[span.start - base..span.end - base].to_vec(),
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -289,6 +289,72 @@ fn aot_and_dense_engines_are_distinct_entries_with_identical_bytes() {
     }
 }
 
+/// `sentences` padded so its streaming phase DFAs exceed their budget:
+/// the same language, but no stream, so each document is split whole.
+const OVER_BUDGET_SENTENCES: &str = r"((.*a...........)?.*\.)?x{[^.]+}(\..*)?";
+
+#[test]
+fn over_budget_pattern_splitter_extracts_like_sentences() {
+    let server = spawn(2, 8);
+    let mut client = Client::new(server.addr());
+    let spanner = register_spanner(&mut client, LOCAL);
+    let sentences = register_sentences(&mut client);
+    let (status, body) = client
+        .post(
+            "/splitters",
+            &Json::obj(vec![("pattern", Json::str(OVER_BUDGET_SENTENCES))]),
+        )
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body.get("disjoint").unwrap().as_bool(), Some(true));
+    let padded = body.get("id").unwrap().as_str().unwrap().to_string();
+    assert_ne!(padded, sentences);
+
+    let (status, body) = client
+        .post(
+            "/certify",
+            &Json::obj(vec![
+                ("spanner", Json::str(spanner.clone())),
+                ("splitter", Json::str(padded.clone())),
+            ]),
+        )
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body.get("holds").unwrap().as_bool(), Some(true), "{body}");
+
+    let docs = [
+        "aaa bb. cc aa",
+        "",
+        "no match here.",
+        "a.a.a",
+        "banana aaaaaaaaaaaaaa. and a tail",
+    ];
+    let mut replies = Vec::new();
+    for splitter in [&sentences, &padded] {
+        let (status, body) = client
+            .post(
+                "/extract",
+                &Json::obj(vec![
+                    ("spanner", Json::str(spanner.clone())),
+                    ("splitter", Json::str(splitter.clone())),
+                    ("docs", docs_json(&docs)),
+                ]),
+            )
+            .unwrap();
+        assert_eq!(status, 200, "{body}");
+        replies.push(body.get("relations").unwrap().to_string());
+    }
+    assert_eq!(
+        replies[1], replies[0],
+        "padded splitter must extract like sentences"
+    );
+    assert!(
+        replies[0].contains("\"x\""),
+        "docs must produce tuples: {}",
+        replies[0]
+    );
+}
+
 #[test]
 fn extract_refuses_uncertified_pairs_unless_unchecked() {
     let server = spawn(2, 8);

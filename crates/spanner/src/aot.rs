@@ -186,7 +186,7 @@ impl AotEvsa {
                     .fold(ByteSet::EMPTY, |m, (_, mask, _)| m.or(mask));
                 // Post states emit-and-cut on entry: no frame ever
                 // scans from one.
-                if dense.post[qi] || self_mask.is_empty() {
+                if dense.roles.post[qi] || self_mask.is_empty() {
                     return None;
                 }
                 let only_loop = |id: usize, b: u8| {

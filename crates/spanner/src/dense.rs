@@ -33,7 +33,7 @@
 use crate::aot::AotEvsa;
 use crate::byteset::ByteSet;
 use crate::eval::{
-    self, forward_enumerate_scratch, post_states, EdgeCandidates, EdgeSource, EnumScratch,
+    self, forward_enumerate_scratch, EdgeCandidates, EdgeSource, EnumScratch, StateRoles,
     ViableSource,
 };
 use crate::evsa::EVsa;
@@ -244,8 +244,9 @@ pub struct DenseEvsa {
     pred_pool: Vec<StateId>,
     /// States with at least one final block, as a bitset.
     finals: Box<[u64]>,
-    /// Post flags (see [`crate::eval`]), precomputed once.
-    pub(crate) post: Vec<bool>,
+    /// Post flags and pre-state indices (see [`crate::eval`]),
+    /// precomputed once.
+    pub(crate) roles: StateRoles,
 }
 
 /// Flattens per-key vectors into CSR offsets + pool.
@@ -341,10 +342,10 @@ impl DenseEvsa {
                 finals[q >> 6] |= 1u64 << (q & 63);
             }
         }
-        let post = if ns > 0 {
-            post_states(&evsa)
+        let roles = if ns > 0 {
+            StateRoles::of(&evsa)
         } else {
-            Vec::new()
+            StateRoles::default()
         };
 
         DenseEvsa {
@@ -360,7 +361,7 @@ impl DenseEvsa {
             pred_off,
             pred_pool,
             finals,
-            post,
+            roles,
         }
     }
 
@@ -501,7 +502,7 @@ impl DenseEvsa {
         forward_enumerate_scratch(
             &self.evsa,
             doc,
-            &self.post,
+            &self.roles,
             viable,
             &DenseEdges(self),
             scratch,

@@ -163,31 +163,66 @@ pub(crate) fn viability(evsa: &EVsa, doc: &[u8]) -> Viability {
     v
 }
 
-/// Computes the *post* flag per state: true when the state's (unique)
-/// variable configuration has every variable closed, i.e. the output
-/// tuple of any run is already fully determined on entry.
-pub(crate) fn post_states(evsa: &EVsa) -> Vec<bool> {
-    use std::collections::VecDeque;
-    let nv = evsa.vars().len();
-    let ns = evsa.num_states();
-    // closed_count[q]: number of closed variables at q (unique per state
-    // in a functional automaton); usize::MAX = unreached.
-    let mut closed = vec![usize::MAX; ns];
-    let mut queue = VecDeque::new();
-    closed[evsa.start() as usize] = 0;
-    queue.push_back(evsa.start());
-    while let Some(q) = queue.pop_front() {
-        let c = closed[q as usize];
-        for (block, _, r) in evsa.transitions_from(q) {
-            let closes = block.iter().filter(|op| !op.is_open()).count();
-            let nc = c + closes;
-            if closed[*r as usize] == usize::MAX {
-                closed[*r as usize] = nc;
-                queue.push_back(*r);
+/// Per-state facts the forward enumeration keys on, computed once per
+/// automaton.
+#[derive(Debug, Default)]
+pub(crate) struct StateRoles {
+    /// True when the state's (unique) variable configuration has every
+    /// variable closed, i.e. the output tuple of any run is already fully
+    /// determined on entry.
+    pub(crate) post: Vec<bool>,
+    /// For a *pre* state — one reached from the start by block-free
+    /// transitions only, so no variable operation has fired yet — its
+    /// index among the pre states; [`StateRoles::NOT_PRE`] otherwise.
+    pre: Vec<u32>,
+    /// Number of pre states.
+    npre: usize,
+}
+
+impl StateRoles {
+    const NOT_PRE: u32 = u32::MAX;
+
+    pub(crate) fn of(evsa: &EVsa) -> StateRoles {
+        use std::collections::VecDeque;
+        let nv = evsa.vars().len();
+        let ns = evsa.num_states();
+        // ops[q]: (closed variables, variable operations) on a path to
+        // q, unique per state in a functional automaton; None =
+        // unreached.
+        let mut ops: Vec<Option<(usize, usize)>> = vec![None; ns];
+        let mut queue = VecDeque::new();
+        ops[evsa.start() as usize] = Some((0, 0));
+        queue.push_back(evsa.start());
+        while let Some(q) = queue.pop_front() {
+            let (closed, all) = ops[q as usize].expect("queued states are reached");
+            for (block, _, r) in evsa.transitions_from(q) {
+                let closes = block.iter().filter(|op| !op.is_open()).count();
+                if ops[*r as usize].is_none() {
+                    ops[*r as usize] = Some((closed + closes, all + block.len()));
+                    queue.push_back(*r);
+                }
             }
         }
+        let mut npre = 0;
+        let pre = ops
+            .iter()
+            .map(|o| match o {
+                Some((_, 0)) => {
+                    npre += 1;
+                    npre as u32 - 1
+                }
+                _ => StateRoles::NOT_PRE,
+            })
+            .collect();
+        StateRoles {
+            post: ops
+                .iter()
+                .map(|o| matches!(o, Some((c, _)) if *c == nv))
+                .collect(),
+            pre,
+            npre,
+        }
     }
-    closed.iter().map(|&c| c != usize::MAX && c == nv).collect()
 }
 
 /// Evaluates a block-normal-form automaton on a document with the NFA
@@ -199,8 +234,7 @@ pub fn eval_evsa(evsa: &EVsa, doc: &[u8]) -> SpanRelation {
         return SpanRelation::empty();
     }
     let viable = viability(evsa, doc);
-    let post = post_states(evsa);
-    forward_enumerate(evsa, doc, &post, &viable, &AllEdges(evsa))
+    forward_enumerate(evsa, doc, &StateRoles::of(evsa), &viable, &AllEdges(evsa))
 }
 
 /// One suspended position of the iterative forward search.
@@ -230,31 +264,45 @@ pub(crate) struct EnumScratch {
     stack: Vec<Frame>,
     /// Emitted rows, row-major.
     out: Vec<Span>,
+    /// Bitset over `(position, pre-state index)`: the pre-state frames
+    /// already expanded by this call.
+    expanded: Vec<u64>,
+    /// Frames the last call pushed (the root included): its
+    /// machine-independent work, which the scaling tests read.
+    pub(crate) frames: usize,
 }
 
 /// The iterative forward search shared by the NFA and dense engines:
 /// enumerates tuples, entering only viable states, with the post-state
-/// cutoff. `post` must come from [`post_states`]; `viable` and `edges`
+/// cutoff. `roles` must come from [`StateRoles::of`]; `viable` and `edges`
 /// select the engine. Allocates fresh scratch buffers; hot callers use
 /// [`forward_enumerate_scratch`] with a long-lived [`EnumScratch`].
 pub(crate) fn forward_enumerate<V: ViableSource, E: EdgeSource>(
     evsa: &EVsa,
     doc: &[u8],
-    post: &[bool],
+    roles: &StateRoles,
     viable: &V,
     edges: &E,
 ) -> SpanRelation {
-    forward_enumerate_scratch(evsa, doc, post, viable, edges, &mut EnumScratch::default())
+    forward_enumerate_scratch(evsa, doc, roles, viable, edges, &mut EnumScratch::default())
 }
 
 /// [`forward_enumerate`] over caller-provided scratch buffers, reused
 /// across calls. Rows are written into the scratch's output buffer and
 /// handed to the returned relation as one exact-size copy per call —
 /// the only per-call allocation.
+///
+/// Before the first variable operation (an empty undo trail) a frame's
+/// whole subtree depends only on its `(state, position)`: the variable
+/// tables are still unset. A second such frame would re-emit the first
+/// one's rows, so it is dropped unexpanded. This keeps an ambiguous
+/// prefix (`(.*a.{11})?.*\.` before a capture) linear in the document:
+/// a search over single runs would expand each pre-state position once
+/// per run reaching it, a number that grows with the position.
 pub(crate) fn forward_enumerate_scratch<V: ViableSource, E: EdgeSource>(
     evsa: &EVsa,
     doc: &[u8],
-    post: &[bool],
+    roles: &StateRoles,
     viable: &V,
     edges: &E,
     scratch: &mut EnumScratch,
@@ -272,6 +320,8 @@ pub(crate) fn forward_enumerate_scratch<V: ViableSource, E: EdgeSource>(
         trail,
         stack,
         out,
+        expanded,
+        frames,
     } = scratch;
     opens.clear();
     opens.resize(nv, UNSET);
@@ -280,6 +330,10 @@ pub(crate) fn forward_enumerate_scratch<V: ViableSource, E: EdgeSource>(
     trail.clear();
     stack.clear();
     out.clear();
+    expanded.clear();
+    expanded.resize(((n + 1) * roles.npre).div_ceil(64), 0);
+    *frames = 1;
+    let post = &roles.post;
     let mut rows = 0usize;
 
     fn apply_block(
@@ -355,6 +409,18 @@ pub(crate) fn forward_enumerate_scratch<V: ViableSource, E: EdgeSource>(
         let pos = frame.pos;
 
         if !frame.emitted_finals {
+            if trail.is_empty() {
+                let i = roles.pre[state as usize];
+                if i != StateRoles::NOT_PRE {
+                    let bit = pos * roles.npre + i as usize;
+                    let (word, mask) = (bit >> 6, 1u64 << (bit & 63));
+                    if expanded[word] & mask != 0 {
+                        stack.pop();
+                        continue;
+                    }
+                    expanded[word] |= mask;
+                }
+            }
             frame.emitted_finals = true;
             if pos == n {
                 for block in evsa.final_blocks(state) {
@@ -401,6 +467,7 @@ pub(crate) fn forward_enumerate_scratch<V: ViableSource, E: EdgeSource>(
                 trail_mark: mark,
                 emitted_finals: false,
             });
+            *frames += 1;
             advanced = true;
             break;
         }
@@ -640,5 +707,39 @@ mod tests {
         let p = compile("a*x{b*}a*");
         let rel = eval(&p, &doc);
         assert_eq!(rel.len(), doc.len() + 1);
+    }
+
+    /// `sentences`' language behind an ambiguous prefix: before the
+    /// capture, `(.*a.{11})?.*\.` reaches each position along one run
+    /// per earlier `a`. The search still expands each pre-state position
+    /// once, so its work grows linearly with the document; re-expanding
+    /// them per run takes 16x the frames for 4x the bytes.
+    #[test]
+    fn ambiguous_prefix_enumerates_in_linear_work() {
+        let evsa = EVsa::from_vsa(&compile(r"((.*a...........)?.*\.)?x{[^.]+}(\..*)?"));
+        let roles = StateRoles::of(&evsa);
+        let sentences = crate::splitter::sentences();
+        let frames = |kib: usize| {
+            let mut doc = b"Anna has a cat and a bag. Data are vast. ".repeat(kib * 25);
+            doc.truncate(kib << 10);
+            let mut scratch = EnumScratch::default();
+            let viable = viability(&evsa, &doc);
+            let rel = forward_enumerate_scratch(
+                &evsa,
+                &doc,
+                &roles,
+                &viable,
+                &AllEdges(&evsa),
+                &mut scratch,
+            );
+            let spans: Vec<Span> = rel.iter().map(|t| t.get(VarId(0))).collect();
+            assert_eq!(spans, sentences.split(&doc), "{kib} KiB");
+            scratch.frames
+        };
+        let (small, large) = (frames(16), frames(64));
+        assert!(
+            large <= 4 * small + small / 8,
+            "16 KiB: {small} frames, 64 KiB: {large} frames"
+        );
     }
 }

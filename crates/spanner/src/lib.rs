@@ -52,8 +52,9 @@
 //!   caches.
 //! * [`stream`] — incremental splitter simulation: a forward-only step
 //!   API ([`stream::SplitterState`]) emitting split spans chunk by chunk
-//!   without materializing the document, behind the streaming corpus
-//!   execution of `splitc-exec`.
+//!   without materializing the document (splitters past the phase-DFA
+//!   budget have none; their documents are split whole), behind the
+//!   streaming corpus execution of `splitc-exec`.
 //!
 //! A map of how these modules compose into the full pipeline (regex →
 //! VSA → eVSA → dense/stream engines → execution layer) lives in the

@@ -258,10 +258,13 @@ pub fn two_run_report(e1: &EVsa, e2: &EVsa) -> TwoRunReport {
 /// `aot` tier — plus [`StreamTables`] for incremental (chunk-by-chunk)
 /// splitting, built lazily on the first [`CompiledSplitter::stream`]
 /// call so batch-only callers never pay the phase-DFA determinization.
+/// A splitter whose phase DFAs exceed their budget has no stream
+/// tables and no stream: callers buffer its documents and split them
+/// with this tier (see [`crate::stream`]).
 #[derive(Debug, Clone)]
 pub struct CompiledSplitter {
     core: Arc<TieredEvsa>,
-    stream: OnceLock<Arc<StreamTables>>,
+    stream: OnceLock<Option<Arc<StreamTables>>>,
 }
 
 impl CompiledSplitter {
@@ -314,12 +317,15 @@ impl CompiledSplitter {
     /// without the document ever being materialized (see
     /// [`crate::stream`] for the buffering contract). The tables are
     /// compiled on first use and shared afterwards; each call returns
-    /// independent per-stream state.
-    pub fn stream(&self) -> SplitterState {
-        let tables = self
-            .stream
-            .get_or_init(|| Arc::new(StreamTables::compile(self.evsa())));
-        SplitterState::new(Arc::clone(tables))
+    /// independent per-stream state. `None` when the phase DFAs exceed
+    /// their budget: such a splitter has no incremental form, and a
+    /// caller buffers the whole document and calls
+    /// [`CompiledSplitter::split`] on it.
+    pub fn stream(&self) -> Option<SplitterState> {
+        self.stream
+            .get_or_init(|| StreamTables::compile(self.evsa()).map(Arc::new))
+            .clone()
+            .map(SplitterState::new)
     }
 }
 

@@ -239,6 +239,22 @@ impl SpanRelation {
         }
     }
 
+    /// The union of relations (per-segment results, say): their rows
+    /// concatenated, in order, into one buffer sized up front, then
+    /// [`SpanRelation::from_rows`], which sorts and dedups whatever
+    /// arrives out of order. Empty parts are skipped, so the non-empty
+    /// ones must share one arity.
+    pub fn concat(parts: Vec<SpanRelation>) -> SpanRelation {
+        let mut spans = Vec::with_capacity(parts.iter().map(|r| r.spans.len()).sum());
+        let (mut arity, mut rows) = (0, 0);
+        for rel in parts.into_iter().filter(|r| !r.is_empty()) {
+            arity = rel.arity;
+            rows += rel.len;
+            spans.extend_from_slice(&rel.spans);
+        }
+        SpanRelation::from_rows(arity, rows, spans)
+    }
+
     /// Builds a relation from owned tuples, sorting and deduplicating.
     ///
     /// Panics if the tuples disagree on their arity.

@@ -5,9 +5,9 @@
 # (python3 stdlib http.client — no extra dependencies), compares the
 # extraction relations byte-for-byte against `splitc-server --offline`
 # (the no-server differential reference) for a spanner, a corpus
-# resource, a two-member fleet and the spanner under every engine name,
-# and finally delivers SIGTERM and asserts a graceful exit 0 with
-# "shutdown complete" on stdout.
+# resource, a two-member fleet, the spanner under every engine name and
+# an over-budget pattern splitter, and finally delivers SIGTERM and
+# asserts a graceful exit 0 with "shutdown complete" on stdout.
 #
 # Usage: scripts/server_smoke.sh [server-binary]
 #        (default: ./target/release/splitc-server)
@@ -91,12 +91,15 @@ def extract_stats(req):
     return json.loads(call("POST", "/extract", req))["stats"]
 
 
-def offline_relations(docs, patterns=None, engine=None):
+def offline_relations(docs, patterns=None, engine=None, splitter=None):
     target = {"pattern": PATTERN} if patterns is None else {"patterns": patterns}
     if engine is not None:
         target["engine"] = engine
-    offline_req = json.dumps(
-        {**target, "splitter_builtin": "sentences", "docs": docs})
+    if splitter is None:
+        target["splitter_builtin"] = "sentences"
+    else:
+        target["splitter"] = splitter
+    offline_req = json.dumps({**target, "docs": docs})
     offline = subprocess.run(
         [bin_path, "--offline"], input=offline_req, capture_output=True,
         text=True, check=True).stdout.strip()
@@ -215,9 +218,28 @@ for engine in ["nfa", "dense", "prefilter", "aot"]:
         f"{engine}: server and offline relations differ: {engine_rel}"
     assert engine_rel != "[]", f"{engine}: smoke corpus must produce tuples"
 
+# An over-budget pattern splitter (after the /stats counts above):
+# `sentences` padded so its streaming phase DFAs exceed their budget,
+# so it has no stream and each document is split whole. Its relations must
+# be byte-identical to `--offline` with the same pattern and to the
+# builtin-sentences reply.
+OVER_BUDGET = r"((.*a...........)?.*\.)?x{[^.]+}(\..*)?"
+padded = json.loads(call("POST", "/splitters", {"pattern": OVER_BUDGET}))
+padded_pair = {"spanner": spanner["id"], "splitter": padded["id"]}
+padded_cert = json.loads(call("POST", "/certify", padded_pair))
+assert padded_cert["holds"] is True, \
+    f"the padded splitter certifies like sentences: {padded_cert}"
+padded_rel = extract_relations({**padded_pair, "docs": DOCS})
+assert padded_rel == offline_relations(DOCS, splitter=OVER_BUDGET), \
+    f"over-budget splitter: server and offline relations differ: {padded_rel}"
+sentences_rel = extract_relations({**pair, "docs": DOCS})
+assert padded_rel == sentences_rel, (
+    "over-budget splitter must extract like builtin sentences:\n"
+    f"  padded   : {padded_rel}\n  sentences: {sentences_rel}")
+
 print("== round-trip OK: relations byte-identical to offline reference,"
       f" {len(json.loads(server_rel))} docs extracted; fleet of 2 agrees;"
-      " all four engines agree")
+      " all four engines agree; over-budget splitter agrees")
 PY
 
 # Graceful shutdown: SIGTERM -> in-flight work completes, exit 0.
