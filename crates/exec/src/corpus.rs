@@ -105,9 +105,11 @@ pub struct CorpusStats {
     /// [`crate::Engine::Nfa`]).
     pub cache: DenseCacheStats,
     /// Aggregated prefilter statistics: worker-side gate rejections and
-    /// skip-loop jumps (non-zero only under [`crate::Engine::Prefilter`])
-    /// plus the streaming splitter's own skip-loop bytes (any engine).
+    /// skip-loop jumps (non-zero only under [`crate::Engine::Prefilter`]).
     pub prefilter: PrefilterStats,
+    /// Bytes the streaming splitter's own skip loop jumped instead of
+    /// stepping (any engine).
+    pub splitter_bytes_skipped: u64,
 }
 
 /// The outcome of a corpus run: one relation per input document (in
@@ -138,10 +140,8 @@ impl CorpusResult {
                 batches: f.batches,
                 peak_buffered_bytes: f.peak_buffered_bytes,
                 cache,
-                prefilter: prefilter.merge(PrefilterStats {
-                    bytes_skipped: f.splitter_skipped,
-                    ..PrefilterStats::default()
-                }),
+                prefilter,
+                splitter_bytes_skipped: f.splitter_skipped,
             },
         }
     }
@@ -453,9 +453,11 @@ mod tests {
             pf.candidates <= 4,
             "sparse corpus must not flood candidates: {pf:?}"
         );
-        // Dense runs report no prefilter activity (the streaming
-        // splitter may still skip, but sentences open everywhere).
-        assert_eq!(dense.run_slices(&refs).stats.prefilter.candidates, 0);
+        // Dense runs report no prefilter activity; the streaming
+        // splitter's skipped bytes are counted apart.
+        let dense_stats = dense.run_slices(&refs).stats;
+        assert_eq!(dense_stats.prefilter, PrefilterStats::default());
+        assert!(dense_stats.splitter_bytes_skipped > 500);
     }
 
     #[test]

@@ -112,9 +112,11 @@ pub struct FleetStats {
     /// Aggregated per-worker lazy-DFA cache statistics.
     pub cache: DenseCacheStats,
     /// Aggregated backend prefilter statistics (skip-loop bytes, inner
-    /// gate counts under [`Engine::Prefilter`]) plus the streaming
-    /// splitter's own skipped bytes.
+    /// gate counts under [`Engine::Prefilter`]).
     pub prefilter: PrefilterStats,
+    /// Bytes the streaming splitter's own skip loop jumped instead of
+    /// stepping.
+    pub splitter_bytes_skipped: u64,
 }
 
 impl FleetStats {
@@ -473,10 +475,8 @@ impl FleetResult {
                 scan_rejected: t.scan_rejected,
                 candidates: t.candidates,
                 cache: t.cache,
-                prefilter: t.prefilter.merge(PrefilterStats {
-                    bytes_skipped: f.splitter_skipped,
-                    ..PrefilterStats::default()
-                }),
+                prefilter: t.prefilter,
+                splitter_bytes_skipped: f.splitter_skipped,
             },
         }
     }

@@ -307,4 +307,35 @@ mod tests {
             "advanced to just past the second period"
         );
     }
+
+    #[test]
+    fn sentences_stream_skips_inside_segments() {
+        // Inside a segment the stream holds one pending open and no
+        // candidate, so the skip loop jumps to the closing '.'; only the
+        // '.', the opening byte after it and the byte that settles the
+        // inside state are stepped.
+        let doc = splitc_textgen::wiki_corpus(&splitc_textgen::CorpusConfig {
+            target_bytes: 64 << 10,
+            ..Default::default()
+        });
+        let compiled = splitter::sentences().compile();
+        let batch = compiled.split(&doc);
+        for chunk in [1, 7, 4096] {
+            let mut st = StreamingSplitter::new(&compiled);
+            let mut got = Vec::new();
+            for piece in doc.chunks(chunk) {
+                got.extend(st.push(piece).into_iter().map(|seg| seg.span));
+            }
+            let skipped = st.bytes_skipped();
+            got.extend(st.finish().into_iter().map(|seg| seg.span));
+            assert_eq!(got, batch, "chunk {chunk}");
+            let floor = (doc.len() - 4 * batch.len()) as u64;
+            assert!(
+                skipped >= floor,
+                "chunk {chunk}: skipped {skipped} < {floor} ({} bytes, {} segments)",
+                doc.len(),
+                batch.len()
+            );
+        }
+    }
 }

@@ -277,8 +277,13 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
+        let text = &self.bytes[start..self.pos];
+        if !is_rfc8259_number(text) {
+            return Err(self.err("invalid number"));
+        }
+        std::str::from_utf8(text)
+            .unwrap()
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
     }
@@ -410,6 +415,38 @@ impl Parser<'_> {
     }
 }
 
+/// Whether `text` is an RFC 8259 number: `-? (0 | [1-9][0-9]*)
+/// (\.[0-9]+)? ([eE][+-]?[0-9]+)?`. `str::parse::<f64>` alone also takes
+/// `01`, `1.` and `-.5`.
+fn is_rfc8259_number(text: &[u8]) -> bool {
+    let digits = |i: usize| text[i..].iter().take_while(|b| b.is_ascii_digit()).count();
+    let mut i = usize::from(text.first() == Some(&b'-'));
+    match text.get(i) {
+        Some(b'0') => i += 1,
+        Some(b'1'..=b'9') => i += digits(i),
+        _ => return false,
+    }
+    if text.get(i) == Some(&b'.') {
+        let n = digits(i + 1);
+        if n == 0 {
+            return false;
+        }
+        i += 1 + n;
+    }
+    if matches!(text.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(text.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        let n = digits(i);
+        if n == 0 {
+            return false;
+        }
+        i += n;
+    }
+    i == text.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,11 +498,39 @@ mod tests {
             "nulll",
             "\"\\ud800\"",
             "01a",
+            "01",
+            "00",
+            "1.",
+            "-.5",
+            "1.e5",
+            "-01.5",
+            "-",
+            "1e",
+            "1e+",
+            "[01]",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(Json::parse(&deep).is_err(), "depth cap");
+    }
+
+    #[test]
+    fn accepts_every_rfc8259_number_form() {
+        for (text, value) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("7", 7.0),
+            ("-120", -120.0),
+            ("0.5", 0.5),
+            ("-10.25", -10.25),
+            ("1e3", 1e3),
+            ("2E-2", 2e-2),
+            ("-1.5e+2", -150.0),
+            ("0e0", 0.0),
+        ] {
+            assert_eq!(Json::parse(text).unwrap().as_f64(), Some(value), "{text}");
+        }
     }
 
     #[test]

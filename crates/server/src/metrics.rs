@@ -140,6 +140,8 @@ pub struct ExecTotals {
     pub cache_misses: u64,
     /// Prefilter bytes skipped (gate rejections + skip-loop jumps).
     pub prefilter_bytes_skipped: u64,
+    /// Bytes the streaming splitter's skip loop jumped.
+    pub splitter_bytes_skipped: u64,
     /// Prefilter candidates handed to a DFA.
     pub prefilter_candidates: u64,
     /// Fleet `(segment, member)` evaluations dispatched.
@@ -178,6 +180,7 @@ impl Metrics {
         t.cache_misses += stats.cache.misses;
         t.prefilter_bytes_skipped += stats.prefilter.bytes_skipped;
         t.prefilter_candidates += stats.prefilter.candidates;
+        t.splitter_bytes_skipped += stats.splitter_bytes_skipped;
     }
 
     /// Folds one fleet run's statistics into the totals.
@@ -192,6 +195,7 @@ impl Metrics {
         t.cache_misses += stats.cache.misses;
         t.prefilter_bytes_skipped += stats.prefilter.bytes_skipped;
         t.prefilter_candidates += stats.prefilter.candidates;
+        t.splitter_bytes_skipped += stats.splitter_bytes_skipped;
         t.fleet_dispatches += stats.dispatches;
         t.fleet_gate_rejected += stats.gate_rejected;
         t.fleet_scan_rejected += stats.scan_rejected;
@@ -252,6 +256,10 @@ impl Metrics {
                         "prefilter_candidates",
                         Json::Num(exec.prefilter_candidates as f64),
                     ),
+                    (
+                        "splitter_bytes_skipped",
+                        Json::Num(exec.splitter_bytes_skipped as f64),
+                    ),
                     ("fleet_dispatches", Json::Num(exec.fleet_dispatches as f64)),
                     (
                         "fleet_gate_rejected",
@@ -306,6 +314,7 @@ mod tests {
             docs: 2,
             segments: 10,
             segment_bytes: 100,
+            splitter_bytes_skipped: 7,
             ..Default::default()
         };
         m.record_corpus(&cs);
@@ -318,5 +327,6 @@ mod tests {
         let rendered = m.to_json().to_string();
         assert!(rendered.contains("\"corpus_runs\":2"));
         assert!(rendered.contains("\"segment_bytes\":200"));
+        assert!(rendered.contains("\"splitter_bytes_skipped\":14"));
     }
 }

@@ -588,15 +588,24 @@ fn protocol_errors_are_typed() {
     // Unknown route.
     let (status, _) = client.get("/nope").unwrap();
     assert_eq!(status, 404);
-    // Bad JSON body.
-    let mut raw = TcpStream::connect(server.addr()).unwrap();
-    raw.write_all(b"POST /spanners HTTP/1.1\r\nContent-Length: 3\r\n\r\n{{{")
-        .unwrap();
-    let mut buf = [0u8; 256];
-    let n = raw.read(&mut buf).unwrap();
-    assert!(std::str::from_utf8(&buf[..n])
-        .unwrap()
-        .starts_with("HTTP/1.1 400"));
+    // Bad JSON bodies, including a request that is valid but for a
+    // number literal RFC 8259 forbids (`01`, which `f64` parsing takes).
+    for (body, error) in [
+        (b"{{{".as_slice(), ""),
+        (br#"{"pattern":"x{a}","v":01}"#, "invalid number"),
+    ] {
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        let head = format!(
+            "POST /spanners HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        raw.write_all(&[head.as_bytes(), body].concat()).unwrap();
+        let mut buf = [0u8; 512];
+        let n = raw.read(&mut buf).unwrap();
+        let reply = std::str::from_utf8(&buf[..n]).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+        assert!(reply.contains(error), "{reply}");
+    }
     // Unknown ids.
     let (status, _) = client
         .post(

@@ -12,11 +12,12 @@
 use crate::eval::{eval, reference_eval};
 use crate::rgx::Rgx;
 use crate::span::Span;
-use crate::splitter::{compose, Splitter};
+use crate::splitter::{compose, CompiledSplitter, Splitter};
 use crate::tuple::{SpanRelation, SpanTuple};
 use crate::vsa::Vsa;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 pub(crate) const PATTERNS: &[&str] = &[
     "x{a+}",
     ".*x{a}.*",
@@ -208,6 +209,88 @@ proptest! {
         if arity == 0 {
             prop_assert!(rel.len() <= 1);
             prop_assert!(rel.spans().is_empty());
+        }
+    }
+}
+
+/// The splitters the stream oracle runs: `SPLITTER_PATTERNS`, every
+/// builtin, and four that reach the skip loop's corners, compiled once:
+/// an open at every `a` while earlier opens are still pending, a close
+/// before every byte of a run, an empty span before every byte, and an
+/// unconfirmed candidate whose after state moves on bytes the rest of
+/// the stream ignores.
+fn stream_splitters() -> &'static [CompiledSplitter] {
+    use crate::splitter as b;
+    static POOL: OnceLock<Vec<CompiledSplitter>> = OnceLock::new();
+    POOL.get_or_init(|| {
+        let extra = [
+            r".*x{ab[^.]*}(\..*)?",
+            r"(.*\.)?x{a[^.]*}.*",
+            ".*x{}.*",
+            "x{a}(ab)*",
+        ];
+        SPLITTER_PATTERNS
+            .iter()
+            .chain(&extra)
+            .map(|p| Splitter::parse(p).unwrap())
+            .chain([
+                b::sentences(),
+                b::lines(),
+                b::paragraphs(),
+                b::whole_document(),
+                b::ngrams(1),
+                b::ngrams(2),
+                b::ngram_windows(2),
+                b::char_windows(3),
+            ])
+            .map(|s| s.compile())
+            .collect()
+    })
+}
+
+/// Documents of up to 400 bytes built from runs over the delimiter
+/// alphabet, so that inert runs are long enough to skip.
+fn run_doc_strategy() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec((0..5usize, 1..32usize), 0..16).prop_map(|runs| {
+        let mut doc: Vec<u8> = runs
+            .into_iter()
+            .flat_map(|(sym, len)| std::iter::repeat_n(b".\nab "[sym], len))
+            .collect();
+        doc.truncate(400);
+        doc
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The skip loop changes nothing observable: after every chunk, the
+    /// skipping stream and a stream stepping every byte agree on the
+    /// emitted spans and on every piece of exposed state.
+    #[test]
+    fn skip_loop_matches_stepping_oracle(
+        doc in run_doc_strategy(),
+        chunks in proptest::collection::vec(1..64usize, 1..8),
+    ) {
+        for (si, compiled) in stream_splitters().iter().enumerate() {
+            let mut fast = compiled.stream().expect("within budget");
+            let mut slow = compiled.stream().expect("within budget");
+            let mut at = 0;
+            for &len in chunks.iter().cycle() {
+                if at >= doc.len() {
+                    break;
+                }
+                let piece = &doc[at..(at + len).min(doc.len())];
+                at += piece.len();
+                prop_assert_eq!(fast.push(piece), slow.push_stepped(piece), "splitter {} at {}", si, at);
+                prop_assert_eq!(fast.pos(), slow.pos());
+                prop_assert_eq!(fast.low_watermark(), slow.low_watermark(), "splitter {} at {}", si, at);
+                prop_assert_eq!(fast.last_quiescent(), slow.last_quiescent(), "splitter {} at {}", si, at);
+                prop_assert_eq!(fast.is_quiescent(), slow.is_quiescent(), "splitter {} at {}", si, at);
+                prop_assert_eq!(fast.pending_segments(), slow.pending_segments(), "splitter {} at {}", si, at);
+            }
+            prop_assert_eq!(slow.bytes_skipped(), 0);
+            prop_assert_eq!(fast.finish(), slow.finish(), "splitter {}", si);
         }
     }
 }

@@ -60,6 +60,20 @@
 //! correctly but degenerate to whole-document buffering; see
 //! [`SplitterState::low_watermark`] for the contract the execution layer
 //! uses to bound its byte buffer.
+//!
+//! # Skip loop
+//!
+//! Most bytes change nothing: inside a `sentences` segment, the before
+//! state and the one pending open's inside state both stay put on every
+//! byte but `.`. [`StreamTables::compile`] precompiles, per pair of a
+//! before and an inside state, a SWAR finder for the bytes that move,
+//! open, close or emit; while the stream holds no candidate and at most
+//! one pending open, [`SplitterState::push`] jumps to the next such byte
+//! instead of stepping. A delimiter segment then costs about three
+//! stepped bytes (its closing delimiter, the opening byte after it, and
+//! the byte that settles the inside state). Skipped bytes change only
+//! the position, so every observable — emitted spans, low watermark,
+//! quiescence — is exactly the stepped simulation's.
 
 use crate::dense::to_csr;
 use crate::evsa::EVsa;
@@ -130,14 +144,22 @@ pub struct StreamTables {
     after_universal: Vec<bool>,
     /// The before-DFA state of the automaton's start frontier.
     before_start: u32,
-    /// Skip-loop table: per before state, a SWAR finder for the bytes
-    /// that change anything (leave the state, open a span, or emit an
-    /// empty span). When the stream has no pending or unreleased
-    /// candidates, runs of non-escape bytes are jumped by the scanner
-    /// instead of stepped — the streaming counterpart of the dense
-    /// engine's skip-loop. `None` = the state escapes on too much of the
-    /// alphabet for skipping to pay.
-    before_skip: Vec<Option<ByteFinder>>,
+    /// Skip-loop table, indexed by `before id * skip_cols + inside id`:
+    /// a SWAR finder for the bytes on which the configuration *(before
+    /// state, one pending open in this inside state)* changes anything —
+    /// the before state leaves, opens a span or emits an empty span, or
+    /// the inside state leaves or closes. Inside id 0 (the dead state)
+    /// stands for "nothing pending", so that column covers a stream with
+    /// nothing unresolved. While the stream holds at most one pending
+    /// open and no candidate, runs of non-escape bytes are jumped by the
+    /// scanner instead of stepped — the streaming counterpart of the
+    /// dense engine's skip-loop. `None` = the pair escapes on too much
+    /// of the alphabet for skipping to pay.
+    skip: Vec<Option<ByteFinder>>,
+    /// Columns of `skip`: the number of inside states when every pair
+    /// fits the power-set budget, else 1 (only the nothing-pending
+    /// column).
+    skip_cols: usize,
     /// Whether the before state is Moore-equivalent to `before_start`:
     /// identical `(open, oc)` outputs on every class, identical
     /// end-of-input acceptance, and equivalent successors. From such a
@@ -352,31 +374,51 @@ impl StreamTables {
         let after_universal = non_universal.iter().map(|&b| !b).collect();
 
         // Skip-loop table (see the field docs on [`StreamTables`]). A byte
-        // class is *inert* for a before state when it neither leaves the
-        // state nor opens a span nor emits an empty span; only the
-        // complement — the escape bytes — needs scanning for. The dead
-        // state 0 is inert on everything: once the before frontier dies
-        // with nothing unresolved, whole chunks are skipped.
+        // is an *escape* for a before state when its class leaves the
+        // state, opens a span or emits an empty span, and for an inside
+        // state when its class leaves the state or closes the span; a
+        // pair escapes on the union. The dead states are inert on
+        // everything: once the before frontier dies with nothing
+        // unresolved, whole chunks are skipped.
         let n_before = before.sets.len();
-        let mut before_skip: Vec<Option<ByteFinder>> = Vec::with_capacity(n_before);
-        for id in 0..n_before {
+        let n_inside = inside.sets.len();
+        let escapes_of = |inert: &dyn Fn(usize) -> bool| {
             let mut escape = [false; 256];
-            for c in 0..nc {
-                let at = id * nc + c;
-                let inert =
-                    before_next[at] == id as u32 && before_open[at] == 0 && before_oc[at] == 0;
-                if !inert {
-                    for b in classes.bytes_of(c) {
-                        escape[b as usize] = true;
-                    }
+            for c in (0..nc).filter(|&c| !inert(c)) {
+                for b in classes.bytes_of(c) {
+                    escape[b as usize] = true;
                 }
             }
-            let escapes = escape.iter().filter(|&&e| e).count();
-            before_skip.push(if escapes <= 128 {
-                Some(ByteFinder::from_predicate(|b| escape[b as usize]))
-            } else {
-                None
-            });
+            escape
+        };
+        let before_escape: Vec<[bool; 256]> = (0..n_before)
+            .map(|q| {
+                escapes_of(&|c| {
+                    let at = q * nc + c;
+                    before_next[at] == q as u32 && before_open[at] == 0 && before_oc[at] == 0
+                })
+            })
+            .collect();
+        let skip_cols = if n_before * n_inside <= budget {
+            n_inside
+        } else {
+            1
+        };
+        let inside_escape: Vec<[bool; 256]> = (0..skip_cols)
+            .map(|q| {
+                escapes_of(&|c| {
+                    let at = q * nc + c;
+                    inside_next[at] == q as u32 && inside_close[at] == 0
+                })
+            })
+            .collect();
+        let mut skip: Vec<Option<ByteFinder>> = Vec::with_capacity(n_before * skip_cols);
+        for b in &before_escape {
+            for i in &inside_escape {
+                let escape = |x: u8| b[x as usize] || i[x as usize];
+                let escapes = (0..=255u8).filter(|&x| escape(x)).count();
+                skip.push((escapes <= 128).then(|| ByteFinder::from_predicate(escape)));
+            }
         }
 
         // Start-equivalence for the quiescence probe: partition the
@@ -434,7 +476,8 @@ impl StreamTables {
             after_accepting,
             after_universal,
             before_start,
-            before_skip,
+            skip,
+            skip_cols,
             before_like_start,
         })
     }
@@ -442,6 +485,18 @@ impl StreamTables {
     /// The byte-class partition the tables are indexed by.
     pub fn classes(&self) -> &ByteClasses {
         &self.classes
+    }
+
+    /// The skip-loop finder of a `(before, inside)` configuration
+    /// (`inside` 0 = nothing pending); `None` when its bytes must be
+    /// stepped.
+    #[inline]
+    fn skip(&self, before: u32, inside: u32) -> Option<&ByteFinder> {
+        let inside = inside as usize;
+        if inside >= self.skip_cols {
+            return None;
+        }
+        self.skip[before as usize * self.skip_cols + inside].as_ref()
     }
 }
 
@@ -507,7 +562,8 @@ impl SplitterState {
     }
 
     /// Bytes consumed by the skip-loop scanner instead of phase-DFA
-    /// steps.
+    /// steps, inside segments as well as between them (see the
+    /// [module docs](self#skip-loop)).
     pub fn bytes_skipped(&self) -> u64 {
         self.skipped
     }
@@ -564,24 +620,29 @@ impl SplitterState {
     /// (absolute stream offsets) that became releasable, in ascending
     /// `(start, end)` order across the whole stream.
     ///
-    /// Whenever nothing is unresolved (no pending opens, no unreleased
-    /// candidates) and the before state is inert on most bytes, the
-    /// scanner jumps straight to the next escape byte — skipped
-    /// positions provably change nothing, so emitted spans and
-    /// [`SplitterState::low_watermark`] stay exactly as in the stepped
-    /// simulation (skipped bytes fall below the watermark immediately,
-    /// composing with the execution layer's chunk-boundary buffering).
+    /// Whenever the stream holds no candidate and at most one pending
+    /// open, and that configuration — the before state plus the open's
+    /// inside state — is inert on most bytes, the scanner jumps straight
+    /// to the next escape byte. Inside a delimiter-based segment that is
+    /// the segment's closing delimiter, so each segment costs about three
+    /// stepped bytes (see the [module docs](self#skip-loop)).
+    /// Skipped bytes change only the position: emitted spans,
+    /// [`SplitterState::low_watermark`] (pinned by the pending open, or
+    /// equal to the position when nothing is pending) and
+    /// [`SplitterState::last_quiescent`] (which only advances while
+    /// nothing is pending) stay exactly as in the stepped simulation.
     pub fn push(&mut self, chunk: &[u8]) -> Vec<Span> {
         let mut i = 0;
         while i < chunk.len() {
-            if self.pending.is_empty() && self.candidates.is_empty() {
-                if let Some(f) = &self.t.before_skip[self.before as usize] {
+            if self.candidates.is_empty() && self.pending.len() <= 1 {
+                let inside = self.pending.first().map_or(0, |&(_, id)| id);
+                if let Some(f) = self.t.skip(self.before, inside) {
                     // Jump over the inert run (possibly the whole chunk).
                     let j = f.find(&chunk[i..]).unwrap_or(chunk.len() - i);
                     self.pos += j;
                     self.skipped += j as u64;
                     i += j;
-                    if self.t.before_like_start[self.before as usize] {
+                    if inside == 0 && self.t.before_like_start[self.before as usize] {
                         // Inert run from a start-like state with nothing
                         // unresolved: every position in it is quiescent.
                         self.quiet = self.pos;
@@ -593,6 +654,16 @@ impl SplitterState {
             }
             self.step_dfa(chunk[i]);
             i += 1;
+        }
+        std::mem::take(&mut self.out)
+    }
+
+    /// [`SplitterState::push`] without the skip loop: every byte through
+    /// the phase DFAs. The oracle the skip loop is tested against.
+    #[cfg(test)]
+    pub(crate) fn push_stepped(&mut self, chunk: &[u8]) -> Vec<Span> {
+        for &b in chunk {
+            self.step_dfa(b);
         }
         std::mem::take(&mut self.out)
     }
@@ -841,7 +912,10 @@ mod tests {
     #[test]
     fn over_budget_splitter_has_no_stream() {
         let fits = padded_sentences(10).compile();
-        assert!(fits.stream().is_some(), "10 dots fit");
+        let st = fits.stream().expect("10 dots fit");
+        assert_eq!(st.t.skip_cols, 1, "but not their skip pairs");
+        let st = splitter::sentences().compile().stream().unwrap();
+        assert!(st.t.skip_cols > 1, "sentences' skip pairs fit");
         let over = padded_sentences(11).compile();
         assert!(over.stream().is_none(), "11 dots do not");
         let doc = b"one a. two aaaaaaaaaaaaaa b. three";
@@ -876,11 +950,16 @@ mod tests {
                 "scanner should cross the inert prefix (chunk {chunk}): {skipped}"
             );
         }
-        // Dense splitters never skip incorrectly either (sentences open
-        // everywhere, so pending keeps the loop stepping).
-        let mut st = splitter::sentences().compile().stream().unwrap();
-        let _ = st.push(b"aa.bb.cc");
-        let _ = st.finish();
+        // Delimiter splitters skip inside their segments: with one open
+        // pending, `sentences` steps each '.', the opening byte after it
+        // and the next byte (which settles the inside state), so of
+        // "aaa.bbb.ccc" the third byte of each sentence is skipped.
+        let sentences = splitter::sentences().compile();
+        let mut st = sentences.stream().unwrap();
+        let mut got = st.push(b"aaa.bbb.ccc");
+        assert_eq!(st.bytes_skipped(), 3);
+        got.extend(st.finish());
+        assert_eq!(got, sentences.split(b"aaa.bbb.ccc"));
     }
 
     #[test]
