@@ -19,45 +19,6 @@ pub struct Dfa {
 pub const DEAD: StateId = StateId::MAX;
 
 impl Dfa {
-    /// Builds a DFA from raw parts: a row-major transition table
-    /// (`trans[q * alphabet_size + a]`, [`DEAD`] marking missing edges),
-    /// a start state and per-state acceptance flags.
-    ///
-    /// This is the entry point for callers that determinize outside this
-    /// module (e.g. the spanner crate's ahead-of-time engine tier, which
-    /// runs a budget-bounded subset construction) but want the
-    /// minimizers and language-level operations of [`Dfa`].
-    ///
-    /// # Panics
-    ///
-    /// `trans` must have exactly `finals.len() * alphabet_size` entries,
-    /// every non-[`DEAD`] entry must index a state, and `start` must be
-    /// a state (unless the automaton has no states at all).
-    pub fn from_parts(
-        alphabet_size: u32,
-        trans: Vec<StateId>,
-        start: StateId,
-        finals: Vec<bool>,
-    ) -> Dfa {
-        assert_eq!(
-            trans.len(),
-            finals.len() * alphabet_size as usize,
-            "transition table must be states × alphabet"
-        );
-        let n = finals.len() as StateId;
-        assert!(
-            trans.iter().all(|&r| r == DEAD || r < n),
-            "transition target out of range"
-        );
-        assert!(finals.is_empty() || start < n, "start state out of range");
-        Dfa {
-            alphabet_size,
-            trans,
-            start,
-            finals,
-        }
-    }
-
     /// Alphabet size.
     #[inline]
     pub fn alphabet_size(&self) -> u32 {
@@ -162,18 +123,19 @@ impl Dfa {
         }
     }
 
-    /// Minimizes the automaton by Moore partition refinement: states are
-    /// split by acceptance, then repeatedly by successor-block signature
-    /// until stable. `O(n² · |Σ|)` worst case — simple and sufficient for
-    /// the automata the decision procedures produce. The implicit dead
-    /// state is kept implicit (unreachable/dead states are dropped).
+    /// Minimizes the automaton by Moore partition refinement
+    /// ([`moore_refine`]): states are split by acceptance, then
+    /// repeatedly by successor-block signature until stable. `O(n² · |Σ|)`
+    /// worst case — simple and sufficient for the automata the decision
+    /// procedures produce. The implicit dead state is kept implicit
+    /// (unreachable states are dropped; dead-equivalent ones are kept).
     pub fn minimize(&self) -> Dfa {
         let n = self.num_states();
         if n == 0 {
             return self.clone();
         }
         let asize = self.alphabet_size as usize;
-        // Reachable states only.
+        // Reachable states only, renumbered in ascending order.
         let mut reach = vec![false; n];
         let mut stack = vec![self.start];
         reach[self.start as usize] = true;
@@ -186,59 +148,27 @@ impl Dfa {
                 }
             }
         }
-        // Block id per state; DEAD gets the reserved block u32::MAX.
-        let mut block: Vec<u32> = (0..n).map(|q| if self.finals[q] { 1 } else { 0 }).collect();
-        loop {
-            use std::collections::HashMap;
-            let mut sig_to_block: HashMap<(u32, Vec<u32>), u32> = HashMap::new();
-            let mut next_block = vec![0u32; n];
-            let mut changed = false;
-            for q in 0..n {
-                if !reach[q] {
-                    continue;
-                }
-                let mut sig = Vec::with_capacity(asize);
-                for a in 0..asize {
-                    let r = self.trans[q * asize + a];
-                    sig.push(if r == DEAD {
-                        u32::MAX
-                    } else {
-                        block[r as usize]
-                    });
-                }
-                let nb = sig_to_block.len() as u32;
-                let id = *sig_to_block.entry((block[q], sig)).or_insert(nb);
-                next_block[q] = id;
-            }
-            for q in 0..n {
-                if reach[q] && next_block[q] != block[q] {
-                    changed = true;
-                }
-            }
-            block = next_block;
-            if !changed {
-                break;
-            }
+        let old_of: Vec<usize> = (0..n).filter(|&q| reach[q]).collect();
+        let mut compact = vec![DEAD; n];
+        for (i, &q) in old_of.iter().enumerate() {
+            compact[q] = i as StateId;
         }
-        // Build the quotient.
-        let num_blocks = block
+        let init: Vec<u32> = old_of.iter().map(|&q| self.finals[q] as u32).collect();
+        let succ: Vec<StateId> = old_of
             .iter()
-            .zip(&reach)
-            .filter(|(_, r)| **r)
-            .map(|(b, _)| *b)
-            .max()
-            .map(|m| m as usize + 1)
-            .unwrap_or(0);
+            .flat_map(|&q| &self.trans[q * asize..(q + 1) * asize])
+            .map(|&r| if r == DEAD { DEAD } else { compact[r as usize] })
+            .collect();
+        let block = moore_refine(&init, &succ, asize);
+        // Build the quotient.
+        let num_blocks = block.iter().max().map_or(0, |&m| m as usize + 1);
         let mut trans = vec![DEAD; num_blocks * asize];
         let mut finals = vec![false; num_blocks];
-        for q in 0..n {
-            if !reach[q] {
-                continue;
-            }
-            let b = block[q] as usize;
-            finals[b] = self.finals[q];
+        for (i, &b) in block.iter().enumerate() {
+            let b = b as usize;
+            finals[b] = self.finals[old_of[i]];
             for a in 0..asize {
-                let r = self.trans[q * asize + a];
+                let r = succ[i * asize + a];
                 if r != DEAD {
                     trans[b * asize + a] = block[r as usize];
                 }
@@ -247,216 +177,8 @@ impl Dfa {
         Dfa {
             alphabet_size: self.alphabet_size,
             trans,
-            start: block[self.start as usize],
+            start: block[compact[self.start as usize] as usize],
             finals,
-        }
-    }
-
-    /// Minimizes the automaton by Hopcroft's partition-refinement
-    /// algorithm (`O(n · |Σ| · log n)`).
-    ///
-    /// Language-equivalent to [`Dfa::minimize`] but asymptotically faster:
-    /// instead of re-deriving every state's successor-block signature per
-    /// round, only the *preimages* of recently split blocks are examined,
-    /// and after each split the smaller half is enqueued as the next
-    /// splitter. This is the minimizer the ahead-of-time engine tier uses
-    /// before freezing transition tables, where the state count is about
-    /// to be paid for in cache-resident table bytes.
-    ///
-    /// The implicit dead state is completed explicitly during refinement
-    /// (so preimage computations see a total transition function) and
-    /// dropped again from the result; states with an empty right language
-    /// merge into it and disappear. An automaton whose start state is
-    /// dead-equivalent (empty language) collapses to a single
-    /// non-accepting state with no transitions.
-    pub fn minimize_hopcroft(&self) -> Dfa {
-        let n = self.num_states();
-        if n == 0 {
-            return self.clone();
-        }
-        let asize = self.alphabet_size as usize;
-        // Reachable states only (mirrors `minimize`).
-        let mut reach = vec![false; n];
-        let mut stack = vec![self.start];
-        reach[self.start as usize] = true;
-        while let Some(q) = stack.pop() {
-            for a in 0..asize {
-                let r = self.trans[q as usize * asize + a];
-                if r != DEAD && !reach[r as usize] {
-                    reach[r as usize] = true;
-                    stack.push(r);
-                }
-            }
-        }
-        // Compact the reachable states and complete the function with an
-        // explicit dead sink.
-        let mut compact = vec![u32::MAX; n];
-        let mut old_of: Vec<usize> = Vec::new();
-        for q in 0..n {
-            if reach[q] {
-                compact[q] = old_of.len() as u32;
-                old_of.push(q);
-            }
-        }
-        let dead = old_of.len();
-        let total = dead + 1;
-        let mut delta = vec![dead as u32; total * asize];
-        let mut finals = vec![false; total];
-        for (i, &q) in old_of.iter().enumerate() {
-            finals[i] = self.finals[q];
-            for a in 0..asize {
-                let r = self.trans[q * asize + a];
-                if r != DEAD {
-                    delta[i * asize + a] = compact[r as usize];
-                }
-            }
-        }
-        // Inverse transition lists, CSR-packed by (target, symbol).
-        let mut pred_off = vec![0u32; total * asize + 1];
-        for q in 0..total {
-            for a in 0..asize {
-                let r = delta[q * asize + a] as usize;
-                pred_off[r * asize + a + 1] += 1;
-            }
-        }
-        for i in 0..total * asize {
-            pred_off[i + 1] += pred_off[i];
-        }
-        let mut pred = vec![0u32; total * asize];
-        let mut fill: Vec<u32> = pred_off[..total * asize].to_vec();
-        for q in 0..total {
-            for a in 0..asize {
-                let r = delta[q * asize + a] as usize;
-                pred[fill[r * asize + a] as usize] = q as u32;
-                fill[r * asize + a] += 1;
-            }
-        }
-        // Initial partition {F, Q\F}; every non-empty block seeds the
-        // worklist for every symbol (the textbook "smaller half only"
-        // seeding is an optimization; seeding both is equally correct).
-        let mut block_of = vec![0u32; total];
-        let mut blocks: Vec<Vec<u32>> = vec![Vec::new(), Vec::new()];
-        for q in 0..total {
-            let b = usize::from(finals[q]);
-            block_of[q] = b as u32;
-            blocks[b].push(q as u32);
-        }
-        use std::collections::{HashSet, VecDeque};
-        let mut work: VecDeque<(u32, usize)> = VecDeque::new();
-        let mut in_work: HashSet<(u32, usize)> = HashSet::new();
-        for b in 0..2u32 {
-            if !blocks[b as usize].is_empty() {
-                for a in 0..asize {
-                    work.push_back((b, a));
-                    in_work.insert((b, a));
-                }
-            }
-        }
-        let mut in_x = vec![false; total];
-        while let Some((a_blk, sym)) = work.pop_front() {
-            in_work.remove(&(a_blk, sym));
-            // X = preimage of the splitter block under `sym`. Determinism
-            // makes the per-target predecessor lists disjoint, so X is
-            // duplicate-free.
-            let mut x: Vec<u32> = Vec::new();
-            for &q in &blocks[a_blk as usize] {
-                let base = q as usize * asize + sym;
-                for k in pred_off[base]..pred_off[base + 1] {
-                    x.push(pred[k as usize]);
-                }
-            }
-            if x.is_empty() {
-                continue;
-            }
-            for &q in &x {
-                in_x[q as usize] = true;
-            }
-            let mut by_block: HashMap<u32, Vec<u32>> = HashMap::new();
-            for &q in &x {
-                by_block.entry(block_of[q as usize]).or_default().push(q);
-            }
-            for (b, inter) in by_block {
-                if inter.len() == blocks[b as usize].len() {
-                    continue;
-                }
-                let rest: Vec<u32> = blocks[b as usize]
-                    .iter()
-                    .copied()
-                    .filter(|&q| !in_x[q as usize])
-                    .collect();
-                let nb = blocks.len() as u32;
-                for &q in &inter {
-                    block_of[q as usize] = nb;
-                }
-                blocks[b as usize] = rest;
-                blocks.push(inter);
-                // Hopcroft worklist rule: a pending (b, c) now means the
-                // kept half, so the new half must also be processed; when
-                // (b, c) is not pending, processing the smaller half alone
-                // suffices.
-                for c in 0..asize {
-                    if in_work.contains(&(b, c)) {
-                        work.push_back((nb, c));
-                        in_work.insert((nb, c));
-                    } else {
-                        let pick = if blocks[b as usize].len() <= blocks[nb as usize].len() {
-                            b
-                        } else {
-                            nb
-                        };
-                        if in_work.insert((pick, c)) {
-                            work.push_back((pick, c));
-                        }
-                    }
-                }
-            }
-            for &q in &x {
-                in_x[q as usize] = false;
-            }
-        }
-        // Quotient: drop the dead sink's block (dead-equivalent states
-        // become implicit again).
-        let dead_block = block_of[dead];
-        if block_of[compact[self.start as usize] as usize] == dead_block {
-            // Empty language: one explicit non-accepting state.
-            return Dfa {
-                alphabet_size: self.alphabet_size,
-                trans: vec![DEAD; asize],
-                start: 0,
-                finals: vec![false],
-            };
-        }
-        let mut renum = vec![u32::MAX; blocks.len()];
-        let mut num_out = 0u32;
-        for (b, members) in blocks.iter().enumerate() {
-            if b as u32 != dead_block && !members.is_empty() {
-                renum[b] = num_out;
-                num_out += 1;
-            }
-        }
-        let mut trans = vec![DEAD; num_out as usize * asize];
-        let mut out_finals = vec![false; num_out as usize];
-        for (b, members) in blocks.iter().enumerate() {
-            let ob = renum[b];
-            if ob == u32::MAX {
-                continue;
-            }
-            // The partition is stable, so any member is a valid
-            // representative.
-            let q = members[0] as usize;
-            out_finals[ob as usize] = finals[q];
-            for a in 0..asize {
-                let rb = block_of[delta[q * asize + a] as usize];
-                if rb != dead_block {
-                    trans[ob as usize * asize + a] = renum[rb as usize];
-                }
-            }
-        }
-        Dfa {
-            alphabet_size: self.alphabet_size,
-            trans,
-            start: renum[block_of[compact[self.start as usize] as usize] as usize],
-            finals: out_finals,
         }
     }
 
@@ -500,6 +222,60 @@ impl Dfa {
             finals,
         }
     }
+}
+
+/// Moore partition refinement: the coarsest partition of states that
+/// refines `init` and in which two states share a block only if, for
+/// every `k < arity`, their `k`-th successors (row-major in `succ`,
+/// `succ[q * arity + k]`, [`DEAD`] = no edge) share a block or both are
+/// [`DEAD`]. Returns each state's block, numbered in order of first
+/// appearance: state 0 lies in block 0, and a block's lowest state is
+/// lower than that of every later block.
+///
+/// Two states end in one block iff they are bisimilar: equal initial
+/// blocks along every pair of equal-label paths. [`Dfa::minimize`]
+/// refines acceptance over the alphabet; a caller with several kinds of
+/// edge per symbol lays them side by side in one row.
+pub fn moore_refine(init: &[u32], succ: &[StateId], arity: usize) -> Vec<u32> {
+    let n = init.len();
+    assert_eq!(
+        succ.len(),
+        n * arity,
+        "successor table must be states × arity"
+    );
+    let (mut block, mut count) = number_by_first_appearance(init.chunks(1));
+    let mut sig: Vec<u32> = Vec::with_capacity(n * (arity + 1));
+    loop {
+        // A state's signature: its block, then its successors' blocks.
+        sig.clear();
+        for q in 0..n {
+            sig.push(block[q]);
+            let row = &succ[q * arity..(q + 1) * arity];
+            sig.extend(
+                row.iter()
+                    .map(|&r| if r == DEAD { DEAD } else { block[r as usize] }),
+            );
+        }
+        let (next, next_count) = number_by_first_appearance(sig.chunks(arity + 1));
+        // Refinement only splits blocks: an unchanged count is a fixpoint.
+        if next_count == count {
+            return next;
+        }
+        (block, count) = (next, next_count);
+    }
+}
+
+/// Numbers the distinct keys in order of first appearance; returns each
+/// key's number and the count of distinct keys.
+fn number_by_first_appearance<'a>(keys: impl Iterator<Item = &'a [u32]>) -> (Vec<u32>, usize) {
+    let mut ids: HashMap<&[u32], u32> = HashMap::new();
+    let numbers = keys
+        .map(|k| {
+            let fresh = ids.len() as u32;
+            *ids.entry(k).or_insert(fresh)
+        })
+        .collect();
+    (numbers, ids.len())
 }
 
 #[cfg(test)]
@@ -578,92 +354,19 @@ mod tests {
     }
 
     #[test]
-    fn hopcroft_collapses_equivalent_states() {
-        let mut n = Nfa::new(2);
-        let q0 = n.add_state();
-        let f1 = n.add_state();
-        let f2 = n.add_state();
-        n.add_start(q0);
-        n.add_transition(q0, Sym(0), f1);
-        n.add_transition(q0, Sym(1), f2);
-        for f in [f1, f2] {
-            n.set_final(f, true);
-            n.add_transition(f, Sym(0), f);
-            n.add_transition(f, Sym(1), f);
-        }
-        let d = Dfa::determinize(&n);
-        let m = d.minimize_hopcroft();
-        assert_eq!(m.num_states(), 2, "q0 + one accepting sink");
-        for w in n.enumerate_words(4, 50) {
-            assert!(m.accepts(&w));
-        }
-        assert!(!m.accepts(&[]));
-    }
-
-    #[test]
-    fn hopcroft_agrees_with_moore() {
-        let d = Dfa::determinize(&ends_in_a());
-        let moore = d.minimize();
-        let hop = d.minimize_hopcroft();
-        assert!(hop.num_states() <= moore.num_states());
-        for len in 0..=7usize {
-            for wi in 0..(1u32 << len) {
-                let w: Vec<Sym> = (0..len).map(|i| Sym((wi >> i) & 1)).collect();
-                assert_eq!(d.accepts(&w), hop.accepts(&w), "word {w:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn hopcroft_drops_dead_equivalent_states() {
-        // q0 -a-> f (accepting), q0 -b-> t (trap with self-loops):
-        // the trap has an empty right language and must vanish.
-        let mut n = Nfa::new(2);
-        let q0 = n.add_state();
-        let f = n.add_state();
-        let t = n.add_state();
-        n.add_start(q0);
-        n.set_final(f, true);
-        n.add_transition(q0, Sym(0), f);
-        n.add_transition(q0, Sym(1), t);
-        n.add_transition(t, Sym(0), t);
-        n.add_transition(t, Sym(1), t);
-        let d = Dfa::determinize(&n);
-        let m = d.minimize_hopcroft();
-        assert_eq!(m.num_states(), 2, "q0 + accepting state; trap dropped");
-        assert!(m.accepts(&[Sym(0)]));
-        assert!(!m.accepts(&[Sym(1)]));
-        assert!(!m.accepts(&[Sym(1), Sym(0)]));
-    }
-
-    #[test]
-    fn hopcroft_empty_language_collapses() {
-        let mut n = Nfa::new(1);
-        let q0 = n.add_state();
-        n.add_start(q0);
-        n.add_transition(q0, Sym(0), q0);
-        // No finals: the language is empty.
-        let d = Dfa::determinize(&n);
-        let m = d.minimize_hopcroft();
-        assert_eq!(m.num_states(), 1);
-        assert!(!m.accepts(&[]));
-        assert!(!m.accepts(&[Sym(0)]));
-        // Fixpoint on the collapsed form.
-        let m2 = m.minimize_hopcroft();
-        assert_eq!(m2.num_states(), 1);
-    }
-
-    #[test]
-    fn hopcroft_is_fixpoint() {
-        for nfa in [ends_in_a()] {
-            let d = Dfa::determinize(&nfa);
-            let m = d.minimize_hopcroft();
-            let m2 = m.minimize_hopcroft();
-            assert_eq!(m.num_states(), m2.num_states());
-            for w in nfa.enumerate_words(5, 100) {
-                assert!(m2.accepts(&w));
-            }
-        }
+    fn moore_refine_splits_on_any_edge_kind() {
+        // Rows of two edge kinds. States 1 and 2 differ only in the
+        // second kind (1 → 3, 2 → DEAD), so they split; 3 and 4 merge.
+        let init = [0, 0, 0, 1, 1];
+        let succ = [
+            1, 2, //
+            3, 3, //
+            4, DEAD, //
+            DEAD, DEAD, //
+            DEAD, DEAD,
+        ];
+        assert_eq!(moore_refine(&init, &succ, 2), vec![0, 1, 2, 3, 3]);
+        assert_eq!(moore_refine(&[7, 7], &[], 0), vec![0, 0]);
     }
 
     #[test]

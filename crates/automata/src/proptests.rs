@@ -2,7 +2,7 @@
 
 use crate::antichain;
 use crate::dfa::Dfa;
-use crate::nfa::{Nfa, Sym};
+use crate::nfa::{Nfa, StateId, Sym};
 use crate::ops::{contains, equivalent, Containment};
 use crate::unambiguous::{is_unambiguous, ufa_contains};
 use proptest::prelude::*;
@@ -118,13 +118,13 @@ proptest! {
     }
 
     #[test]
-    fn hopcroft_equivalent_to_unminimized(ra in rand_nfa(6, 2)) {
+    fn minimize_equivalent_to_unminimized(ra in rand_nfa(6, 2)) {
         // (a) word samples: every word up to length 6 is classified
-        // identically by the raw determinization and its Hopcroft
-        // minimization...
+        // identically by the raw determinization and its minimization...
         let a = ra.build();
         let d = Dfa::determinize(&a);
-        let m = d.minimize_hopcroft();
+        let m = d.minimize();
+        prop_assert!(m.num_states() <= d.num_states());
         for len in 0..=6usize {
             for wi in 0..(1u32 << len) {
                 let w: Vec<Sym> = (0..len).map(|i| Sym((wi >> i) & 1)).collect();
@@ -140,17 +140,19 @@ proptest! {
     }
 
     #[test]
-    fn hopcroft_is_fixpoint_and_minimal(ra in rand_nfa(6, 2)) {
-        let a = ra.build();
-        let m = Dfa::determinize(&a).minimize_hopcroft();
-        // Fixpoint: re-minimizing cannot merge or drop anything.
-        let mm = m.minimize_hopcroft();
+    fn minimize_is_idempotent(ra in rand_nfa(6, 2)) {
+        // Re-minimizing a minimized DFA merges, drops and renumbers
+        // nothing: it returns the same automaton, id for id.
+        let m = Dfa::determinize(&ra.build()).minimize();
+        let mm = m.minimize();
         prop_assert_eq!(mm.num_states(), m.num_states());
-        // Agreement with the Moore minimizer on state count (both are
-        // minimal up to the treatment of the dead state, which Hopcroft
-        // prunes and Moore may keep reachable).
-        let moore = Dfa::determinize(&a).minimize();
-        prop_assert!(m.num_states() <= moore.num_states());
+        prop_assert_eq!(mm.start(), m.start());
+        for q in 0..m.num_states() as StateId {
+            prop_assert_eq!(mm.is_final(q), m.is_final(q));
+            for a in 0..m.alphabet_size() {
+                prop_assert_eq!(mm.step(q, Sym(a)), m.step(q, Sym(a)));
+            }
+        }
     }
 
     #[test]

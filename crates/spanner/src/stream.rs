@@ -16,11 +16,18 @@
 //! block-normal-form automaton ([`crate::evsa`]) passes through three
 //! phases: *before* the split variable opens, *inside* the span, and
 //! *after* it closes. [`StreamTables::compile`] **determinizes the three
-//! phase automata eagerly** — a subset construction over the
-//! automaton's operation-free, opening, closing and open+close
-//! transitions — precomputing per-phase DFA transition rows, emptiness,
-//! end-of-document acceptance, and universality per DFA state. The
-//! stream state holds one phase-DFA state per phase instance:
+//! phase automata eagerly, then jointly minimizes them**. The subset
+//! construction runs over the automaton's operation-free, opening,
+//! closing and open+close transitions. One Moore refinement
+//! ([`splitc_automata::dfa::moore_refine`]) then treats the three
+//! phases as one state set: a state starts in the block of its phase
+//! and end-of-document flag, and its edges are its phase's moves, opens,
+//! closes and empty spans per byte class. The quotient is minimal, so
+//! its state counts depend on the splitter's spans, not on how its
+//! automaton was built. Per DFA state the tables hold transition rows,
+//! emptiness (id 0 is dead), end-of-document acceptance, and
+//! universality. The stream state holds one phase-DFA state per phase
+//! instance:
 //!
 //! * one **before** state (runs that have not opened yet),
 //! * one **inside** state per candidate open position still alive,
@@ -34,9 +41,10 @@
 //! accepted). Candidates whose after state dies are dropped; the rest
 //! resolve when [`SplitterState::finish`] applies the final blocks.
 //!
-//! The construction runs under a power-set budget of 4096 sets shared
-//! by the three phases; realistic splitters determinize to a few dozen.
-//! A splitter whose phase DFAs exceed it gets no tables
+//! The subset construction runs under a power-set budget of 4096 sets
+//! shared by the three phases, counted before minimization; realistic
+//! splitters determinize to a few dozen. A splitter whose phase DFAs
+//! exceed it gets no tables
 //! ([`StreamTables::compile`] returns `None`) and so no stream
 //! ([`crate::splitter::CompiledSplitter::stream`] returns `None`). The
 //! execution layer then buffers each document whole, in the one copy it
@@ -69,16 +77,18 @@
 //! before and an inside state, a SWAR finder for the bytes that move,
 //! open, close or emit; while the stream holds no candidate and at most
 //! one pending open, [`SplitterState::push`] jumps to the next such byte
-//! instead of stepping. A delimiter segment then costs about three
-//! stepped bytes (its closing delimiter, the opening byte after it, and
-//! the byte that settles the inside state). Skipped bytes change only
-//! the position, so every observable — emitted spans, low watermark,
-//! quiescence — is exactly the stepped simulation's.
+//! instead of stepping. A delimiter segment then costs two stepped
+//! bytes: its closing delimiter and the opening byte after it (the
+//! minimal inside DFA enters its one live state on that byte and stays).
+//! Skipped bytes change only the position, so every observable —
+//! emitted spans, low watermark, quiescence — is exactly the stepped
+//! simulation's.
 
 use crate::dense::to_csr;
 use crate::evsa::EVsa;
 use crate::span::Span;
 use splitc_automata::classes::{ByteClassBuilder, ByteClasses};
+use splitc_automata::dfa::{moore_refine, DEAD};
 use splitc_automata::nfa::StateId;
 use splitc_automata::scan::ByteFinder;
 use std::collections::HashMap;
@@ -114,9 +124,10 @@ impl PhaseTable {
     }
 }
 
-/// The three determinized phase automata of a unary splitter (see the
-/// [module docs](self)), indexed by one byte-class partition. DFA state
-/// id 0 of each phase is the empty (dead) frontier. Built once per
+/// The three determinized, jointly minimized phase automata of a unary
+/// splitter (see the [module docs](self)), indexed by one byte-class
+/// partition. DFA state id 0 of each phase is dead: the empty frontier
+/// and every state equivalent to it. Built once per
 /// compiled splitter ([`crate::splitter::CompiledSplitter::stream`]
 /// hands out [`SplitterState`]s sharing one table).
 #[derive(Debug)]
@@ -142,7 +153,11 @@ pub struct StreamTables {
     after_accepting: Vec<bool>,
     /// Whether every continuation is accepted from this after frontier.
     after_universal: Vec<bool>,
-    /// The before-DFA state of the automaton's start frontier.
+    /// The before-DFA state of the automaton's start frontier. The
+    /// tables are jointly minimal, so a before state from which the
+    /// continuation segmentation is the same function of the remaining
+    /// bytes as a fresh stream's *is* this state: the quiescence test of
+    /// [`SplitterState::is_quiescent`] is an id comparison.
     before_start: u32,
     /// Skip-loop table, indexed by `before id * skip_cols + inside id`:
     /// a SWAR finder for the bytes on which the configuration *(before
@@ -160,21 +175,12 @@ pub struct StreamTables {
     /// fits the power-set budget, else 1 (only the nothing-pending
     /// column).
     skip_cols: usize,
-    /// Whether the before state is Moore-equivalent to `before_start`:
-    /// identical `(open, oc)` outputs on every class, identical
-    /// end-of-input acceptance, and equivalent successors. From such a
-    /// state the continuation segmentation is the same function of the
-    /// remaining bytes as a fresh stream's — the relaxed quiescence
-    /// test of [`SplitterState::is_quiescent`]. (Checking `id ==
-    /// before_start` alone is too strict: the subset construction
-    /// routinely lands in start-equivalent states with different ids
-    /// after consuming bytes.)
-    before_like_start: Vec<bool>,
 }
 
 impl StreamTables {
     /// Determinizes the phase automata of a **unary** block-normal-form
-    /// automaton within the default power-set budget; `None` when the
+    /// automaton within the default power-set budget and jointly
+    /// minimizes them; `None` when the
     /// budget does not suffice (the splitter then has no stream, see the
     /// [module docs](self)). Panics when the
     /// automaton is not unary (splitters are validated at
@@ -342,23 +348,134 @@ impl StreamTables {
         let flag = |sets: &[Vec<u64>], finals: &[u64]| -> Vec<bool> {
             sets.iter().map(|s| intersects(s, finals)).collect()
         };
-        let before_oc_at_end = flag(&before.sets, &final_open_close);
-        let inside_close_at_end = flag(&inside.sets, &final_close);
-        let after_accepting = flag(&after.sets, &final_plain);
+        // The subset construction's tables, then their joint quotient;
+        // universality and the skip table are built on the quotient.
+        let mut t = StreamTables {
+            classes,
+            nc,
+            before_next,
+            before_open,
+            before_oc,
+            inside_next,
+            inside_close,
+            after_next,
+            before_oc_at_end: flag(&before.sets, &final_open_close),
+            inside_close_at_end: flag(&inside.sets, &final_close),
+            after_accepting: flag(&after.sets, &final_plain),
+            after_universal: Vec::new(),
+            before_start,
+            skip: Vec::new(),
+            skip_cols: 1,
+        }
+        .minimized();
+        t.after_universal = t.universality();
+        (t.skip, t.skip_cols) = t.skip_table(budget);
+        Some(t)
+    }
 
-        // Universality per after id: an id is non-universal iff it can
-        // reach a non-accepting id (including itself). Reverse BFS from
-        // the non-accepting ids over the after-DFA edges.
-        let n_after = after.sets.len();
+    /// The joint Moore partition of the three phases, refined as one
+    /// state set (before ids, then inside, then after). A state starts in
+    /// the block of its phase and end flag; its row holds, per class, the
+    /// before state's next/open/oc, the inside state's next/close, or the
+    /// after state's next, padded with [`DEAD`]. States in one block are
+    /// jointly bisimilar, so they emit the same spans on every suffix.
+    fn joint_blocks(&self) -> Vec<u32> {
+        let nc = self.nc;
+        let (n_b, n_i) = (self.before_oc_at_end.len(), self.inside_close_at_end.len());
+        let n = n_b + n_i + self.after_accepting.len();
+        let (at_i, at_a) = (n_b as StateId, (n_b + n_i) as StateId);
+        let mut init = Vec::with_capacity(n);
+        let mut succ = Vec::with_capacity(n * 3 * nc);
+        for (q, &end) in self.before_oc_at_end.iter().enumerate() {
+            init.push(end as u32);
+            for at in q * nc..(q + 1) * nc {
+                succ.extend([
+                    self.before_next[at],
+                    at_i + self.before_open[at],
+                    at_a + self.before_oc[at],
+                ]);
+            }
+        }
+        for (q, &end) in self.inside_close_at_end.iter().enumerate() {
+            init.push(2 + end as u32);
+            for at in q * nc..(q + 1) * nc {
+                succ.extend([
+                    at_i + self.inside_next[at],
+                    at_a + self.inside_close[at],
+                    DEAD,
+                ]);
+            }
+        }
+        for (q, &end) in self.after_accepting.iter().enumerate() {
+            init.push(4 + end as u32);
+            for at in q * nc..(q + 1) * nc {
+                succ.extend([at_a + self.after_next[at], DEAD, DEAD]);
+            }
+        }
+        moore_refine(&init, &succ, 3 * nc)
+    }
+
+    /// The quotient of the phase tables by [`StreamTables::joint_blocks`].
+    /// Blocks are numbered by first appearance, so each phase's blocks
+    /// are consecutive and start with the block of its dead id 0:
+    /// subtracting that block renumbers the phase from 0, and dead stays
+    /// 0. The derived tables (`after_universal`, `skip`) are left as they
+    /// are.
+    fn minimized(self) -> StreamTables {
+        let nc = self.nc;
+        let block = self.joint_blocks();
+        let (n_b, n_i) = (self.before_oc_at_end.len(), self.inside_close_at_end.len());
+        let (at_i, at_a) = (n_b, n_b + n_i);
+        let id = |at: usize, old: u32| block[at + old as usize] - block[at];
+        // The first member of each block of a phase, in block order.
+        let members = |at: usize, len: usize| -> Vec<usize> {
+            let mut fresh = 0;
+            (0..len)
+                .filter(|&q| {
+                    let first = id(at, q as u32) == fresh;
+                    fresh += first as u32;
+                    first
+                })
+                .collect()
+        };
+        let reps_b = members(0, n_b);
+        let reps_i = members(at_i, n_i);
+        let reps_a = members(at_a, self.after_accepting.len());
+        let rows = |reps: &[usize], table: &[u32], to: usize| -> Vec<u32> {
+            let row = |&q: &usize| &table[q * nc..(q + 1) * nc];
+            reps.iter().flat_map(row).map(|&t| id(to, t)).collect()
+        };
+        let flags = |reps: &[usize], flag: &[bool]| reps.iter().map(|&q| flag[q]).collect();
+        StreamTables {
+            before_next: rows(&reps_b, &self.before_next, 0),
+            before_open: rows(&reps_b, &self.before_open, at_i),
+            before_oc: rows(&reps_b, &self.before_oc, at_a),
+            inside_next: rows(&reps_i, &self.inside_next, at_i),
+            inside_close: rows(&reps_i, &self.inside_close, at_a),
+            after_next: rows(&reps_a, &self.after_next, at_a),
+            before_oc_at_end: flags(&reps_b, &self.before_oc_at_end),
+            inside_close_at_end: flags(&reps_i, &self.inside_close_at_end),
+            after_accepting: flags(&reps_a, &self.after_accepting),
+            before_start: id(0, self.before_start),
+            ..self
+        }
+    }
+
+    /// Universality per after id: an id is non-universal iff it can reach
+    /// a non-accepting id (including itself). Reverse BFS from the
+    /// non-accepting ids over the after-DFA edges.
+    fn universality(&self) -> Vec<bool> {
+        let nc = self.nc;
+        let n_after = self.after_accepting.len();
         let mut rev: Vec<Vec<u32>> = vec![Vec::new(); n_after];
         for id in 0..n_after {
             for c in 0..nc {
-                rev[after_next[id * nc + c] as usize].push(id as u32);
+                rev[self.after_next[id * nc + c] as usize].push(id as u32);
             }
         }
         let mut non_universal = vec![false; n_after];
         let mut queue: Vec<u32> = (0..n_after as u32)
-            .filter(|&id| !after_accepting[id as usize])
+            .filter(|&id| !self.after_accepting[id as usize])
             .collect();
         for &id in &queue {
             non_universal[id as usize] = true;
@@ -371,21 +488,24 @@ impl StreamTables {
                 }
             }
         }
-        let after_universal = non_universal.iter().map(|&b| !b).collect();
+        non_universal.iter().map(|&b| !b).collect()
+    }
 
-        // Skip-loop table (see the field docs on [`StreamTables`]). A byte
-        // is an *escape* for a before state when its class leaves the
-        // state, opens a span or emits an empty span, and for an inside
-        // state when its class leaves the state or closes the span; a
-        // pair escapes on the union. The dead states are inert on
-        // everything: once the before frontier dies with nothing
-        // unresolved, whole chunks are skipped.
-        let n_before = before.sets.len();
-        let n_inside = inside.sets.len();
+    /// The skip-loop table and its column count (see the field docs). A
+    /// byte is an *escape* for a before state when its class leaves the
+    /// state, opens a span or emits an empty span, and for an inside
+    /// state when its class leaves the state or closes the span; a pair
+    /// escapes on the union. The dead states are inert on everything:
+    /// once the before frontier dies with nothing unresolved, whole
+    /// chunks are skipped.
+    fn skip_table(&self, budget: usize) -> (Vec<Option<ByteFinder>>, usize) {
+        let nc = self.nc;
+        let n_before = self.before_oc_at_end.len();
+        let n_inside = self.inside_close_at_end.len();
         let escapes_of = |inert: &dyn Fn(usize) -> bool| {
             let mut escape = [false; 256];
             for c in (0..nc).filter(|&c| !inert(c)) {
-                for b in classes.bytes_of(c) {
+                for b in self.classes.bytes_of(c) {
                     escape[b as usize] = true;
                 }
             }
@@ -395,7 +515,9 @@ impl StreamTables {
             .map(|q| {
                 escapes_of(&|c| {
                     let at = q * nc + c;
-                    before_next[at] == q as u32 && before_open[at] == 0 && before_oc[at] == 0
+                    self.before_next[at] == q as u32
+                        && self.before_open[at] == 0
+                        && self.before_oc[at] == 0
                 })
             })
             .collect();
@@ -408,7 +530,7 @@ impl StreamTables {
             .map(|q| {
                 escapes_of(&|c| {
                     let at = q * nc + c;
-                    inside_next[at] == q as u32 && inside_close[at] == 0
+                    self.inside_next[at] == q as u32 && self.inside_close[at] == 0
                 })
             })
             .collect();
@@ -420,66 +542,7 @@ impl StreamTables {
                 skip.push((escapes <= 128).then(|| ByteFinder::from_predicate(escape)));
             }
         }
-
-        // Start-equivalence for the quiescence probe: partition the
-        // before-DFA by Moore refinement, where a state's output is its
-        // `(open, oc)` action pair on every class plus its end-of-input
-        // acceptance, and two states stay merged only if their
-        // successors stay merged. Bisimilar states yield identical
-        // segmentations on every suffix, so any state in the start
-        // state's block is a sound resplit frontier.
-        let mut block = vec![0u32; n_before];
-        {
-            let mut ids: HashMap<Vec<u32>, u32> = HashMap::new();
-            for q in 0..n_before {
-                let mut sig: Vec<u32> = Vec::with_capacity(2 * nc + 1);
-                sig.push(before_oc_at_end[q] as u32);
-                for c in 0..nc {
-                    sig.push(before_open[q * nc + c]);
-                    sig.push(before_oc[q * nc + c]);
-                }
-                let fresh = ids.len() as u32;
-                block[q] = *ids.entry(sig).or_insert(fresh);
-            }
-            loop {
-                let mut ids: HashMap<Vec<u32>, u32> = HashMap::new();
-                let mut next_block = vec![0u32; n_before];
-                for q in 0..n_before {
-                    let mut sig: Vec<u32> = Vec::with_capacity(nc + 1);
-                    sig.push(block[q]);
-                    for c in 0..nc {
-                        sig.push(block[before_next[q * nc + c] as usize]);
-                    }
-                    let fresh = ids.len() as u32;
-                    next_block[q] = *ids.entry(sig).or_insert(fresh);
-                }
-                if next_block == block {
-                    break;
-                }
-                block = next_block;
-            }
-        }
-        let start_block = block[before_start as usize];
-        let before_like_start: Vec<bool> = block.iter().map(|&b| b == start_block).collect();
-
-        Some(StreamTables {
-            classes,
-            nc,
-            before_next,
-            before_open,
-            before_oc,
-            inside_next,
-            inside_close,
-            after_next,
-            before_oc_at_end,
-            inside_close_at_end,
-            after_accepting,
-            after_universal,
-            before_start,
-            skip,
-            skip_cols,
-            before_like_start,
-        })
+        (skip, skip_cols)
     }
 
     /// The byte-class partition the tables are indexed by.
@@ -589,7 +652,9 @@ impl SplitterState {
 
     /// True when the stream state is **quiescent**: every emitted span
     /// has been drained, nothing is pending or unresolved, and the
-    /// before-phase simulation sits in a state equivalent to its start.
+    /// before-phase simulation sits in its start state (the tables are
+    /// jointly minimal, so every state equivalent to the start *is* the
+    /// start).
     /// From a quiescent position the continuation is the same function
     /// of the remaining bytes as a fresh stream's (shifted by the
     /// offset) — which makes quiescent positions the *stable resplit
@@ -600,7 +665,7 @@ impl SplitterState {
         self.out.is_empty()
             && self.pending.is_empty()
             && self.candidates.is_empty()
-            && self.t.before_like_start[self.before as usize]
+            && self.before == self.t.before_start
     }
 
     /// The largest stream position observed quiescent so far (0 — the
@@ -624,8 +689,8 @@ impl SplitterState {
     /// open, and that configuration — the before state plus the open's
     /// inside state — is inert on most bytes, the scanner jumps straight
     /// to the next escape byte. Inside a delimiter-based segment that is
-    /// the segment's closing delimiter, so each segment costs about three
-    /// stepped bytes (see the [module docs](self#skip-loop)).
+    /// the segment's closing delimiter, so each segment costs two stepped
+    /// bytes (see the [module docs](self#skip-loop)).
     /// Skipped bytes change only the position: emitted spans,
     /// [`SplitterState::low_watermark`] (pinned by the pending open, or
     /// equal to the position when nothing is pending) and
@@ -642,8 +707,8 @@ impl SplitterState {
                     self.pos += j;
                     self.skipped += j as u64;
                     i += j;
-                    if inside == 0 && self.t.before_like_start[self.before as usize] {
-                        // Inert run from a start-like state with nothing
+                    if inside == 0 && self.before == self.t.before_start {
+                        // Inert run from the start state with nothing
                         // unresolved: every position in it is quiescent.
                         self.quiet = self.pos;
                     }
@@ -779,9 +844,7 @@ impl SplitterState {
             }
             self.out.push(self.candidates.remove(0).span);
         }
-        if self.pending.is_empty()
-            && self.candidates.is_empty()
-            && dfas.before_like_start[self.before as usize]
+        if self.pending.is_empty() && self.candidates.is_empty() && self.before == dfas.before_start
         {
             self.quiet = self.pos;
         }
@@ -903,26 +966,111 @@ mod tests {
 
     /// `sentences` with a before phase that also tracks whether an `a`
     /// sits `dots + 1` bytes back: the same language (the extra prefix
-    /// alternative is subsumed by `.*\.`), but 2^(dots + 1) before sets.
+    /// alternative is subsumed by `.*\.`), but 2^(dots + 1) before sets
+    /// in the subset construction, which joint minimization collapses
+    /// to `sentences`' tables.
     fn padded_sentences(dots: usize) -> Splitter {
         let pattern = format!(r"((.*a{})?.*\.)?x{{[^.]+}}(\..*)?", ".".repeat(dots));
         Splitter::parse(&pattern).unwrap()
     }
 
+    /// Per-phase state counts (before, inside, after) of the stream
+    /// tables, dead states included, after checking their canonical
+    /// form: refining the compiled tables again merges and renumbers
+    /// nothing.
+    fn minimal_phase_counts(s: &Splitter) -> (usize, usize, usize) {
+        let st = s.compile().stream().expect("within budget");
+        let t = &st.t;
+        let blocks = t.joint_blocks();
+        let identity: Vec<u32> = (0..blocks.len() as u32).collect();
+        assert_eq!(blocks, identity, "not a refinement fixpoint");
+        let count = |table: &[u32]| table.len() / t.nc;
+        (
+            count(&t.before_next),
+            count(&t.inside_next),
+            count(&t.after_next),
+        )
+    }
+
+    /// A sentence (`x{[^.]+}(\..*)?`) preceded by `.*a` and `dots`
+    /// arbitrary bytes: a genuine look-behind, whose minimal before DFA
+    /// tracks the last `dots + 1` bytes' `a`s: 2^(dots + 1) states
+    /// besides the dead one.
+    fn look_behind_sentence(dots: usize) -> Splitter {
+        Splitter::parse(&format!(r".*a{}x{{[^.]+}}(\..*)?", ".".repeat(dots))).unwrap()
+    }
+
+    #[test]
+    fn phase_tables_are_jointly_minimal() {
+        for (name, s, counts) in [
+            ("sentences", splitter::sentences(), (3, 2, 2)),
+            ("lines", splitter::lines(), (3, 2, 2)),
+            ("paragraphs", splitter::paragraphs(), (5, 3, 3)),
+            ("http_messages", splitter::http_messages(), (5, 3, 3)),
+            ("whole_document", splitter::whole_document(), (2, 2, 1)),
+            ("ngrams(1)", splitter::ngrams(1), (3, 2, 2)),
+            ("ngrams(2)", splitter::ngrams(2), (3, 4, 2)),
+            ("ngram_windows(2)", splitter::ngram_windows(2), (3, 4, 2)),
+            ("char_windows(3)", splitter::char_windows(3), (2, 4, 2)),
+            // The same language as `sentences`, and the same tables.
+            ("padded_sentences(10)", padded_sentences(10), (3, 2, 2)),
+        ] {
+            assert_eq!(minimal_phase_counts(&s), counts, "{name}");
+        }
+    }
+
+    #[test]
+    fn stream_tables_are_a_refinement_fixpoint() {
+        // The builtins are checked by the count test above.
+        for p in crate::proptests::SPLITTER_PATTERNS {
+            minimal_phase_counts(&Splitter::parse(p).unwrap());
+        }
+    }
+
+    #[test]
+    fn padded_sentences_quiesce_like_sentences() {
+        // 4 KiB of pseudo-random bytes over an alphabet of `a`s, dots
+        // and fillers, so that the padded look-behind sees every shape.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let doc: Vec<u8> = (0..4096)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                b"aaa..b c"[(x >> 61) as usize]
+            })
+            .collect();
+        let padded = padded_sentences(10).compile();
+        let plain = splitter::sentences().compile();
+        let (mut a, mut b) = (padded.stream().unwrap(), plain.stream().unwrap());
+        let mut quiescent = 0;
+        for (i, byte) in doc.iter().enumerate() {
+            assert_eq!(a.push(&[*byte]), b.push(&[*byte]), "byte {i}");
+            assert_eq!(a.is_quiescent(), b.is_quiescent(), "byte {i}");
+            assert_eq!(a.last_quiescent(), b.last_quiescent(), "byte {i}");
+            quiescent += b.is_quiescent() as usize;
+        }
+        // Quiescent just past each dot: the comparison is not vacuous.
+        assert!(quiescent > doc.len() / 8, "{quiescent} quiescent positions");
+        assert_eq!(a.finish(), b.finish());
+    }
+
     #[test]
     fn over_budget_splitter_has_no_stream() {
-        let fits = padded_sentences(10).compile();
+        let fits = look_behind_sentence(10).compile();
         let st = fits.stream().expect("10 dots fit");
+        assert_eq!(st.t.before_oc_at_end.len(), 2049);
         assert_eq!(st.t.skip_cols, 1, "but not their skip pairs");
-        let st = splitter::sentences().compile().stream().unwrap();
-        assert!(st.t.skip_cols > 1, "sentences' skip pairs fit");
+        let st = padded_sentences(10).compile().stream().unwrap();
+        assert!(st.t.skip_cols > 1, "padded sentences' skip pairs fit");
+        assert!(look_behind_sentence(11).compile().stream().is_none());
         let over = padded_sentences(11).compile();
-        assert!(over.stream().is_none(), "11 dots do not");
+        assert!(over.stream().is_none(), "11 padded dots do not fit");
         let doc = b"one a. two aaaaaaaaaaaaaa b. three";
         let expect = splitter::sentences().compile().split(doc);
         assert_eq!(over.split(doc), expect);
-        assert_eq!(fits.split(doc), expect);
         check(&padded_sentences(10), doc);
+        check(&look_behind_sentence(10), b"a0123456789xy.z. a0123456789bc");
     }
 
     #[test]
@@ -951,13 +1099,12 @@ mod tests {
             );
         }
         // Delimiter splitters skip inside their segments: with one open
-        // pending, `sentences` steps each '.', the opening byte after it
-        // and the next byte (which settles the inside state), so of
-        // "aaa.bbb.ccc" the third byte of each sentence is skipped.
+        // pending, `sentences` steps only each '.' and the opening byte
+        // after it, so of "aaa.bbb.ccc" all six other bytes are skipped.
         let sentences = splitter::sentences().compile();
         let mut st = sentences.stream().unwrap();
         let mut got = st.push(b"aaa.bbb.ccc");
-        assert_eq!(st.bytes_skipped(), 3);
+        assert_eq!(st.bytes_skipped(), 6);
         got.extend(st.finish());
         assert_eq!(got, sentences.split(b"aaa.bbb.ccc"));
     }
