@@ -43,12 +43,12 @@
 //!   whichever worker evaluated them. Each cell is one span buffer,
 //!   sized up front and extended by every partial's rows; under a
 //!   disjoint splitter that is document order, so
-//!   [`SpanRelation::from_rows`] finds the cell sorted in one linear
-//!   check and only dedups. The order is a speed matter, not a
-//!   correctness one: canonical relations come from `from_rows`'
-//!   sortedness check, which falls back to a full sort for whatever
-//!   arrives out of order (overlapping segments of a non-disjoint
-//!   splitter, empty spans on a shared boundary).
+//!   [`SpanRelation::concat`] finds each part starting after the last
+//!   one ended — one comparison per part — and hands the buffer over
+//!   as it is. The order is a speed matter, not a correctness one:
+//!   whatever arrives out of order (overlapping segments of a
+//!   non-disjoint splitter, empty spans on a shared boundary) falls
+//!   back to [`SpanRelation::from_rows`], which sorts and dedups.
 
 use crate::corpus::CorpusRunnerConfig;
 use crate::pool::EvalPool;
@@ -376,10 +376,11 @@ impl<W: SegmentWork> Pipeline<W> {
             "a runner worker panicked while evaluating a batch"
         );
 
-        // Workers append their partials batch by batch; one small key per
-        // partial puts every cell back in the order its segments left
-        // the splitter, so `from_rows` usually finds it sorted.
-        partials.sort_unstable_by_key(|&(seq, _, mi, _)| (seq, mi));
+        // Each worker pops its batches from one FIFO, so the partials
+        // arrive as one ascending run per worker: a run-adaptive sort
+        // merges them back into the order the segments left the
+        // splitter (the keys are unique), so `concat` finds them ordered.
+        partials.sort_by_key(|&(seq, _, mi, _)| (seq, mi));
         let mut cells: Vec<Vec<Vec<SpanRelation>>> = vec![vec![Vec::new(); members]; stats.docs];
         for (_, di, mi, rel) in partials {
             cells[di][mi].push(rel);

@@ -24,7 +24,10 @@
 //!    step is `table[(id & MASK) | class]`: one AND, one OR, one load —
 //!    no multiply, no branch. The explored DFA's membership sets, in its
 //!    own numbering, feed enumeration; skip-loop escape scanners and
-//!    per-state scan-skip tables are precompiled once.
+//!    one forced-move table over `(eVSA state, backward id, class)`
+//!    are precompiled once. A forced move is a state's only viable
+//!    move on a byte; the forward enumeration follows chains of them
+//!    without a stack frame per byte.
 //!
 //! The frozen table runs the dense module's one `viability_pass` (as
 //! its `BackwardTable`), so the unroll, skip-loop and empty-set stop are
@@ -37,7 +40,6 @@
 //! and prefilter engines (asserted by the repository-wide engine-matrix
 //! differential harness).
 
-use crate::byteset::ByteSet;
 use crate::dense::{
     escape_finder, viability_pass, BackwardTable, DenseCache, DenseEvsa, FlatViable, LazyDfa,
 };
@@ -56,6 +58,13 @@ use std::sync::Arc;
 /// packed table comfortably cache-resident (at most `1024 · stride`
 /// `u16` entries).
 pub const AOT_BUDGET: usize = 1024;
+
+/// Upper bound on forced-move table entries: eVSA states times the
+/// backward row block (backward states rounded up to a power of two,
+/// times the row stride). An automaton over it gets no table, and its
+/// enumeration pushes a frame per move, as on the lazy tier. At `u32`
+/// per entry the table stays within 1 MiB.
+pub(crate) const FORCED_CAP: usize = 1 << 18;
 
 /// Flag bit packed into a table entry's id: *empty viability set*.
 const FLAG: u16 = 1 << 15;
@@ -104,19 +113,19 @@ pub struct AotEvsa {
     sets: Vec<u64>,
     /// Skip-loop escape scanners per state index.
     escapes: Vec<Option<ByteFinder>>,
-    /// Per-eVSA-state scan-skip tables (`None` = no block-free
-    /// self-loop, the state never scans). Each is a bitvec indexed by
-    /// `(backward id << shift) | class`: the bit is set when, for a
-    /// document byte of that class with that viability id *after* it,
-    /// the state's only viable move is the self-loop — the self-loop
-    /// mask contains the class, the state itself is in the viability
-    /// set, and every other transition either misses the class or
-    /// targets a state outside the set. Under those conditions the
-    /// forward enumeration can cross the byte without a stack frame (see
-    /// [`crate::eval::ViableSource::scan_skip`]); the lazy tier cannot
-    /// precompute this table because its cache ids are unstable under
+    /// `log2` of one eVSA state's block of [`AotEvsa::forced`]: the
+    /// backward state count rounded up to a power of two, times the
+    /// row stride.
+    row_bits: u32,
+    /// Forced moves, indexed by `(q << row_bits) | (backward id <<
+    /// shift) | class`: `r + 1` when, for a document byte of that class
+    /// with that viability id *after* it, `q`'s only viable move is
+    /// block-free into the non-post state `r`, and `r` is `q` itself or
+    /// not a pre state (so the pre-state dedupe still sees every pre
+    /// state a run enters); 0 otherwise. Empty over [`FORCED_CAP`]. The
+    /// lazy tier has no such table: its cache ids are unstable under
     /// eviction.
-    scan: Vec<Option<Vec<u64>>>,
+    forced: Vec<u32>,
 }
 
 impl AotEvsa {
@@ -129,12 +138,16 @@ impl AotEvsa {
     /// [`DenseEvsa::compile_with_classes`]) widens the row stride, so a
     /// fleet member that fits alone may degrade to lazy dense.
     pub fn compile(dense: &Arc<DenseEvsa>) -> Option<AotEvsa> {
-        AotEvsa::compile_within(dense, AOT_BUDGET)
+        AotEvsa::compile_within(dense, AOT_BUDGET, FORCED_CAP)
     }
 
     /// [`AotEvsa::compile`] under an explicit state budget (the tiering
-    /// boundary tests).
-    pub(crate) fn compile_within(dense: &Arc<DenseEvsa>, max_states: usize) -> Option<AotEvsa> {
+    /// boundary tests) and forced-move table cap (0 builds no table).
+    pub(crate) fn compile_within(
+        dense: &Arc<DenseEvsa>,
+        max_states: usize,
+        forced_cap: usize,
+    ) -> Option<AotEvsa> {
         let evsa = dense.evsa();
         if evsa.num_states() == 0 {
             return None;
@@ -165,50 +178,39 @@ impl AotEvsa {
             .map(|q| escape_finder(classes, |c| row(q, c) == q))
             .collect();
 
-        // Scan-skip tables: the frozen ids are an exhaustive enumeration
-        // of every viability set, so the "is the self-loop the only
-        // viable move?" predicate can be answered per (id, class) once,
-        // at compile time. The class partition refines every transition
-        // mask, so testing one representative byte per class is exact.
+        // Forced moves: the frozen ids are an exhaustive enumeration of
+        // every viability set, so "which moves of `q` are viable?" can be
+        // answered per (id, class) once, at compile time. The class
+        // partition refines every transition mask, so testing one
+        // representative byte per class is exact.
         let set_has = |id: usize, q: StateId| {
             dfa.sets[id * words + (q as usize >> 6)] & (1u64 << (q & 63)) != 0
         };
-        let reps = classes.representatives();
-        let scan = (0..evsa.num_states())
-            .map(|qi| {
-                let s = qi as StateId;
-                let (loops, others): (Vec<_>, Vec<_>) = evsa
-                    .transitions_from(s)
-                    .iter()
-                    .partition(|(block, _, r)| *r == s && block.is_empty());
-                let self_mask = loops
-                    .iter()
-                    .fold(ByteSet::EMPTY, |m, (_, mask, _)| m.or(mask));
-                // Post states emit-and-cut on entry: no frame ever
-                // scans from one.
-                if dense.roles.post[qi] || self_mask.is_empty() {
-                    return None;
-                }
-                let only_loop = |id: usize, b: u8| {
-                    set_has(id, s)
-                        && !others
+        let ns = evsa.num_states();
+        let row_bits = states.next_power_of_two().trailing_zeros() + shift;
+        let mut forced = Vec::new();
+        if ns << row_bits <= forced_cap {
+            forced.resize(ns << row_bits, 0);
+            let post = &dense.roles.post;
+            for (c, b) in classes.representatives().into_iter().enumerate() {
+                // Post states emit-and-cut on entry: no frame holds one.
+                for q in (0..ns).filter(|&q| !post[q]) {
+                    let ts = evsa.transitions_from(q as StateId);
+                    for id in 0..states {
+                        let mut live = ts
                             .iter()
-                            .any(|(_, m, r)| m.contains(b) && set_has(id, *r))
-                };
-                let mut ok = vec![0u64; (states << shift).div_ceil(64)];
-                for (c, &b) in reps
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &b)| self_mask.contains(b))
-                {
-                    for id in (0..states).filter(|&id| only_loop(id, b)) {
-                        let idx = (id << shift) | c;
-                        ok[idx >> 6] |= 1u64 << (idx & 63);
+                            .filter(|(_, mask, r)| mask.contains(b) && set_has(id, *r));
+                        let (Some((block, _, r)), None) = (live.next(), live.next()) else {
+                            continue;
+                        };
+                        let ri = *r as usize;
+                        if block.is_empty() && !post[ri] && (ri == q || !dense.roles.is_pre(*r)) {
+                            forced[(q << row_bits) | (id << shift) | c] = r + 1;
+                        }
                     }
                 }
-                Some(ok)
-            })
-            .collect();
+            }
+        }
 
         Some(AotEvsa {
             dense: dense.clone(),
@@ -218,7 +220,8 @@ impl AotEvsa {
             start: packed(0),
             sets: dfa.sets,
             escapes,
-            scan,
+            row_bits,
+            forced,
         })
     }
 
@@ -241,29 +244,33 @@ impl AotEvsa {
             ids: &cache.ids_buf,
             sets: &self.sets,
             words: self.dense.words,
-            scan: Some(self),
+            forced: (!self.forced.is_empty()).then_some(self),
         };
         self.dense.enumerate(doc, &viable, &mut cache.scratch)
     }
 
-    /// The scan-skip hook of [`FlatViable`] over this table's ids (see
-    /// [`crate::eval::ViableSource::scan_skip`]): one load and bit test
-    /// per crossed byte, against the per-byte frame push/pop and edge
-    /// iteration this replaces.
+    /// The forced-move hook of [`FlatViable`] over this table's ids (see
+    /// [`crate::eval::ViableSource::advance`]): one load per crossed
+    /// byte, against the frame push, edge iteration and pop this
+    /// replaces.
     #[inline]
-    pub(crate) fn scan_skip(&self, ids: &[u32], doc: &[u8], mut pos: usize, q: StateId) -> usize {
-        let Some(ok) = self.scan[q as usize].as_ref() else {
-            return pos;
-        };
+    pub(crate) fn advance(
+        &self,
+        ids: &[u32],
+        doc: &[u8],
+        mut pos: usize,
+        mut q: StateId,
+    ) -> (usize, StateId) {
         while pos < doc.len() {
-            let idx =
-                ((ids[pos + 1] as usize) << self.shift) | self.cls[doc[pos] as usize] as usize;
-            if ok[idx >> 6] & (1u64 << (idx & 63)) == 0 {
-                break;
+            let idx = ((q as usize) << self.row_bits)
+                | ((ids[pos + 1] as usize) << self.shift)
+                | self.cls[doc[pos] as usize] as usize;
+            match self.forced[idx] {
+                0 => break,
+                r => (pos, q) = (pos + 1, r - 1),
             }
-            pos += 1;
         }
-        pos
+        (pos, q)
     }
 }
 
@@ -332,11 +339,16 @@ mod tests {
 
     /// AOT compilation under an explicit budget.
     fn aot_within(e: &Arc<EVsa>, max_states: usize) -> Option<AotEvsa> {
-        AotEvsa::compile_within(&dense(e), max_states)
+        AotEvsa::compile_within(&dense(e), max_states, FORCED_CAP)
     }
 
     fn aot(e: &Arc<EVsa>) -> AotEvsa {
         AotEvsa::compile(&dense(e)).expect("fits the budget")
+    }
+
+    /// AOT compilation without a forced-move table.
+    fn aot_bare(e: &Arc<EVsa>) -> AotEvsa {
+        AotEvsa::compile_within(&dense(e), AOT_BUDGET, 0).expect("fits the budget")
     }
 
     /// One evaluation with a fresh cache.
@@ -405,16 +417,20 @@ mod tests {
     #[test]
     fn scan_skip_is_exact_on_sparse_and_dense_matches() {
         // Token-boundary extractor with `.*` contexts: the scanning
-        // state gets a precompiled scan-skip table, and the enumeration
-        // must still produce the exact NFA relation whether matches are
+        // state gets self-loop entries in the forced-move table, the
+        // capture gets moves between states, and the enumeration must
+        // still produce the exact NFA relation whether matches are
         // sparse (long skips), dense (skips interleave with branches),
         // or sitting on the document edges.
         let e = compile("(.*[^ab]|)x{a+b}([^ab].*|)");
         let a = aot(&e);
-        assert!(
-            a.scan.iter().any(Option::is_some),
-            "the .* context must yield a scan-skip table"
-        );
+        let bare = aot_bare(&e);
+        assert!(bare.forced.is_empty(), "cap 0 builds no table");
+        let moves = a.forced.iter().enumerate().filter(|(_, &r)| r != 0);
+        let (loops, steps): (Vec<_>, Vec<_>) =
+            moves.partition(|&(idx, &r)| idx >> a.row_bits == r as usize - 1);
+        assert!(!loops.is_empty(), "the .* context must yield self-loops");
+        assert!(!steps.is_empty(), "the capture must yield forced steps");
         let mut sparse = vec![b'.'; 4096];
         sparse[1000] = b'a';
         sparse[1001] = b'b';
@@ -423,8 +439,107 @@ mod tests {
         let dense_doc: Vec<u8> = b"aab ab .ab aaab b a ab".repeat(40);
         let edges: Vec<u8> = b"ab..ab".to_vec();
         for doc in [&sparse, &dense_doc, &edges, &Vec::new()] {
-            assert_eq!(eval(&a, doc), eval_evsa(&e, doc));
+            let (mut with, mut without) = (DenseCache::default(), DenseCache::default());
+            assert_eq!(a.eval_with(doc, &mut with), eval_evsa(&e, doc));
+            assert_eq!(bare.eval_with(doc, &mut without), eval_evsa(&e, doc));
+            assert!(with.enum_frames() <= without.enum_frames());
         }
+        let (mut with, mut without) = (DenseCache::default(), DenseCache::default());
+        a.eval_with(&sparse, &mut with);
+        bare.eval_with(&sparse, &mut without);
+        assert!(
+            with.enum_frames() * 100 < without.enum_frames(),
+            "the .* context crosses the sparse document frame-free: {} vs {} frames",
+            with.enum_frames(),
+            without.enum_frames()
+        );
+    }
+
+    /// A sentence document of about `len` bytes: space-separated tokens
+    /// (lower-case words, capitalised words, numbers), a period after
+    /// each sentence, a blank line after every fourth.
+    fn sentence_doc(len: usize, mut seed: u64) -> Vec<u8> {
+        let mut draw = |bound: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % bound
+        };
+        let mut doc = Vec::with_capacity(len + 256);
+        for sentence in 0.. {
+            if doc.len() >= len {
+                break;
+            }
+            for t in 0..6 + draw(14) {
+                if t > 0 {
+                    doc.push(b' ');
+                }
+                let (len, kind) = (1 + draw(9) as usize, draw(10));
+                for i in 0..len {
+                    doc.push(match kind {
+                        0 => b'0' + draw(10) as u8,
+                        1 if i == 0 => b'A' + draw(26) as u8,
+                        _ => b'a' + draw(26) as u8,
+                    });
+                }
+            }
+            doc.extend_from_slice(if sentence % 4 == 3 { b".\n\n" } else { b". " });
+        }
+        doc
+    }
+
+    /// `ngram_extractor(2)` per sentence segment, the `batch-dense`
+    /// plan. Per tuple, a run enters seven eVSA states — the `.*` loop,
+    /// the post-delimiter state, the open, token 1, the space, token 2's
+    /// first byte and token 2 — and five of those moves are forced. With
+    /// forced moves followed frame-free and last edges reusing their
+    /// frame, the search spends about three frames per tuple (seven
+    /// when every move pushed a frame).
+    #[test]
+    fn bigram_enumeration_takes_three_frames_per_tuple() {
+        let e = compile(r"(.*[^A-Za-z0-9]|)g{[A-Za-z0-9]+ [A-Za-z0-9]+}([^A-Za-z0-9].*|)");
+        let a = aot(&e);
+        let doc = sentence_doc(64 << 10, 4096);
+        let mut cache = DenseCache::default();
+        let mut tuples = 0;
+        for span in crate::splitter::sentences().split(&doc) {
+            let seg = span.slice(&doc);
+            let rel = a.eval_with(seg, &mut cache);
+            assert_eq!(rel, eval_evsa(&e, seg));
+            tuples += rel.len();
+        }
+        assert!(tuples > 5000, "{tuples} tuples");
+        let per_tuple = cache.enum_frames() as f64 / tuples as f64;
+        assert!(
+            per_tuple <= 3.1,
+            "{} frames for {tuples} tuples: {per_tuple:.2} per tuple",
+            cache.enum_frames()
+        );
+    }
+
+    /// The AOT-tier twin of
+    /// `eval::tests::ambiguous_prefix_enumerates_in_linear_work`: forced
+    /// moves never enter a different pre state, so the pre-state dedupe
+    /// keeps the search linear.
+    #[test]
+    fn ambiguous_prefix_enumerates_in_linear_work() {
+        let e = compile(r"((.*a...........)?.*\.)?x{[^.]+}(\..*)?");
+        let a = aot(&e);
+        let sentences = crate::splitter::sentences();
+        let frames = |kib: usize| {
+            let mut doc = b"Anna has a cat and a bag. Data are vast. ".repeat(kib * 25);
+            doc.truncate(kib << 10);
+            let mut cache = DenseCache::default();
+            let rel = a.eval_with(&doc, &mut cache);
+            let spans: Vec<_> = rel.iter().map(|t| t.spans()[0]).collect();
+            assert_eq!(spans, sentences.split(&doc), "{kib} KiB");
+            cache.enum_frames()
+        };
+        let (small, large) = (frames(16), frames(64));
+        assert!(
+            large <= 4 * small + small / 8,
+            "16 KiB: {small} frames, 64 KiB: {large} frames"
+        );
     }
 
     #[test]
@@ -660,6 +775,18 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
+        fn forced_moves_match_the_nfa_engine(
+            doc in run_doc(),
+        ) {
+            for pat in all_patterns() {
+                let e = compile(pat);
+                let reference = eval_evsa(&e, &doc);
+                prop_assert_eq!(&eval(&aot(&e), &doc), &reference, "{}", pat);
+                prop_assert_eq!(&eval(&aot_bare(&e), &doc), &reference, "{} without forced moves", pat);
+            }
+        }
+
+        #[test]
         fn every_pass_decodes_to_the_viability_sets(
             pi in 0..crate::proptests::PATTERNS.len(),
             doc in run_doc(),
@@ -668,7 +795,7 @@ mod tests {
             let reference = eval::viability(&e, &doc);
             let words = e.num_states().div_ceil(64);
             let decodes = |ids: &[u32], sets: &[u64]| {
-                let view = FlatViable { ids, sets, words, scan: None };
+                let view = FlatViable { ids, sets, words, forced: None };
                 (0..=doc.len()).all(|pos| {
                     (0..e.num_states() as StateId).all(|q| view.viable(pos, q) == reference.viable(pos, q))
                 })

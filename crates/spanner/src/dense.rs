@@ -215,6 +215,14 @@ impl DenseCache {
     pub fn skipped_bytes(&self) -> u64 {
         self.skipped
     }
+
+    /// Stack frames the forward enumeration pushed or reused on this
+    /// cache, summed over every evaluation (see [`crate::eval`]): its
+    /// machine-independent work, to read against the tuples produced.
+    /// Monotone across scans, like [`DenseCache::skipped_bytes`].
+    pub fn enum_frames(&self) -> u64 {
+        self.scratch.frames
+    }
 }
 
 /// An [`EVsa`] compiled for the dense engine.
@@ -487,7 +495,7 @@ impl DenseEvsa {
             ids: &cache.ids_buf,
             sets: &cache.bwd.sets,
             words: self.words,
-            scan: None,
+            forced: None,
         };
         self.enumerate(doc, &viable, &mut cache.scratch)
     }
@@ -667,9 +675,9 @@ pub(crate) struct FlatViable<'a> {
     /// Membership bitsets, `words` per state.
     pub(crate) sets: &'a [u64],
     pub(crate) words: usize,
-    /// The frozen tier, whose precompiled scan-skip tables answer
-    /// [`ViableSource::scan_skip`]; the lazy tier has none.
-    pub(crate) scan: Option<&'a AotEvsa>,
+    /// The frozen tier, whose precompiled forced-move table answers
+    /// [`ViableSource::advance`]; the lazy tier has none.
+    pub(crate) forced: Option<&'a AotEvsa>,
 }
 
 impl ViableSource for FlatViable<'_> {
@@ -681,10 +689,10 @@ impl ViableSource for FlatViable<'_> {
     }
 
     #[inline]
-    fn scan_skip(&self, doc: &[u8], pos: usize, q: StateId) -> usize {
-        match self.scan {
-            Some(aot) => aot.scan_skip(self.ids, doc, pos, q),
-            None => pos,
+    fn advance(&self, doc: &[u8], pos: usize, q: StateId) -> (usize, StateId) {
+        match self.forced {
+            Some(aot) => aot.advance(self.ids, doc, pos, q),
+            None => (pos, q),
         }
     }
 }

@@ -33,7 +33,7 @@
 //! is exact, and the gate is conservative, so the choice changes speed
 //! only, never relations.
 
-use crate::aot::{AotEvsa, AOT_BUDGET};
+use crate::aot::{AotEvsa, AOT_BUDGET, FORCED_CAP};
 use crate::dense::{DenseCache, DenseConfig, DenseEvsa};
 use crate::eval::eval_evsa;
 use crate::evsa::EVsa;
@@ -159,7 +159,7 @@ impl TieredEvsa {
             Engine::Prefilter => (Tier::Dense(dense()), gate()),
             Engine::Aot => {
                 let dense = dense();
-                match AotEvsa::compile_within(&dense, aot_budget) {
+                match AotEvsa::compile_within(&dense, aot_budget, FORCED_CAP) {
                     Some(aot) => (Tier::Aot(aot), gate()),
                     // Over budget: the plain dense engine, which is exact
                     // at any automaton size.

@@ -48,23 +48,24 @@ pub(crate) trait ViableSource {
     /// position `pos`.
     fn viable(&self, pos: usize, q: StateId) -> bool;
 
-    /// Scan-skip acceleration hook: the furthest position `p >= pos`
-    /// such that at every position `t` in `pos..p` the *only* viable
-    /// move of `q` is a block-free self-loop — the self-loop's mask
-    /// contains `doc[t]`, `q` stays viable at `t + 1`, and every other
-    /// transition is dead (mask mismatch or non-viable target). Under
-    /// that guarantee the forward enumeration may advance a frame from
-    /// `pos` to `p` without visiting the intermediate positions: no
-    /// variable operations fire (the block is empty), no alternative
-    /// branches exist to backtrack into, and finals only matter at
-    /// `doc.len()` (`p` never exceeds it).
+    /// Forced-move hook: from state `q` at position `pos`, follows the
+    /// chain of moves that have no alternative and returns where it
+    /// stops. At each crossed position `t` the chain's state has exactly
+    /// one viable move on `doc[t]`, that move is block-free and enters a
+    /// non-post state, and it is a self-loop or leaves the pre states.
+    /// Under that guarantee the forward enumeration may move a frame
+    /// along the chain without visiting the intermediate positions: no
+    /// variable operations fire (the blocks are empty), no alternative
+    /// branches exist to backtrack into, the pre-state dedupe still sees
+    /// every pre state a run enters, and finals only matter at
+    /// `doc.len()` (the chain never passes it).
     ///
-    /// The default (no skipping) is correct for every engine; the AOT
-    /// tier overrides it with a precompiled `(viability id × byte
-    /// class)` table — see `crate::aot`.
+    /// The default (no moves) is correct for every engine; the AOT tier
+    /// overrides it with a precompiled `(eVSA state × viability id ×
+    /// byte class)` table — see `crate::aot`.
     #[inline]
-    fn scan_skip(&self, _doc: &[u8], pos: usize, _q: StateId) -> usize {
-        pos
+    fn advance(&self, _doc: &[u8], pos: usize, q: StateId) -> (usize, StateId) {
+        (pos, q)
     }
 }
 
@@ -182,6 +183,11 @@ pub(crate) struct StateRoles {
 impl StateRoles {
     const NOT_PRE: u32 = u32::MAX;
 
+    /// Whether `q` is a pre state: no variable operation precedes it.
+    pub(crate) fn is_pre(&self, q: StateId) -> bool {
+        self.pre[q as usize] != StateRoles::NOT_PRE
+    }
+
     pub(crate) fn of(evsa: &EVsa) -> StateRoles {
         use std::collections::VecDeque;
         let nv = evsa.vars().len();
@@ -267,9 +273,12 @@ pub(crate) struct EnumScratch {
     /// Bitset over `(position, pre-state index)`: the pre-state frames
     /// already expanded by this call.
     expanded: Vec<u64>,
-    /// Frames the last call pushed (the root included): its
-    /// machine-independent work, which the scaling tests read.
-    pub(crate) frames: usize,
+    /// Frames pushed or reused (roots included) by every call on this
+    /// scratch: the search's machine-independent work, which the
+    /// scaling tests read. A frame overwritten by the successor of its
+    /// last viable edge counts once more, as a push would; moves the
+    /// engine's [`ViableSource::advance`] follows count nothing.
+    pub(crate) frames: u64,
 }
 
 /// The iterative forward search shared by the NFA and dense engines:
@@ -291,6 +300,12 @@ pub(crate) fn forward_enumerate<V: ViableSource, E: EdgeSource>(
 /// across calls. Rows are written into the scratch's output buffer and
 /// handed to the returned relation as one exact-size copy per call —
 /// the only per-call allocation.
+///
+/// A frame's first visit follows its forced moves
+/// ([`ViableSource::advance`]). A frame's last viable edge overwrites
+/// it with the successor instead of pushing one, keeping the frame's
+/// trail mark so that popping it undoes both blocks: no backtrack visit
+/// is spent finding that no edges are left.
 ///
 /// Before the first variable operation (an empty undo trail) a frame's
 /// whole subtree depends only on its `(state, position)`: the variable
@@ -332,7 +347,7 @@ pub(crate) fn forward_enumerate_scratch<V: ViableSource, E: EdgeSource>(
     out.clear();
     expanded.clear();
     expanded.resize(((n + 1) * roles.npre).div_ceil(64), 0);
-    *frames = 1;
+    *frames += 1;
     let post = &roles.post;
     let mut rows = 0usize;
 
@@ -382,33 +397,27 @@ pub(crate) fn forward_enumerate_scratch<V: ViableSource, E: EdgeSource>(
         *rows += 1;
     };
 
-    // Post-state cutoff at the root (Boolean spanners).
     if post[evsa.start() as usize] {
+        // Post-state cutoff at the root (Boolean spanners).
         emit(opens, closes, out, &mut rows);
-        return SpanRelation::from_rows(nv, rows, out.to_vec());
+    } else {
+        stack.push(Frame {
+            pos: 0,
+            state: evsa.start(),
+            edge: 0,
+            trail_mark: 0,
+            emitted_finals: false,
+        });
     }
 
-    stack.push(Frame {
-        pos: 0,
-        state: evsa.start(),
-        edge: 0,
-        trail_mark: 0,
-        emitted_finals: false,
-    });
-
     while let Some(frame) = stack.last_mut() {
-        let state = frame.state;
-        if !frame.emitted_finals && frame.pos < n {
-            // First visit of this frame: let the engine fast-forward
-            // through positions where the only viable move is `state`'s
-            // block-free self-loop (see [`ViableSource::scan_skip`]).
-            // Backtracking is unaffected — skipped positions provably
-            // have no alternative edges to revisit.
-            frame.pos = viable.scan_skip(doc, frame.pos, state);
-        }
-        let pos = frame.pos;
-
         if !frame.emitted_finals {
+            // First visit of this frame: let the engine follow the moves
+            // that have no alternative (see [`ViableSource::advance`]).
+            // Backtracking is unaffected — crossed positions provably
+            // have no alternative edges to revisit.
+            (frame.pos, frame.state) = viable.advance(doc, frame.pos, frame.state);
+            let (pos, state) = (frame.pos, frame.state);
             if trail.is_empty() {
                 let i = roles.pre[state as usize];
                 if i != StateRoles::NOT_PRE {
@@ -431,6 +440,7 @@ pub(crate) fn forward_enumerate_scratch<V: ViableSource, E: EdgeSource>(
                 }
             }
         }
+        let (pos, state) = (frame.pos, frame.state);
 
         if pos == n {
             let mark = frame.trail_mark;
@@ -443,39 +453,53 @@ pub(crate) fn forward_enumerate_scratch<V: ViableSource, E: EdgeSource>(
         let ts = evsa.transitions_from(state);
         let cand = edges.candidates(state, b);
         let mask_checked = cand.needs_mask_check();
-        let mut advanced = false;
+        // Take the first live edge into a non-post state, and stop at the
+        // next live edge after it, where the frame resumes.
+        let mut taken = None;
         while let Some(idx) = cand.get(frame.edge) {
-            frame.edge += 1;
             let (block, mask, r) = &ts[idx];
-            if (mask_checked && !mask.contains(b)) || !viable.viable(pos + 1, *r) {
-                continue;
+            if (!mask_checked || mask.contains(b)) && viable.viable(pos + 1, *r) {
+                if taken.is_some() {
+                    break;
+                }
+                let mark = trail.len();
+                // Block operations happen at the boundary *before* the byte.
+                apply_block(block, pos, opens, closes, trail);
+                if post[*r as usize] {
+                    // The tuple is fully determined and acceptance is
+                    // viable: emit and cut the run (trailing context
+                    // costs O(1)).
+                    emit(opens, closes, out, &mut rows);
+                    undo(trail, mark, opens, closes);
+                } else {
+                    taken = Some((*r, mark));
+                }
             }
-            let mark = trail.len();
-            // Block operations happen at the boundary *before* the byte.
-            apply_block(block, pos, opens, closes, trail);
-            if post[*r as usize] {
-                // The tuple is fully determined and acceptance is viable:
-                // emit and cut the run (trailing context costs O(1)).
-                emit(opens, closes, out, &mut rows);
-                undo(trail, mark, opens, closes);
-                continue;
-            }
-            stack.push(Frame {
-                pos: pos + 1,
-                state: *r,
-                edge: 0,
-                trail_mark: mark,
-                emitted_finals: false,
-            });
-            *frames += 1;
-            advanced = true;
-            break;
+            frame.edge += 1;
         }
-        if !advanced {
-            let mark = stack.last().unwrap().trail_mark;
+        let Some((state, mark)) = taken else {
+            let mark = frame.trail_mark;
             stack.pop();
             undo(trail, mark, opens, closes);
+            continue;
+        };
+        let next = Frame {
+            pos: pos + 1,
+            state,
+            edge: 0,
+            trail_mark: mark,
+            emitted_finals: false,
+        };
+        if cand.get(frame.edge).is_none() {
+            // The last live edge: its successor takes this frame over.
+            *frame = Frame {
+                trail_mark: frame.trail_mark,
+                ..next
+            };
+        } else {
+            stack.push(next);
         }
+        *frames += 1;
     }
 
     SpanRelation::from_rows(nv, rows, out.to_vec())

@@ -240,17 +240,29 @@ impl SpanRelation {
     }
 
     /// The union of relations (per-segment results, say): their rows
-    /// concatenated, in order, into one buffer sized up front, then
-    /// [`SpanRelation::from_rows`], which sorts and dedups whatever
-    /// arrives out of order. Empty parts are skipped, so the non-empty
-    /// ones must share one arity.
+    /// concatenated, in order, into one buffer sized up front. When every
+    /// part's first row is strictly greater than the previous part's last
+    /// row — ordered disjoint segments — the buffer is already sorted
+    /// and duplicate-free, so it is the relation, at one comparison per
+    /// part. Otherwise (overlapping parts, empty spans shared on a
+    /// boundary, Boolean parts) [`SpanRelation::from_rows`] sorts and
+    /// dedups it. Empty parts are skipped, so the non-empty ones must
+    /// share one arity.
     pub fn concat(parts: Vec<SpanRelation>) -> SpanRelation {
         let mut spans = Vec::with_capacity(parts.iter().map(|r| r.spans.len()).sum());
-        let (mut arity, mut rows) = (0, 0);
+        let (mut arity, mut rows, mut ordered) = (0, 0, true);
         for rel in parts.into_iter().filter(|r| !r.is_empty()) {
+            ordered &= rows == 0 || spans[spans.len() - arity..] < rel.spans[..rel.arity];
             arity = rel.arity;
             rows += rel.len;
             spans.extend_from_slice(&rel.spans);
+        }
+        if ordered && arity > 0 {
+            return SpanRelation {
+                arity,
+                len: rows,
+                spans,
+            };
         }
         SpanRelation::from_rows(arity, rows, spans)
     }
@@ -435,6 +447,72 @@ mod tests {
         let sh = u.shift(Span::new(10, 30));
         assert!(sh.contains(&t(&[(10, 11)])));
         assert!(sh.contains(&t(&[(11, 12)])));
+    }
+
+    /// `concat` against `from_rows` of the same rows in part order.
+    fn concat_is_from_rows(parts: Vec<SpanRelation>) -> SpanRelation {
+        let arity = parts.iter().map(SpanRelation::arity).max().unwrap_or(0);
+        let rows = parts.iter().map(SpanRelation::len).sum();
+        let spans = parts.iter().flat_map(|r| r.spans().to_vec()).collect();
+        let reference = SpanRelation::from_rows(arity, rows, spans);
+        let merged = SpanRelation::concat(parts);
+        assert_eq!(merged, reference);
+        merged
+    }
+
+    #[test]
+    fn concat_of_ordered_parts_is_their_rows() {
+        let parts = vec![
+            SpanRelation::from_tuples(vec![t(&[(0, 2), (3, 5)]), t(&[(0, 2), (3, 4)])]),
+            SpanRelation::empty(),
+            SpanRelation::from_tuples(vec![t(&[(6, 8), (9, 9)])]),
+            SpanRelation::from_tuples(vec![t(&[(10, 11), (12, 14)]), t(&[(12, 14), (15, 16)])]),
+        ];
+        assert_eq!(concat_is_from_rows(parts).len(), 5);
+        assert_eq!(concat_is_from_rows(Vec::new()), SpanRelation::empty());
+    }
+
+    #[test]
+    fn concat_falls_back_on_overlapping_parts() {
+        // Tokens per `ngram_windows(2)` window: neighbouring windows share
+        // a token, so each part starts before the previous one ends.
+        let vsa = crate::rgx::Rgx::parse("(.*[^A-Za-z0-9]|)x{[A-Za-z0-9]+}([^A-Za-z0-9].*|)")
+            .unwrap()
+            .to_vsa()
+            .unwrap();
+        let doc = b"one two, three four.";
+        let parts: Vec<SpanRelation> = crate::splitter::ngram_windows(2)
+            .split(doc)
+            .into_iter()
+            .map(|w| crate::eval::eval(&vsa, w.slice(doc)).shift(w))
+            .collect();
+        assert!(parts.len() > 4, "{} windows", parts.len());
+        let merged = concat_is_from_rows(parts);
+        assert_eq!(merged, crate::eval::eval(&vsa, doc));
+        assert_eq!(merged.len(), 4);
+        // Out of order entirely: the later part is concatenated first.
+        let late = SpanRelation::from_tuples(vec![t(&[(8, 9)])]);
+        let early = SpanRelation::from_tuples(vec![t(&[(0, 1)])]);
+        assert_eq!(
+            concat_is_from_rows(vec![late, early]).tuple(0),
+            t(&[(0, 1)])
+        );
+    }
+
+    #[test]
+    fn concat_falls_back_on_a_shared_boundary_span() {
+        // Two segments meeting at 4 both report the empty span [4, 4⟩.
+        let left = SpanRelation::from_tuples(vec![t(&[(0, 0)]), t(&[(4, 4)])]);
+        let right = SpanRelation::from_tuples(vec![t(&[(4, 4)]), t(&[(9, 9)])]);
+        assert_eq!(concat_is_from_rows(vec![left, right]).len(), 3);
+    }
+
+    #[test]
+    fn concat_falls_back_on_boolean_parts() {
+        let unit = || SpanRelation::from_tuples(vec![SpanTuple::unit()]);
+        let merged = concat_is_from_rows(vec![unit(), SpanRelation::empty(), unit()]);
+        assert_eq!(merged, unit());
+        assert_eq!(merged.len(), 1);
     }
 
     #[test]
