@@ -6,8 +6,9 @@
 //! through a [`StreamingSplitter`](crate::StreamingSplitter) (constant
 //! memory per document), batches the emitted segments to amortize
 //! dispatch, fans the batches out to a worker pool over a **bounded**
-//! queue (backpressure, so peak memory is `chunk size + queue depth ×
-//! batch bytes`, never corpus size), evaluates each segment with one
+//! queue (backpressure, so peak memory is about `(queue depth + workers)
+//! × batch bytes` of stream plus a chunk at either end, never corpus
+//! size), evaluates each segment with one
 //! [`ExecSpanner`] through a per-worker lazy-DFA cache, and aggregates
 //! per-document [`SpanRelation`]s with deterministic ordering
 //! regardless of worker scheduling.
@@ -41,13 +42,17 @@ pub struct CorpusRunnerConfig {
     /// the engine's pool entry points.
     pub workers: usize,
     /// Target payload per dispatched batch: segments are accumulated
-    /// until their combined length reaches this many bytes, so corpora
-    /// of tiny segments do not pay one queue round-trip per segment.
+    /// until the stream they span reaches this many bytes (each segment
+    /// counting at least its queue entry), so corpora of tiny segments do
+    /// not pay one queue round-trip per segment.
     pub batch_bytes: usize,
     /// Capacity of the bounded work queue, in batches. The producer
-    /// blocks when the queue is full (backpressure), which bounds peak
-    /// in-flight segment memory at `queue_depth × batch_bytes` plus one
-    /// batch per worker.
+    /// blocks when the queue is full (backpressure). A queued segment is
+    /// a range of a chunk the splitter read and pins that chunk, and a
+    /// batch is charged the stream its segments span, so peak in-flight
+    /// memory is the chunks under `queue_depth` batches plus one batch
+    /// per worker: about that many `batch_bytes` of stream, plus a chunk
+    /// at either end.
     pub queue_depth: usize,
     /// Chunk size used by [`CorpusRunner::run_slices`] when feeding
     /// already-materialized documents through the streaming path.
@@ -97,9 +102,11 @@ pub struct CorpusStats {
     pub segment_bytes: u64,
     /// Batches dispatched to the worker pool.
     pub batches: usize,
-    /// Largest byte window any document's streaming splitter held at
-    /// once — bounded by segment + chunk length for prompt splitters,
-    /// not by document size.
+    /// Largest `[low watermark, position)` window any document's
+    /// streaming splitter held at once — bounded by segment + chunk
+    /// length for prompt splitters, not by document size. The chunks
+    /// overlapping it, and those that queued segments share, are what
+    /// stays resident.
     pub peak_buffered_bytes: usize,
     /// Aggregated per-worker lazy-DFA cache statistics (all zero under
     /// [`crate::Engine::Nfa`]).
@@ -110,6 +117,11 @@ pub struct CorpusStats {
     /// Bytes the streaming splitter's own skip loop jumped instead of
     /// stepping (any engine).
     pub splitter_bytes_skipped: u64,
+    /// Segment bytes the streaming splitter copied because their segment
+    /// crossed a chunk boundary (see
+    /// [`crate::StreamStats::bytes_stitched`]); every other segment is a
+    /// range of a chunk the splitter already held.
+    pub splitter_bytes_stitched: u64,
 }
 
 /// The outcome of a corpus run: one relation per input document (in
@@ -142,6 +154,7 @@ impl CorpusResult {
                 cache,
                 prefilter,
                 splitter_bytes_skipped: f.splitter_skipped,
+                splitter_bytes_stitched: f.splitter_stitched,
             },
         }
     }
@@ -458,6 +471,37 @@ mod tests {
         let dense_stats = dense.run_slices(&refs).stats;
         assert_eq!(dense_stats.prefilter, PrefilterStats::default());
         assert!(dense_stats.splitter_bytes_skipped > 500);
+    }
+
+    #[test]
+    fn stats_carry_the_enumeration_frames() {
+        // The bigram extractor on the AOT tier: the run's frame count is
+        // the sum of each segment's own.
+        let spanner =
+            ExecSpanner::compile_with(&splitc_textgen::spanners::ngram_extractor(2), Engine::Aot);
+        let doc = splitc_textgen::wiki_corpus(&splitc_textgen::CorpusConfig {
+            target_bytes: 16 << 10,
+            ..Default::default()
+        });
+        let sentences = splitter::sentences().compile();
+        let r = CorpusRunner::new(
+            spanner.clone(),
+            sentences.clone(),
+            CorpusRunnerConfig {
+                workers: 2,
+                batch_bytes: 1 << 10,
+                ..Default::default()
+            },
+        );
+        let got = r.run_slices(&[&doc]);
+        let mut expected = 0;
+        for span in sentences.split(&doc) {
+            let mut cache = DenseCache::default();
+            spanner.eval_with(span.slice(&doc), &mut cache, &mut PrefilterStats::default());
+            expected += cache.enum_frames();
+        }
+        assert!(expected > 1000, "{expected} frames");
+        assert_eq!(got.stats.cache.enum_frames, expected);
     }
 
     #[test]

@@ -117,6 +117,9 @@ pub struct FleetStats {
     /// Bytes the streaming splitter's own skip loop jumped instead of
     /// stepping.
     pub splitter_bytes_skipped: u64,
+    /// Segment bytes the streaming splitter copied because their segment
+    /// crossed a chunk boundary.
+    pub splitter_bytes_stitched: u64,
 }
 
 impl FleetStats {
@@ -477,6 +480,7 @@ impl FleetResult {
                 cache: t.cache,
                 prefilter: t.prefilter,
                 splitter_bytes_skipped: f.splitter_skipped,
+                splitter_bytes_stitched: f.splitter_stitched,
             },
         }
     }

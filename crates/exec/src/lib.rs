@@ -73,7 +73,7 @@ pub use handle::{CorpusHandle, DeltaStats};
 pub use options::{CompileOptions, RunnerOptions};
 pub use pool::{EvalPool, EvalPoolStats};
 pub use segcache::{SegCacheStats, SegmentCache};
-pub use stream::{Segment, StreamingSplitter};
+pub use stream::{SegBytes, Segment, StreamStats, StreamingSplitter};
 
 #[cfg(test)]
 mod proptests;

@@ -4,11 +4,20 @@
 //! distributed over segments; this module owns that distribution once.
 //! A [`Pipeline`] streams documents through a [`StreamingSplitter`] (or
 //! takes an already-known segmentation), packs the segments into
-//! batches of about `batch_bytes`, fans the batches out to workers over
-//! a **bounded** queue (backpressure: peak in-flight memory is
-//! `queue_depth × batch_bytes` plus one batch per worker, never corpus
-//! size), and merges the shifted per-segment tuples deterministically
-//! into `relations[doc][member]`, independent of worker scheduling.
+//! batches of about `batch_bytes` of stream, fans the batches out to
+//! workers over a **bounded** queue, and merges the shifted per-segment
+//! tuples deterministically into `relations[doc][member]`, independent
+//! of worker scheduling.
+//!
+//! **Backpressure.** A segment's bytes are a range of a buffer the
+//! producer already holds — a pushed chunk, or for a presplit document
+//! the document — so a queued segment pins that buffer until a worker
+//! drops it. Each segment is charged toward its batch the stream it
+//! extends the queued segments over (the gap since the previous segment
+//! included) and at least its queue entry, so at most `queue_depth`
+//! queued batches, one batch per worker and the one being filled are in
+//! flight, and the chunks they pin cover about that many `batch_bytes`
+//! of stream plus a chunk at either end — never corpus size.
 //!
 //! What a worker does with one segment is the only thing that differs
 //! between runners, and it sits behind the narrow [`SegmentWork`]
@@ -18,9 +27,13 @@
 //! generic over it, so the per-segment path is monomorphised — no
 //! dynamic dispatch between the queue and the work.
 //!
-//! **Owned hand-off.** The work hands each relation over by value: one
-//! row-major span buffer, allocated once at its exact size by the
-//! engine. The worker shifts it in place
+//! **Zero-copy hand-off.** On the way in, a segment crosses to its
+//! worker as a shared range ([`crate::SegBytes`]): no segment bytes are
+//! allocated, copied or freed between the splitter and the engine, only
+//! a reference count moves (a segment that crosses a chunk boundary was
+//! stitched once, by the splitter). On the way out, the work hands each
+//! relation over by value: one row-major span buffer, allocated once at
+//! its exact size by the engine. The worker shifts it in place
 //! ([`SpanRelation::shift_in_place`]), so no tuple is copied or
 //! allocated between the engine and the merge; a segment-cache hit
 //! clones the shared relation once and shifts the clone, leaving the
@@ -53,7 +66,7 @@
 use crate::corpus::CorpusRunnerConfig;
 use crate::pool::EvalPool;
 use crate::segcache::SegmentCache;
-use crate::stream::{Segment, StreamingSplitter};
+use crate::stream::{SegBytes, Segment, StreamingSplitter};
 use parking_lot::Mutex;
 use splitc_spanner::span::Span;
 use splitc_spanner::splitter::CompiledSplitter;
@@ -107,6 +120,8 @@ pub(crate) struct FeedStats {
     pub peak_buffered_bytes: usize,
     /// Bytes the streaming splitter's own skip loop jumped.
     pub splitter_skipped: u64,
+    /// Segment bytes the streaming splitter stitched across chunks.
+    pub splitter_stitched: u64,
 }
 
 /// The raw outcome of a run: `relations[doc][member]`, the producer's
@@ -118,39 +133,15 @@ pub(crate) struct Run<T> {
     pub tally: T,
 }
 
-/// One segment flowing through the queue. The streaming path moves each
-/// freshly split [`Segment`] in (the bytes were just materialized and
-/// have no other owner); the presplit re-query path shares one `Arc` of
-/// the whole document per segment instead of copying bytes — at corpus
-/// scale that removes one allocation and one memcpy per segment from
-/// the all-hits hot path.
-enum SegPayload {
-    Owned(Segment),
-    Shared { doc: Arc<Vec<u8>>, span: Span },
-}
-
-impl SegPayload {
-    /// The segment's absolute span in its document (the shift applied
-    /// to its tuples).
-    fn span(&self) -> Span {
-        match self {
-            SegPayload::Owned(seg) => seg.span,
-            SegPayload::Shared { span, .. } => *span,
-        }
-    }
-
-    fn bytes(&self) -> &[u8] {
-        match self {
-            SegPayload::Owned(seg) => &seg.bytes,
-            SegPayload::Shared { doc, span } => &doc[span.start..span.end],
-        }
-    }
-}
-
 /// `(stream index, document index, segment)` triples in stream order.
 /// Batches may span document boundaries, so collections of tiny
 /// documents still fill them.
-type Batch = Vec<(usize, usize, SegPayload)>;
+type Batch = Vec<(usize, usize, Segment)>;
+
+/// What one queued segment costs beside the bytes it pins: its batch
+/// entry. Each segment is charged at least this toward the batch target,
+/// so a run of empty or tiny segments still fills batches.
+const ENTRY_BYTES: usize = std::mem::size_of::<(usize, usize, Segment)>();
 
 /// The shifted, non-empty relation of one `(doc, member)` cell from one
 /// segment: `(stream index, doc, member, relation)`.
@@ -162,18 +153,28 @@ struct Feed {
     tx: SyncSender<Batch>,
     batch: Batch,
     batch_bytes: usize,
+    /// `(document, end)` of the furthest-reaching segment queued so far.
+    reach: Option<(usize, usize)>,
     target: usize,
     stats: FeedStats,
 }
 
 impl Feed {
     /// Queues one segment, tagged with its running index in the stream.
-    fn segment(&mut self, di: usize, seg: SegPayload) {
-        let len = seg.bytes().len();
+    /// The segment is charged the stream bytes it extends the queued
+    /// segments' reach by (the gap before it included, since the chunk
+    /// it shares pins that gap too), and at least its batch entry.
+    fn segment(&mut self, di: usize, seg: Segment) {
+        let len = seg.bytes.len();
+        let from = match self.reach {
+            Some((d, end)) if d == di => end,
+            _ => seg.span.start,
+        };
+        self.reach = Some((di, from.max(seg.span.end)));
         let seq = self.stats.segments;
         self.stats.segments += 1;
         self.stats.segment_bytes += len as u64;
-        self.batch_bytes += len;
+        self.batch_bytes += seg.span.end.saturating_sub(from).max(ENTRY_BYTES);
         self.batch.push((seq, di, seg));
         if self.batch_bytes >= self.target {
             self.flush();
@@ -254,16 +255,16 @@ impl<W: SegmentWork> Pipeline<W> {
             let mut splitter = StreamingSplitter::new(&self.splitter);
             for chunk in doc {
                 for seg in splitter.push(chunk.as_ref()) {
-                    feed.segment(di, SegPayload::Owned(seg));
+                    feed.segment(di, seg);
                 }
             }
-            feed.stats.peak_buffered_bytes = feed
-                .stats
-                .peak_buffered_bytes
-                .max(splitter.peak_buffered_bytes());
-            feed.stats.splitter_skipped += splitter.bytes_skipped();
-            for seg in splitter.finish() {
-                feed.segment(di, SegPayload::Owned(seg));
+            let (tail, split) = splitter.finish_with_stats();
+            let stats = &mut feed.stats;
+            stats.peak_buffered_bytes = stats.peak_buffered_bytes.max(split.peak_buffered_bytes);
+            stats.splitter_skipped += split.bytes_skipped;
+            stats.splitter_stitched += split.bytes_stitched;
+            for seg in tail {
+                feed.segment(di, seg);
             }
         })
     }
@@ -277,10 +278,10 @@ impl<W: SegmentWork> Pipeline<W> {
         self.run(docs, |feed, di, (bytes, spans)| {
             // One copy of the document shared by every segment — the
             // per-segment cost is an `Arc` clone, not a byte copy.
-            let doc = Arc::new(bytes.to_vec());
+            let doc: Arc<[u8]> = Arc::from(bytes);
             for &span in spans {
-                let doc = doc.clone();
-                feed.segment(di, SegPayload::Shared { doc, span });
+                let bytes = SegBytes::new(doc.clone(), span.start..span.end);
+                feed.segment(di, Segment { span, bytes });
             }
         })
     }
@@ -339,6 +340,7 @@ impl<W: SegmentWork> Pipeline<W> {
             tx,
             batch: Vec::new(),
             batch_bytes: 0,
+            reach: None,
             target: config.batch_bytes,
             stats: FeedStats::default(),
         };
@@ -425,10 +427,9 @@ fn worker_loop<W: SegmentWork>(
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut local: Vec<Partial> = Vec::new();
             for (seq, di, seg) in batch {
-                let (bytes, span) = (seg.bytes(), seg.span());
-                work.eval(bytes, cache, &mut scratch, |mi, mut rel| {
+                work.eval(&seg.bytes, cache, &mut scratch, |mi, mut rel| {
                     if !rel.is_empty() {
-                        rel.shift_in_place(span);
+                        rel.shift_in_place(seg.span);
                         local.push((seq, di, mi, rel));
                     }
                 });
@@ -578,6 +579,64 @@ mod tests {
                 assert_eq!(*rel, spanner.eval(seg), "cached relation of {seg:?}");
             }
         }
+    }
+
+    #[test]
+    fn empty_segments_still_fill_batches() {
+        // `.*x{}a.*` emits an empty segment before every `a`: 64 KiB of
+        // `a` is 65 536 segments of no bytes, which must not all queue
+        // as one batch.
+        let doc = vec![b'a'; 64 << 10];
+        let s = splitter::Splitter::parse(".*x{}a.*").unwrap();
+        let spanner = ExecSpanner::compile(&vsa(".*x{}.*"));
+        let config = CorpusRunnerConfig {
+            workers: 2,
+            ..CorpusRunnerConfig::default()
+        };
+        let p = Pipeline::new(Arc::new(spanner.clone()), s.compile(), config, None);
+        let run = p.run_slices(&[&doc]);
+        assert_eq!(run.feed.segments, doc.len());
+        assert_eq!(run.feed.segment_bytes, 0);
+        let floor = run.feed.segments * ENTRY_BYTES / config.batch_bytes;
+        assert!(
+            run.feed.batches >= floor.max(2),
+            "{} batches, {floor} expected",
+            run.feed.batches
+        );
+        let split = split_fn_of_splitter(&s);
+        assert_eq!(
+            column(run),
+            evaluate_many_split(&spanner, &split, &[&doc], 1)
+        );
+    }
+
+    #[test]
+    fn sparse_segments_are_charged_the_stream_they_pin() {
+        // One 3-byte tag per 4 KiB. A queued segment pins the chunk it
+        // shares, so a batch is charged the stream it spans, not its
+        // few segment bytes: 256 KiB in 32 KiB batches is 8 of them.
+        let doc: Vec<u8> = (0..64)
+            .flat_map(|_| {
+                let mut block = vec![b' '; 4093];
+                block.extend_from_slice(b"<a>");
+                block
+            })
+            .collect();
+        let s = splitter::Splitter::parse(".*x{<a>}.*").unwrap();
+        let spanner = ExecSpanner::compile(&vsa(".*x{a}.*"));
+        let config = CorpusRunnerConfig {
+            workers: 2,
+            ..CorpusRunnerConfig::default()
+        };
+        let p = Pipeline::new(Arc::new(spanner.clone()), s.compile(), config, None);
+        let run = p.run_slices(&[&doc]);
+        assert_eq!(run.feed.segments, 64);
+        assert!(run.feed.batches >= 7, "{} batches", run.feed.batches);
+        let split = split_fn_of_splitter(&s);
+        assert_eq!(
+            column(run),
+            evaluate_many_split(&spanner, &split, &[&doc], 1)
+        );
     }
 
     /// Emits an empty relation for member 0 per segment and panics on

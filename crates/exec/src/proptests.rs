@@ -81,7 +81,7 @@ fn stream_segments(s: &Splitter, doc: &[u8], sizes: &[usize]) -> Vec<(usize, usi
     }
     out.extend(st.finish());
     out.into_iter()
-        .map(|seg| (seg.span.start, seg.span.end, seg.bytes))
+        .map(|seg| (seg.span.start, seg.span.end, seg.bytes.to_vec()))
         .collect()
 }
 
@@ -104,6 +104,43 @@ proptest! {
             .collect();
         let streamed = stream_segments(s, &doc, &sizes);
         prop_assert_eq!(streamed, batch);
+    }
+
+    /// At chunk sizes 1, 7 and 4096, every pool splitter's stream hands
+    /// out the batch split's segments holding the document's bytes, and
+    /// copies exactly the segments that cross a chunk boundary: none
+    /// when the document arrives as one chunk, overlapping windows
+    /// included.
+    #[test]
+    fn streamed_segments_copy_only_what_crosses_a_chunk(
+        si in 0..splitter_pool().len(),
+        doc in doc_strategy(),
+    ) {
+        let compiled = splitter_pool()[si].compile();
+        let batch = compiled.split(&doc);
+        for chunk in [1, 7, 4096] {
+            let mut st = StreamingSplitter::new(&compiled);
+            let mut got = Vec::new();
+            for piece in doc.chunks(chunk) {
+                got.extend(st.push(piece));
+            }
+            let (tail, stats) = st.finish_with_stats();
+            got.extend(tail);
+            let spans: Vec<Span> = got.iter().map(|seg| seg.span).collect();
+            prop_assert_eq!(&spans, &batch, "splitter {}, chunk {}", si, chunk);
+            for seg in &got {
+                prop_assert!(seg.bytes == seg.span.slice(&doc), "{:?}, chunk {}", seg, chunk);
+            }
+            let crossing: u64 = batch
+                .iter()
+                .filter(|sp| sp.start < sp.end && sp.start / chunk != (sp.end - 1) / chunk)
+                .map(|sp| sp.len() as u64)
+                .sum();
+            prop_assert_eq!(stats.bytes_stitched, crossing, "splitter {}, chunk {}", si, chunk);
+            if doc.len() <= chunk {
+                prop_assert_eq!(stats.bytes_stitched, 0);
+            }
+        }
     }
 
     #[test]
@@ -554,8 +591,8 @@ fn over_budget_splitter_matches_sentences_on_every_path() {
         }
         assert_eq!(st.last_quiescent(), 0);
         assert!(!st.is_quiescent(), "only position 0 is quiescent");
-        assert_eq!(st.bytes_skipped(), 0);
-        assert_eq!(st.peak_buffered_bytes(), doc.len(), "one copy, whole");
+        assert_eq!(st.stats().bytes_skipped, 0);
+        assert_eq!(st.stats().peak_buffered_bytes, doc.len(), "one copy, whole");
         let got = st.finish();
         assert_eq!(spans_of(&got), sentences.split(&doc), "chunk {chunk}");
         assert!(got.iter().all(|s| s.bytes == s.span.slice(&doc)));

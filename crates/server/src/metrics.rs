@@ -142,6 +142,10 @@ pub struct ExecTotals {
     pub prefilter_bytes_skipped: u64,
     /// Bytes the streaming splitter's skip loop jumped.
     pub splitter_bytes_skipped: u64,
+    /// Segment bytes the streaming splitter stitched across chunks.
+    pub splitter_bytes_stitched: u64,
+    /// Forward-enumeration frames pushed or reused.
+    pub enum_frames: u64,
     /// Prefilter candidates handed to a DFA.
     pub prefilter_candidates: u64,
     /// Fleet `(segment, member)` evaluations dispatched.
@@ -181,6 +185,8 @@ impl Metrics {
         t.prefilter_bytes_skipped += stats.prefilter.bytes_skipped;
         t.prefilter_candidates += stats.prefilter.candidates;
         t.splitter_bytes_skipped += stats.splitter_bytes_skipped;
+        t.splitter_bytes_stitched += stats.splitter_bytes_stitched;
+        t.enum_frames += stats.cache.enum_frames;
     }
 
     /// Folds one fleet run's statistics into the totals.
@@ -196,6 +202,8 @@ impl Metrics {
         t.prefilter_bytes_skipped += stats.prefilter.bytes_skipped;
         t.prefilter_candidates += stats.prefilter.candidates;
         t.splitter_bytes_skipped += stats.splitter_bytes_skipped;
+        t.splitter_bytes_stitched += stats.splitter_bytes_stitched;
+        t.enum_frames += stats.cache.enum_frames;
         t.fleet_dispatches += stats.dispatches;
         t.fleet_gate_rejected += stats.gate_rejected;
         t.fleet_scan_rejected += stats.scan_rejected;
@@ -260,6 +268,11 @@ impl Metrics {
                         "splitter_bytes_skipped",
                         Json::Num(exec.splitter_bytes_skipped as f64),
                     ),
+                    (
+                        "splitter_bytes_stitched",
+                        Json::Num(exec.splitter_bytes_stitched as f64),
+                    ),
+                    ("enum_frames", Json::Num(exec.enum_frames as f64)),
                     ("fleet_dispatches", Json::Num(exec.fleet_dispatches as f64)),
                     (
                         "fleet_gate_rejected",
@@ -315,6 +328,11 @@ mod tests {
             segments: 10,
             segment_bytes: 100,
             splitter_bytes_skipped: 7,
+            splitter_bytes_stitched: 3,
+            cache: splitc_spanner::DenseCacheStats {
+                enum_frames: 5,
+                ..Default::default()
+            },
             ..Default::default()
         };
         m.record_corpus(&cs);
@@ -328,5 +346,7 @@ mod tests {
         assert!(rendered.contains("\"corpus_runs\":2"));
         assert!(rendered.contains("\"segment_bytes\":200"));
         assert!(rendered.contains("\"splitter_bytes_skipped\":14"));
+        assert!(rendered.contains("\"splitter_bytes_stitched\":6"));
+        assert!(rendered.contains("\"enum_frames\":10"));
     }
 }

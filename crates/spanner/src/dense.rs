@@ -103,6 +103,9 @@ pub struct DenseCacheStats {
     pub hits: u64,
     /// Lazy-DFA steps that had to compute the successor state.
     pub misses: u64,
+    /// Stack frames the forward enumeration pushed or reused (see
+    /// [`DenseCache::enum_frames`]).
+    pub enum_frames: u64,
 }
 
 impl DenseCacheStats {
@@ -121,6 +124,7 @@ impl DenseCacheStats {
         DenseCacheStats {
             hits: self.hits + other.hits,
             misses: self.misses + other.misses,
+            enum_frames: self.enum_frames + other.enum_frames,
         }
     }
 }
@@ -199,13 +203,14 @@ pub struct DenseCache {
 }
 
 impl DenseCache {
-    /// Transition-level hit/miss statistics accumulated by every scan
-    /// that used this cache. Counters survive overflow-triggered cache
-    /// resets.
+    /// Transition-level hit/miss statistics and the enumeration's frame
+    /// count, accumulated by every scan that used this cache. Counters
+    /// survive overflow-triggered cache resets.
     pub fn stats(&self) -> DenseCacheStats {
         DenseCacheStats {
             hits: self.bwd.hits,
             misses: self.bwd.misses,
+            enum_frames: self.scratch.frames,
         }
     }
 

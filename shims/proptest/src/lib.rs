@@ -13,6 +13,17 @@
 //! * **No shrinking.** A failing case panics with the *unshrunk* inputs
 //!   (every strategy value in this workspace is `Debug`, so failures are
 //!   still actionable).
+//!
+//! Two environment variables adjust a run, and a failure prints both so
+//! it can be replayed:
+//!
+//! * `PROPTEST_CASES` — the number of cases each test runs. Upstream
+//!   proptest applies it only to tests without an explicit count; here
+//!   it overrides `with_cases` too, since every test in this workspace
+//!   sets one.
+//! * `PROPTEST_SEED` — an unsigned integer mixed into every test's
+//!   name-derived seed, to draw a different deterministic sample. Unset,
+//!   the sample is the name's alone.
 
 pub mod test_runner {
     //! Test-runner types: config, RNG, and the case-level error.
@@ -28,6 +39,31 @@ pub mod test_runner {
         /// A config running `cases` random cases.
         pub fn with_cases(cases: u32) -> Self {
             ProptestConfig { cases }
+        }
+
+        /// This config with its case count replaced by `cases`, when
+        /// given (the `PROPTEST_CASES` override).
+        pub fn overridden(self, cases: Option<u64>) -> Self {
+            match cases {
+                Some(n) => ProptestConfig {
+                    cases: u32::try_from(n).unwrap_or(u32::MAX),
+                },
+                None => self,
+            }
+        }
+    }
+
+    /// The unsigned integer in environment variable `var`, or `None`
+    /// when it is unset.
+    ///
+    /// # Panics
+    /// If the variable is set but is not an unsigned integer: a typo
+    /// must not silently run the default sample.
+    pub fn env_u64(var: &str) -> Option<u64> {
+        let value = std::env::var(var).ok()?;
+        match value.trim().parse() {
+            Ok(n) => Some(n),
+            Err(_) => panic!("{var} must be an unsigned integer, got {value:?}"),
         }
     }
 
@@ -54,6 +90,16 @@ pub mod test_runner {
                 h = h.wrapping_mul(0x0000_0100_0000_01B3);
             }
             TestRng { state: h }
+        }
+
+        /// The RNG of the test called `name`: [`TestRng::from_name`],
+        /// with `seed` (the `PROPTEST_SEED` override) mixed in when given.
+        pub fn for_test(name: &str, seed: Option<u64>) -> Self {
+            let mut rng = TestRng::from_name(name);
+            if let Some(seed) = seed {
+                rng.state ^= TestRng { state: seed }.next_u64();
+            }
+            rng
         }
 
         /// Next 64 random bits (SplitMix64).
@@ -315,9 +361,12 @@ macro_rules! proptest {
             $(#[$meta])*
             fn $name() {
                 let config: $crate::test_runner::ProptestConfig = $config;
-                let mut rng = $crate::test_runner::TestRng::from_name(concat!(
-                    module_path!(), "::", stringify!($name)
-                ));
+                let config = config.overridden($crate::test_runner::env_u64("PROPTEST_CASES"));
+                let seed = $crate::test_runner::env_u64("PROPTEST_SEED");
+                let mut rng = $crate::test_runner::TestRng::for_test(
+                    concat!(module_path!(), "::", stringify!($name)),
+                    seed,
+                );
                 for case in 0..config.cases {
                     $(let $arg = $crate::strategy::Strategy::sample(&($strat), &mut rng);)+
                     let outcome: ::core::result::Result<(), $crate::test_runner::TestCaseError> =
@@ -329,10 +378,12 @@ macro_rules! proptest {
                         let mut inputs = ::std::string::String::new();
                         $(inputs.push_str(&format!("\n  {} = {:?}", stringify!($arg), &$arg));)+
                         panic!(
-                            "proptest {} failed at case {}/{}: {}\ninputs:{}",
+                            "proptest {} failed at case {}/{} (PROPTEST_CASES={} PROPTEST_SEED={}): {}\ninputs:{}",
                             stringify!($name),
                             case + 1,
                             config.cases,
+                            config.cases,
+                            seed.map_or("unset".to_string(), |s| s.to_string()),
                             e,
                             inputs
                         );
@@ -476,7 +527,38 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "proptest")]
+    fn seed_override_draws_another_deterministic_sample() {
+        let draw = |seed| {
+            let mut rng = TestRng::for_test("t", seed);
+            (0..4).map(|_| rng.next_u64()).collect::<Vec<_>>()
+        };
+        let mut by_name = TestRng::from_name("t");
+        assert_eq!(
+            draw(None),
+            (0..4).map(|_| by_name.next_u64()).collect::<Vec<_>>()
+        );
+        assert_eq!(draw(Some(7)), draw(Some(7)));
+        assert_ne!(draw(Some(7)), draw(None));
+        assert_ne!(draw(Some(7)), draw(Some(8)));
+    }
+
+    #[test]
+    fn cases_override_replaces_the_count() {
+        assert_eq!(ProptestConfig::with_cases(8).overridden(None).cases, 8);
+        assert_eq!(
+            ProptestConfig::with_cases(8).overridden(Some(4096)).cases,
+            4096
+        );
+        assert_eq!(
+            ProptestConfig::with_cases(8)
+                .overridden(Some(u64::MAX))
+                .cases,
+            u32::MAX
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "PROPTEST_SEED=")]
     fn failing_case_panics() {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(8))]

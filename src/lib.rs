@@ -67,8 +67,8 @@ pub mod prelude {
         certify_many, evaluate_many, evaluate_many_split, evaluate_sequential, evaluate_split,
         CertPath, Certification, CertifyConfig, CertifyResult, CertifyStats, CompileOptions,
         CorpusHandle, CorpusResult, CorpusRunner, CorpusRunnerConfig, CorpusStats, DeltaStats,
-        Engine, ExecSpanner, Fleet, FleetResult, FleetRunner, FleetStats, RunnerOptions,
-        SegCacheStats, Segment, SegmentCache, SplitFn, StreamingSplitter,
+        Engine, ExecSpanner, Fleet, FleetResult, FleetRunner, FleetStats, RunnerOptions, SegBytes,
+        SegCacheStats, Segment, SegmentCache, SplitFn, StreamStats, StreamingSplitter,
     };
     pub use splitc_spanner::splitter as splitters;
     pub use splitc_spanner::splitter::native as native_splitters;
