@@ -17,7 +17,7 @@
 //! * **stream** (rows `e6_sparse_prefilter/stream`) — the full
 //!   streaming [`splitc_exec::CorpusRunner`] pipeline over sharded
 //!   sparse documents split to sentences, reporting the
-//!   `PrefilterStats` surfaced in `CorpusStats` (gate rejections per
+//!   `PrefilterStats` surfaced in `RunStats` (gate rejections per
 //!   segment + skip-loop bytes).
 //!
 //! Engines must produce byte-identical relations — asserted on every
@@ -193,6 +193,6 @@ fn main() {
          (the CI gate asserts the floor; the recorded quiet-host factor\n\
          lives in BENCH_pr5.json). The streaming rows show the same engines\n\
          behind the splitter pipeline, where PrefilterStats surface in\n\
-         CorpusStats."
+         RunStats."
     );
 }

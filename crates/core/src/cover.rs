@@ -82,6 +82,13 @@ pub fn cover_condition_df(p: &Vsa, s: &Splitter) -> Result<Verdict, CertError> {
 /// callers that have already established determinism, functionality,
 /// and disjointness (the split-correctness fast path validates the
 /// whole triple once; the batch certifier validates per batch).
+///
+/// A `Holds` from the unambiguous route is not exact:
+/// [`unambiguous::ufa_contains_unchecked`] answers "contained" when the
+/// accepting-path counts agree modulo the three
+/// `splitc_automata::counting::COUNT_PRIMES`, which is strong evidence,
+/// not a proof. Only a failure is confirmed by classical containment
+/// (for its witness). Exact counting is ROADMAP item 13.
 pub(crate) fn cover_condition_df_prechecked(p: &Vsa, s: &Splitter) -> Verdict {
     let p = p.trim();
     let s_vsa = s.vsa().trim();

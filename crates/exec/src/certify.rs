@@ -21,17 +21,25 @@
 //!   Theorem 5.7 polynomial path (functionality, determinism,
 //!   disjointness) are checked once per batch, spanner-level ones once
 //!   per distinct spanner; eligible pairs take
-//!   [`splitc_core::split_correct_df`]. Its `Holds` verdicts are exact
-//!   (the pointwise check is stronger than `P = P_S ∘ S`) and accepted
-//!   as-is; its `Fails` verdicts can be spurious on the documented
-//!   boundary-empty-span corner, so they — like declined pairs — are
-//!   confirmed through the general (antichain) engine. Batch verdicts
-//!   therefore never depend on routing.
+//!   [`splitc_core::split_correct_df`]. Its `Holds` verdicts are
+//!   accepted as-is: the pointwise check is stronger than
+//!   `P = P_S ∘ S`. They are not exact, though: the check decides its
+//!   containment by [`ufa_contains_unchecked`], which answers
+//!   "contained" when accepting-path counts agree modulo the three
+//!   [`COUNT_PRIMES`] — strong evidence, not a proof (exact counting is
+//!   ROADMAP item 13). Its `Fails` verdicts can be spurious on the
+//!   documented boundary-empty-span corner, so they — like declined
+//!   pairs — are confirmed through the general (antichain) engine.
+//!   Batch verdicts therefore depend on routing only through a
+//!   fast-path `Holds` whose counts collide modulo all three primes.
 //!
 //! The general route runs on the antichain-pruned containment engine by
 //! default ([`CheckStrategy::Antichain`]); the determinize-first
 //! reference is selectable for differential runs and is the baseline of
 //! the `t3_certification_scaling` benchmark.
+//!
+//! [`ufa_contains_unchecked`]: splitc_automata::unambiguous::ufa_contains_unchecked
+//! [`COUNT_PRIMES`]: splitc_automata::counting::COUNT_PRIMES
 
 use parking_lot::Mutex;
 use splitc_core::{
@@ -215,9 +223,11 @@ impl Shared<'_> {
             // Thm 5.7 check itself — no revalidation.
             let v = split_correct_df_prechecked(p, ps, self.splitter);
             if v.holds() {
-                // A fast-path Holds is always exact: the Theorem 5.7
-                // pointwise check is *stronger* than `P = P_S ∘ S`, so
-                // agreement per covering split implies equality.
+                // A fast-path Holds is accepted unconfirmed: the Theorem
+                // 5.7 pointwise check is *stronger* than `P = P_S ∘ S`,
+                // so agreement per covering split implies equality. It is
+                // not exact: its containment agrees on path counts only
+                // modulo the three `COUNT_PRIMES` (ROADMAP item 13).
                 self.fast_path.fetch_add(1, Ordering::Relaxed);
                 return Certification {
                     pair,

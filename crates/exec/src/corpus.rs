@@ -16,7 +16,7 @@
 //! The runner is a typed wrapper over the crate's one streaming pipeline
 //! (the private `pipeline` module), which it shares with
 //! [`crate::FleetRunner`]; this module contributes the single-spanner
-//! `SegmentWork` and the [`CorpusStats`] view of a run.
+//! `SegmentWork`, and a run reports the pipeline's one [`RunStats`].
 //!
 //! When `P = P_S ∘ S` has been certified split-correct
 //! (`splitc-core`), the relations returned here equal whole-document
@@ -24,10 +24,10 @@
 //! with [`crate::evaluate_many_split`] on every run.
 
 use crate::engine::ExecSpanner;
-use crate::pipeline::{Pipeline, Run, SegmentWork};
+use crate::pipeline::{Pipeline, RunResult, RunStats, SegmentWork};
 use crate::pool::EvalPool;
 use crate::segcache::SegmentCache;
-use splitc_spanner::dense::{DenseCache, DenseCacheStats};
+use splitc_spanner::dense::DenseCache;
 use splitc_spanner::prefilter::PrefilterStats;
 use splitc_spanner::span::Span;
 use splitc_spanner::splitter::CompiledSplitter;
@@ -87,85 +87,15 @@ impl CorpusRunnerConfig {
     }
 }
 
-/// Run statistics of one [`CorpusRunner`] invocation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CorpusStats {
-    /// Documents streamed.
-    pub docs: usize,
-    /// Documents whose relation was reused verbatim from a
-    /// [`crate::CorpusHandle`] extraction memo instead of being run
-    /// (always 0 outside [`crate::CorpusHandle::extract`]).
-    pub docs_reused: usize,
-    /// Split segments evaluated.
-    pub segments: usize,
-    /// Total bytes across all evaluated segments.
-    pub segment_bytes: u64,
-    /// Batches dispatched to the worker pool.
-    pub batches: usize,
-    /// Largest `[low watermark, position)` window any document's
-    /// streaming splitter held at once — bounded by segment + chunk
-    /// length for prompt splitters, not by document size. The chunks
-    /// overlapping it, and those that queued segments share, are what
-    /// stays resident.
-    pub peak_buffered_bytes: usize,
-    /// Aggregated per-worker lazy-DFA cache statistics (all zero under
-    /// [`crate::Engine::Nfa`]).
-    pub cache: DenseCacheStats,
-    /// Aggregated prefilter statistics: worker-side gate rejections and
-    /// skip-loop jumps (non-zero only under [`crate::Engine::Prefilter`]).
-    pub prefilter: PrefilterStats,
-    /// Bytes the streaming splitter's own skip loop jumped instead of
-    /// stepping (any engine).
-    pub splitter_bytes_skipped: u64,
-    /// Segment bytes the streaming splitter copied because their segment
-    /// crossed a chunk boundary (see
-    /// [`crate::StreamStats::bytes_stitched`]); every other segment is a
-    /// range of a chunk the splitter already held.
-    pub splitter_bytes_stitched: u64,
-}
-
-/// The outcome of a corpus run: one relation per input document (in
-/// input order) plus run statistics.
-#[derive(Debug, Clone)]
-pub struct CorpusResult {
-    /// Per-document span relations, index-aligned with the input order.
-    pub relations: Vec<SpanRelation>,
-    /// Statistics of the run.
-    pub stats: CorpusStats,
-}
-
-impl CorpusResult {
-    /// The corpus view of a pipeline run: member 0 of every document.
-    pub(crate) fn from_run(run: Run<(DenseCacheStats, PrefilterStats)>) -> CorpusResult {
-        let (f, (cache, prefilter)) = (run.feed, run.tally);
-        CorpusResult {
-            relations: run
-                .relations
-                .into_iter()
-                .map(|row| row.into_iter().next().expect("one member"))
-                .collect(),
-            stats: CorpusStats {
-                docs: f.docs,
-                docs_reused: f.docs_reused,
-                segments: f.segments,
-                segment_bytes: f.segment_bytes,
-                batches: f.batches,
-                peak_buffered_bytes: f.peak_buffered_bytes,
-                cache,
-                prefilter,
-                splitter_bytes_skipped: f.splitter_skipped,
-                splitter_bytes_stitched: f.splitter_stitched,
-            },
-        }
-    }
-}
+/// The result of a [`CorpusRunner`] run, under the name the repository
+/// benchmark (`perfbench/`) still uses.
+pub type CorpusResult = RunResult<SpanRelation>;
 
 /// One spanner per segment, with a per-worker lazy-DFA cache and
 /// prefilter counters as scratch. Hits in a segment cache return the
 /// stored relation, byte-identical to the engine call they replace.
 impl SegmentWork for ExecSpanner {
     type Scratch = (DenseCache, PrefilterStats);
-    type Tally = (DenseCacheStats, PrefilterStats);
 
     fn members(&self) -> usize {
         1
@@ -200,12 +130,12 @@ impl SegmentWork for ExecSpanner {
         }
     }
 
-    fn tally(&self, (dense, prefilter): Self::Scratch) -> Self::Tally {
-        (dense.stats(), prefilter)
-    }
-
-    fn merge(total: &mut Self::Tally, part: Self::Tally) {
-        *total = (total.0.merge(part.0), total.1.merge(part.1));
+    fn tally(&self, (dense, prefilter): Self::Scratch) -> RunStats {
+        RunStats {
+            cache: dense.stats(),
+            prefilter,
+            ..RunStats::default()
+        }
     }
 }
 
@@ -274,13 +204,13 @@ impl CorpusRunner {
     /// pipeline. Each item of `docs` is one document, delivered as an
     /// iterator of byte chunks (e.g. reads from a file or a generator) —
     /// no document is ever materialized by the runner.
-    pub fn run_streams<D, C, B>(&self, docs: D) -> CorpusResult
+    pub fn run_streams<D, C, B>(&self, docs: D) -> RunResult<SpanRelation>
     where
         D: IntoIterator<Item = C>,
         C: IntoIterator<Item = B>,
         B: AsRef<[u8]>,
     {
-        CorpusResult::from_run(self.0.run_streams(docs))
+        self.0.run_streams(docs).single()
     }
 
     /// Evaluates documents whose split is **already known**, skipping
@@ -294,11 +224,11 @@ impl CorpusRunner {
     /// handle guarantees this); the pipeline downstream of splitting —
     /// batching, pooling, caching, deterministic merge — is identical to
     /// [`CorpusRunner::run_streams`].
-    pub fn run_presplit<'a, D>(&self, docs: D) -> CorpusResult
+    pub fn run_presplit<'a, D>(&self, docs: D) -> RunResult<SpanRelation>
     where
         D: IntoIterator<Item = (&'a [u8], &'a [Span])>,
     {
-        CorpusResult::from_run(self.0.run_presplit(docs))
+        self.0.run_presplit(docs).single()
     }
 
     /// Runs already-materialized documents through the streaming path,
@@ -306,8 +236,8 @@ impl CorpusRunner {
     /// is the entry point the differential tests and the
     /// `e5_corpus_stream` benchmark compare against
     /// [`crate::evaluate_many_split`].
-    pub fn run_slices(&self, docs: &[&[u8]]) -> CorpusResult {
-        CorpusResult::from_run(self.0.run_slices(docs))
+    pub fn run_slices(&self, docs: &[&[u8]]) -> RunResult<SpanRelation> {
+        self.0.run_slices(docs).single()
     }
 }
 
@@ -315,6 +245,7 @@ impl CorpusRunner {
 mod tests {
     use super::*;
     use crate::engine::{evaluate_many_split, split_fn_of_splitter, Engine, SplitFn};
+    use splitc_spanner::dense::DenseCacheStats;
     use splitc_spanner::rgx::Rgx;
     use splitc_spanner::splitter;
     use splitc_spanner::vsa::Vsa;
@@ -509,7 +440,7 @@ mod tests {
         let r = runner("x{a*}", CorpusRunnerConfig::default());
         let got = r.run_slices(&[]);
         assert!(got.relations.is_empty());
-        assert_eq!(got.stats, CorpusStats::default());
+        assert_eq!(got.stats, RunStats::default());
     }
 
     #[test]

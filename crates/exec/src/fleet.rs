@@ -37,7 +37,7 @@
 
 use crate::corpus::CorpusRunnerConfig;
 use crate::engine::{Engine, ExecSpanner};
-use crate::pipeline::{Pipeline, Run, SegmentWork};
+use crate::pipeline::{Pipeline, RunResult, RunStats, SegmentWork};
 use crate::pool::EvalPool;
 use crate::segcache::SegmentCache;
 use parking_lot::Mutex;
@@ -46,7 +46,7 @@ use splitc_automata::scan::{ByteFinder, MultiNeedle};
 use splitc_spanner::dense::{DenseCache, DenseCacheStats, DenseConfig};
 use splitc_spanner::engine::TieredEvsa;
 use splitc_spanner::evsa::EVsa;
-use splitc_spanner::prefilter::{PrefilterAnalysis, PrefilterStats};
+use splitc_spanner::prefilter::PrefilterAnalysis;
 use splitc_spanner::span::Span;
 use splitc_spanner::splitter::CompiledSplitter;
 use splitc_spanner::tuple::SpanRelation;
@@ -77,74 +77,13 @@ struct FleetMember {
     finder: Option<ByteFinder>,
 }
 
-/// Aggregate statistics of one fused fleet pass.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FleetStats {
-    /// Documents streamed.
-    pub docs: usize,
-    /// Documents whose member relations were reused verbatim from a
-    /// [`crate::CorpusHandle`] extraction memo instead of being run
-    /// (always 0 outside [`crate::CorpusHandle::extract_fleet`]).
-    pub docs_reused: usize,
-    /// Split segments produced (each is considered by every member).
-    pub segments: usize,
-    /// Total bytes across all segments.
-    pub segment_bytes: u64,
-    /// Batches dispatched to the worker pool.
-    pub batches: usize,
-    /// Largest byte window any document's streaming splitter held.
-    pub peak_buffered_bytes: usize,
-    /// Bytes consumed by the shared multi-needle scan (early exit makes
-    /// this at most, often far less than, `segment_bytes`).
-    pub shared_scan_bytes: u64,
-    /// `(segment, member)` evaluations actually dispatched to an
-    /// engine. The headline number: sequential evaluation dispatches
-    /// `segments × members`.
-    pub dispatches: u64,
-    /// `(segment, member)` pairs pruned by the cheap per-member facts
-    /// (minimum length, required prefix, private required-byte finder).
-    pub gate_rejected: u64,
-    /// `(segment, member)` pairs pruned because the shared scan found
-    /// none of the member's needles.
-    pub scan_rejected: u64,
-    /// Segments dispatched per member, index-aligned with the fleet.
-    pub candidates: Vec<u64>,
-    /// Aggregated per-worker lazy-DFA cache statistics.
-    pub cache: DenseCacheStats,
-    /// Aggregated backend prefilter statistics (skip-loop bytes, inner
-    /// gate counts under [`Engine::Prefilter`]).
-    pub prefilter: PrefilterStats,
-    /// Bytes the streaming splitter's own skip loop jumped instead of
-    /// stepping.
-    pub splitter_bytes_skipped: u64,
-    /// Segment bytes the streaming splitter copied because their segment
-    /// crossed a chunk boundary.
-    pub splitter_bytes_stitched: u64,
-}
+/// The statistics of a [`FleetRunner`] run, under the name the
+/// repository benchmark (`perfbench/`) still uses.
+pub type FleetStats = RunStats;
 
-impl FleetStats {
-    /// Average number of members dispatched per segment — the fused
-    /// pass's fan-out. Sequential evaluation has fan-out = fleet size;
-    /// the gap between the two is the work the fusion avoided.
-    pub fn fan_out(&self) -> f64 {
-        if self.segments == 0 {
-            0.0
-        } else {
-            self.dispatches as f64 / self.segments as f64
-        }
-    }
-}
-
-/// The outcome of a fleet corpus run: per-document, per-member span
-/// relations plus run statistics.
-#[derive(Debug, Clone)]
-pub struct FleetResult {
-    /// `relations[doc][member]`, index-aligned with the input corpus
-    /// and the fleet's compile order.
-    pub relations: Vec<Vec<SpanRelation>>,
-    /// Statistics of the run.
-    pub stats: FleetStats,
-}
+/// The result of a [`FleetRunner`] run, under the name the repository
+/// benchmark (`perfbench/`) still uses.
+pub type FleetResult = RunResult<Vec<SpanRelation>>;
 
 /// Per-evaluation scratch: one lazy-DFA cache per member, the
 /// epoch-stamped evidence buffers of the fused gate, and the worker's
@@ -160,19 +99,8 @@ pub(crate) struct FleetScratch {
     /// avoids clearing the buffer for every segment.
     evidence: Vec<u64>,
     epoch: u64,
-    tally: FleetTally,
-}
-
-/// Per-worker counters, merged into [`FleetStats`] after the run.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FleetTally {
-    shared_scan_bytes: u64,
-    dispatches: u64,
-    gate_rejected: u64,
-    scan_rejected: u64,
-    candidates: Vec<u64>,
-    cache: DenseCacheStats,
-    prefilter: PrefilterStats,
+    /// The worker's fused-gate and prefilter counters.
+    tally: RunStats,
 }
 
 /// A fleet of spanners compiled for fused evaluation.
@@ -320,7 +248,6 @@ impl Fleet {
 /// `(segment, member)` dispatch.
 impl SegmentWork for Fleet {
     type Scratch = FleetScratch;
-    type Tally = FleetTally;
 
     fn members(&self) -> usize {
         self.members.len()
@@ -340,9 +267,9 @@ impl SegmentWork for Fleet {
             cheap_pass: vec![false; n],
             evidence: vec![0; n],
             epoch: 0,
-            tally: FleetTally {
+            tally: RunStats {
                 candidates: vec![0; n],
-                ..FleetTally::default()
+                ..RunStats::default()
             },
         }
     }
@@ -432,56 +359,14 @@ impl SegmentWork for Fleet {
         }
     }
 
-    fn tally(&self, scratch: FleetScratch) -> FleetTally {
+    fn tally(&self, scratch: FleetScratch) -> RunStats {
         let cache = scratch
             .caches
             .iter()
             .fold(DenseCacheStats::default(), |acc, c| acc.merge(c.stats()));
-        FleetTally {
+        RunStats {
             cache,
             ..scratch.tally
-        }
-    }
-
-    fn merge(total: &mut FleetTally, part: FleetTally) {
-        total.shared_scan_bytes += part.shared_scan_bytes;
-        total.dispatches += part.dispatches;
-        total.gate_rejected += part.gate_rejected;
-        total.scan_rejected += part.scan_rejected;
-        if total.candidates.len() < part.candidates.len() {
-            total.candidates.resize(part.candidates.len(), 0);
-        }
-        for (agg, c) in total.candidates.iter_mut().zip(part.candidates) {
-            *agg += c;
-        }
-        total.cache = total.cache.merge(part.cache);
-        total.prefilter = total.prefilter.merge(part.prefilter);
-    }
-}
-
-impl FleetResult {
-    /// The fleet view of a pipeline run.
-    pub(crate) fn from_run(run: Run<FleetTally>) -> FleetResult {
-        let (f, t) = (run.feed, run.tally);
-        FleetResult {
-            relations: run.relations,
-            stats: FleetStats {
-                docs: f.docs,
-                docs_reused: f.docs_reused,
-                segments: f.segments,
-                segment_bytes: f.segment_bytes,
-                batches: f.batches,
-                peak_buffered_bytes: f.peak_buffered_bytes,
-                shared_scan_bytes: t.shared_scan_bytes,
-                dispatches: t.dispatches,
-                gate_rejected: t.gate_rejected,
-                scan_rejected: t.scan_rejected,
-                candidates: t.candidates,
-                cache: t.cache,
-                prefilter: t.prefilter,
-                splitter_bytes_skipped: f.splitter_skipped,
-                splitter_bytes_stitched: f.splitter_stitched,
-            },
         }
     }
 }
@@ -552,32 +437,32 @@ impl FleetRunner {
     ///
     /// An **empty fleet** short-circuits to no work: documents are
     /// counted but never split, scanned, or dispatched.
-    pub fn run_streams<D, C, B>(&self, docs: D) -> FleetResult
+    pub fn run_streams<D, C, B>(&self, docs: D) -> RunResult<Vec<SpanRelation>>
     where
         D: IntoIterator<Item = C>,
         C: IntoIterator<Item = B>,
         B: AsRef<[u8]>,
     {
-        FleetResult::from_run(self.0.run_streams(docs))
+        self.0.run_streams(docs)
     }
 
     /// Evaluates documents whose split is already known, skipping the
     /// splitter: each item is `(document bytes, split spans)` — the
     /// fleet analogue of [`crate::CorpusRunner::run_presplit`], used by
     /// the incremental layer to re-query maintained corpora.
-    pub fn run_presplit<'a, D>(&self, docs: D) -> FleetResult
+    pub fn run_presplit<'a, D>(&self, docs: D) -> RunResult<Vec<SpanRelation>>
     where
         D: IntoIterator<Item = (&'a [u8], &'a [Span])>,
     {
-        FleetResult::from_run(self.0.run_presplit(docs))
+        self.0.run_presplit(docs)
     }
 
     /// Runs already-materialized documents through the streaming path,
     /// feeding each in [`crate::CorpusRunnerConfig::chunk_bytes`]-sized
     /// chunks — the entry point the differential tests and the
     /// `e7_fleet` benchmark compare against per-member sequential runs.
-    pub fn run_slices(&self, docs: &[&[u8]]) -> FleetResult {
-        FleetResult::from_run(self.0.run_slices(docs))
+    pub fn run_slices(&self, docs: &[&[u8]]) -> RunResult<Vec<SpanRelation>> {
+        self.0.run_slices(docs)
     }
 }
 

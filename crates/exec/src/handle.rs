@@ -53,9 +53,9 @@
 //! random edit scripts and the `t8_incremental` benchmark measures as
 //! the incremental ≥-speedup asserted in CI.
 
-use crate::corpus::{CorpusResult, CorpusRunner};
-use crate::fleet::{FleetResult, FleetRunner};
-use crate::pipeline::{Pipeline, Run, SegmentWork};
+use crate::corpus::CorpusRunner;
+use crate::fleet::FleetRunner;
+use crate::pipeline::{Pipeline, RunResult, SegmentWork};
 use parking_lot::Mutex;
 use splitc_spanner::span::Span;
 use splitc_spanner::splitter::CompiledSplitter;
@@ -423,21 +423,21 @@ impl CorpusHandle {
     /// unchanged. `stats.docs` covers every shard; the remaining run
     /// statistics (segments, bytes, batches, engine counters) account
     /// the dirty shards actually streamed.
-    pub fn extract(&self, runner: &CorpusRunner) -> CorpusResult {
-        CorpusResult::from_run(self.requery(runner.pipeline()))
+    pub fn extract(&self, runner: &CorpusRunner) -> RunResult<SpanRelation> {
+        self.requery(runner.pipeline()).single()
     }
 
     /// [`CorpusHandle::extract`] for a fused fleet: the memo key is the
     /// fleet's member identity, the memoized unit is the per-shard row
     /// of member relations.
-    pub fn extract_fleet(&self, runner: &FleetRunner) -> FleetResult {
-        FleetResult::from_run(self.requery(runner.pipeline()))
+    pub fn extract_fleet(&self, runner: &FleetRunner) -> RunResult<Vec<SpanRelation>> {
+        self.requery(runner.pipeline())
     }
 
     /// The memoized re-query behind both extracts: runs the dirty shards
     /// through the pipeline's presplit path and splices the memoized rows
     /// of the clean ones back in.
-    fn requery<W: SegmentWork>(&self, pipeline: &Pipeline<W>) -> Run<W::Tally> {
+    fn requery<W: SegmentWork>(&self, pipeline: &Pipeline<W>) -> RunResult<Vec<SpanRelation>> {
         let mut memos = self.memo.lock();
         let memo = memo_slot(&mut memos, pipeline.work.memo_id(), self.shards.len());
         let dirty = dirty_shards(&self.shards, memo);
@@ -453,8 +453,8 @@ impl CorpusHandle {
             &dirty,
             std::mem::take(&mut run.relations),
         );
-        run.feed.docs = self.shards.len();
-        run.feed.docs_reused = self.shards.len() - dirty.len();
+        run.stats.docs = self.shards.len();
+        run.stats.docs_reused = self.shards.len() - dirty.len();
         run
     }
 }

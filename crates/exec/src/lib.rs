@@ -63,7 +63,7 @@ pub use annotated::{AnnotatedPlan, AnnotatedSplitFn};
 pub use certify::{
     certify_many, CertPath, Certification, CertifyConfig, CertifyResult, CertifyStats,
 };
-pub use corpus::{CorpusResult, CorpusRunner, CorpusRunnerConfig, CorpusStats};
+pub use corpus::{CorpusResult, CorpusRunner, CorpusRunnerConfig};
 pub use engine::{
     evaluate_many, evaluate_many_split, evaluate_sequential, evaluate_split, Engine, ExecSpanner,
     SplitFn,
@@ -71,6 +71,7 @@ pub use engine::{
 pub use fleet::{Fleet, FleetResult, FleetRunner, FleetStats};
 pub use handle::{CorpusHandle, DeltaStats};
 pub use options::{CompileOptions, RunnerOptions};
+pub use pipeline::{RunResult, RunStats};
 pub use pool::{EvalPool, EvalPoolStats};
 pub use segcache::{SegCacheStats, SegmentCache};
 pub use stream::{SegBytes, Segment, StreamStats, StreamingSplitter};

@@ -18,7 +18,12 @@
 //! the repository benchmark (`perfbench/`) calls them:
 //! `ExecSpanner::{compile, compile_with}`, `Fleet::compile`,
 //! `Splitter::compile` and `{Corpus,Fleet}Runner::{new, with_pool}`;
-//! removing them would change what it builds.
+//! removing them would change what it builds. For the same reason the
+//! old result names survive as type aliases of
+//! [`RunResult`](crate::RunResult) and [`RunStats`](crate::RunStats):
+//! [`CorpusResult`](crate::CorpusResult),
+//! [`FleetResult`](crate::FleetResult) and
+//! [`FleetStats`](crate::FleetStats).
 //!
 //! ```
 //! use splitc_exec::{CompileOptions, RunnerOptions, Engine};

@@ -68,6 +68,8 @@ use crate::pool::EvalPool;
 use crate::segcache::SegmentCache;
 use crate::stream::{SegBytes, Segment, StreamingSplitter};
 use parking_lot::Mutex;
+use splitc_spanner::dense::DenseCacheStats;
+use splitc_spanner::prefilter::PrefilterStats;
 use splitc_spanner::span::Span;
 use splitc_spanner::splitter::CompiledSplitter;
 use splitc_spanner::tuple::SpanRelation;
@@ -80,8 +82,6 @@ use std::sync::Arc;
 pub(crate) trait SegmentWork: Send + Sync + 'static {
     /// Per-worker mutable state (lazy-DFA caches, gate buffers, counters).
     type Scratch;
-    /// Counters a worker reports once its queue drains.
-    type Tally: Default + Send;
 
     /// Number of members; results are indexed `[doc][member]`.
     fn members(&self) -> usize;
@@ -102,35 +102,132 @@ pub(crate) trait SegmentWork: Send + Sync + 'static {
         scratch: &mut Self::Scratch,
         emit: impl FnMut(usize, SpanRelation),
     );
-    /// The worker's report, built from its scratch when the queue drains.
-    fn tally(&self, scratch: Self::Scratch) -> Self::Tally;
-    /// Adds one worker's report into the run total.
-    fn merge(total: &mut Self::Tally, part: Self::Tally);
+    /// The worker's counters, read from its scratch when the queue
+    /// drains (its producer counters stay 0).
+    fn tally(&self, scratch: Self::Scratch) -> RunStats;
 }
 
-/// Producer-side counters of one run, shared by every runner's stats.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct FeedStats {
+/// What one run of a [`crate::CorpusRunner`] or [`crate::FleetRunner`]
+/// reports. The producer fills the first eight counters; each worker
+/// fills the rest, and [`RunStats::merge`] sums the workers' reports into
+/// the run's. The fused-gate counters (`shared_scan_bytes` through
+/// `candidates`) stay 0 outside a fleet run, as `docs_reused` stays 0
+/// outside a [`crate::CorpusHandle`] re-query.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunStats {
+    /// Documents streamed (a handle re-query counts every shard).
     pub docs: usize,
-    /// Set by [`crate::CorpusHandle`]'s memoized re-query only.
+    /// Documents whose relations were reused verbatim from a
+    /// [`crate::CorpusHandle`] extraction memo instead of being run.
     pub docs_reused: usize,
+    /// Split segments evaluated (a fleet considers each for every member).
     pub segments: usize,
+    /// Total bytes across all evaluated segments.
     pub segment_bytes: u64,
+    /// Batches dispatched to the workers.
     pub batches: usize,
+    /// Largest `[low watermark, position)` window any document's
+    /// streaming splitter held at once — bounded by segment + chunk
+    /// length for prompt splitters, not by document size. The chunks
+    /// overlapping it, and those that queued segments share, are what
+    /// stays resident.
     pub peak_buffered_bytes: usize,
-    /// Bytes the streaming splitter's own skip loop jumped.
-    pub splitter_skipped: u64,
-    /// Segment bytes the streaming splitter stitched across chunks.
-    pub splitter_stitched: u64,
+    /// Bytes the streaming splitter's own skip loop jumped instead of
+    /// stepping (any engine).
+    pub splitter_bytes_skipped: u64,
+    /// Segment bytes the streaming splitter copied because their segment
+    /// crossed a chunk boundary (see
+    /// [`crate::StreamStats::bytes_stitched`]); every other segment is a
+    /// range of a chunk the splitter already held.
+    pub splitter_bytes_stitched: u64,
+    /// The workers' lazy-DFA cache statistics (all zero under
+    /// [`crate::Engine::Nfa`]).
+    pub cache: DenseCacheStats,
+    /// The workers' gate rejections, candidates and skip-loop jumps:
+    /// non-zero only on the gated tiers, [`crate::Engine::Prefilter`] and
+    /// an in-budget [`crate::Engine::Aot`].
+    pub prefilter: PrefilterStats,
+    /// Bytes consumed by a fleet's shared multi-needle scan (early exit
+    /// makes this at most, often far less than, `segment_bytes`).
+    pub shared_scan_bytes: u64,
+    /// `(segment, member)` evaluations a fleet dispatched to an engine.
+    /// The headline number: sequential evaluation dispatches
+    /// `segments × members`.
+    pub dispatches: u64,
+    /// `(segment, member)` pairs a fleet pruned by the cheap per-member
+    /// facts (minimum length, required prefix, private required-byte
+    /// finder).
+    pub gate_rejected: u64,
+    /// `(segment, member)` pairs a fleet pruned because the shared scan
+    /// found none of the member's needles.
+    pub scan_rejected: u64,
+    /// Segments dispatched per fleet member, index-aligned with the
+    /// fleet.
+    pub candidates: Vec<u64>,
 }
 
-/// The raw outcome of a run: `relations[doc][member]`, the producer's
-/// counters, and the merged worker tallies.
-#[derive(Debug)]
-pub(crate) struct Run<T> {
-    pub relations: Vec<Vec<SpanRelation>>,
-    pub feed: FeedStats,
-    pub tally: T,
+impl RunStats {
+    /// Adds `other`'s counters into these: `peak_buffered_bytes` by max,
+    /// `candidates` member by member, everything else summed.
+    pub fn merge(&mut self, other: &RunStats) {
+        self.docs += other.docs;
+        self.docs_reused += other.docs_reused;
+        self.segments += other.segments;
+        self.segment_bytes += other.segment_bytes;
+        self.batches += other.batches;
+        self.peak_buffered_bytes = self.peak_buffered_bytes.max(other.peak_buffered_bytes);
+        self.splitter_bytes_skipped += other.splitter_bytes_skipped;
+        self.splitter_bytes_stitched += other.splitter_bytes_stitched;
+        self.cache = self.cache.merge(other.cache);
+        self.prefilter = self.prefilter.merge(other.prefilter);
+        self.shared_scan_bytes += other.shared_scan_bytes;
+        self.dispatches += other.dispatches;
+        self.gate_rejected += other.gate_rejected;
+        self.scan_rejected += other.scan_rejected;
+        if self.candidates.len() < other.candidates.len() {
+            self.candidates.resize(other.candidates.len(), 0);
+        }
+        for (total, c) in self.candidates.iter_mut().zip(&other.candidates) {
+            *total += c;
+        }
+    }
+
+    /// Average number of members a fleet dispatched per segment — the
+    /// fused pass's fan-out. Sequential evaluation has fan-out = fleet
+    /// size; the gap between the two is the work the fusion avoided.
+    pub fn fan_out(&self) -> f64 {
+        if self.segments == 0 {
+            0.0
+        } else {
+            self.dispatches as f64 / self.segments as f64
+        }
+    }
+}
+
+/// The outcome of a run: one result per input document, in input order,
+/// plus what the run reports. `R` is a [`SpanRelation`] for a
+/// [`crate::CorpusRunner`] and the members' relations (fleet compile
+/// order) for a [`crate::FleetRunner`].
+#[derive(Debug, Clone)]
+pub struct RunResult<R> {
+    /// Per-document results, index-aligned with the input.
+    pub relations: Vec<R>,
+    /// Statistics of the run.
+    pub stats: RunStats,
+}
+
+impl RunResult<Vec<SpanRelation>> {
+    /// The one column of a single-spanner run.
+    pub(crate) fn single(self) -> RunResult<SpanRelation> {
+        RunResult {
+            relations: self
+                .relations
+                .into_iter()
+                .map(|row| row.into_iter().next().expect("one member"))
+                .collect(),
+            stats: self.stats,
+        }
+    }
 }
 
 /// `(stream index, document index, segment)` triples in stream order.
@@ -156,7 +253,7 @@ struct Feed {
     /// `(document, end)` of the furthest-reaching segment queued so far.
     reach: Option<(usize, usize)>,
     target: usize,
-    stats: FeedStats,
+    stats: RunStats,
 }
 
 impl Feed {
@@ -192,12 +289,8 @@ impl Feed {
 }
 
 /// The worker loop's signature, see [`Pipeline::new`].
-type WorkerLoop<W> = fn(
-    &W,
-    Option<&SegmentCache>,
-    &Mutex<Receiver<Batch>>,
-    &AtomicBool,
-) -> (Vec<Partial>, <W as SegmentWork>::Tally);
+type WorkerLoop<W> =
+    fn(&W, Option<&SegmentCache>, &Mutex<Receiver<Batch>>, &AtomicBool) -> (Vec<Partial>, RunStats);
 
 /// A runner over any [`SegmentWork`]: the splitter, tuning, optional
 /// shared pool and segment cache, and the work itself.
@@ -245,7 +338,7 @@ impl<W: SegmentWork> Pipeline<W> {
 
     /// Streams chunked document sources through the splitter; no
     /// document is ever materialized.
-    pub fn run_streams<D, C, B>(&self, docs: D) -> Run<W::Tally>
+    pub fn run_streams<D, C, B>(&self, docs: D) -> RunResult<Vec<SpanRelation>>
     where
         D: IntoIterator<Item = C>,
         C: IntoIterator<Item = B>,
@@ -261,8 +354,8 @@ impl<W: SegmentWork> Pipeline<W> {
             let (tail, split) = splitter.finish_with_stats();
             let stats = &mut feed.stats;
             stats.peak_buffered_bytes = stats.peak_buffered_bytes.max(split.peak_buffered_bytes);
-            stats.splitter_skipped += split.bytes_skipped;
-            stats.splitter_stitched += split.bytes_stitched;
+            stats.splitter_bytes_skipped += split.bytes_skipped;
+            stats.splitter_bytes_stitched += split.bytes_stitched;
             for seg in tail {
                 feed.segment(di, seg);
             }
@@ -271,7 +364,7 @@ impl<W: SegmentWork> Pipeline<W> {
 
     /// Evaluates `(document bytes, split spans)` pairs whose split is
     /// already known, skipping the splitter.
-    pub fn run_presplit<'a, D>(&self, docs: D) -> Run<W::Tally>
+    pub fn run_presplit<'a, D>(&self, docs: D) -> RunResult<Vec<SpanRelation>>
     where
         D: IntoIterator<Item = (&'a [u8], &'a [Span])>,
     {
@@ -288,14 +381,14 @@ impl<W: SegmentWork> Pipeline<W> {
 
     /// Materialized documents through the streaming path, in
     /// `config.chunk_bytes` chunks.
-    pub fn run_slices(&self, docs: &[&[u8]]) -> Run<W::Tally> {
+    pub fn run_slices(&self, docs: &[&[u8]]) -> RunResult<Vec<SpanRelation>> {
         let chunk = self.config.chunk_bytes.max(1);
         self.run_streams(docs.iter().map(|d| d.chunks(chunk)))
     }
 
     /// The pipeline: starts the workers, feeds every document through
     /// `produce` on the calling thread, then collects and merges.
-    fn run<I, F>(&self, docs: I, mut produce: F) -> Run<W::Tally>
+    fn run<I, F>(&self, docs: I, mut produce: F) -> RunResult<Vec<SpanRelation>>
     where
         I: IntoIterator,
         F: FnMut(&mut Feed, usize, I::Item),
@@ -304,20 +397,19 @@ impl<W: SegmentWork> Pipeline<W> {
         if members == 0 {
             // Nothing could be emitted: count documents, never split.
             let docs = docs.into_iter().count();
-            return Run {
+            return RunResult {
                 relations: vec![Vec::new(); docs],
-                feed: FeedStats {
+                stats: RunStats {
                     docs,
-                    ..FeedStats::default()
+                    ..RunStats::default()
                 },
-                tally: W::Tally::default(),
             };
         }
         let config = self.config.normalized();
         let (tx, rx) = sync_channel::<Batch>(config.queue_depth);
         let rx = Arc::new(Mutex::new(rx));
         let failed = Arc::new(AtomicBool::new(false));
-        let (out_tx, out_rx) = std::sync::mpsc::channel::<(Vec<Partial>, W::Tally)>();
+        let (out_tx, out_rx) = std::sync::mpsc::channel::<(Vec<Partial>, RunStats)>();
         let mut handles = Vec::new();
         for _ in 0..config.workers {
             let work = self.work.clone();
@@ -342,25 +434,24 @@ impl<W: SegmentWork> Pipeline<W> {
             batch_bytes: 0,
             reach: None,
             target: config.batch_bytes,
-            stats: FeedStats::default(),
+            stats: RunStats::default(),
         };
         for (di, doc) in docs.into_iter().enumerate() {
             feed.stats.docs += 1;
             produce(&mut feed, di, doc);
         }
         feed.flush();
-        let stats = feed.stats;
+        let mut stats = std::mem::take(&mut feed.stats);
         drop(feed); // hang up: workers drain the queue and report
 
         // Exactly one report per worker; a disconnect before all have
         // reported means a worker died outside its catch (a bug).
         let mut partials: Vec<Partial> = Vec::new();
-        let mut tally = W::Tally::default();
         for _ in 0..config.workers {
             match out_rx.recv() {
-                Ok((part, t)) => {
+                Ok((part, worker)) => {
                     partials.extend(part);
-                    W::merge(&mut tally, t);
+                    stats.merge(&worker);
                 }
                 Err(_) => {
                     failed.store(true, Ordering::Relaxed);
@@ -391,11 +482,7 @@ impl<W: SegmentWork> Pipeline<W> {
             .into_iter()
             .map(|row| row.into_iter().map(SpanRelation::concat).collect())
             .collect();
-        Run {
-            relations,
-            feed: stats,
-            tally,
-        }
+        RunResult { relations, stats }
     }
 }
 
@@ -411,7 +498,7 @@ fn worker_loop<W: SegmentWork>(
     cache: Option<&SegmentCache>,
     rx: &Mutex<Receiver<Batch>>,
     failed: &AtomicBool,
-) -> (Vec<Partial>, W::Tally) {
+) -> (Vec<Partial>, RunStats) {
     let mut scratch = work.scratch();
     let mut out: Vec<Partial> = Vec::new();
     loop {
@@ -470,13 +557,6 @@ mod tests {
         ]
     }
 
-    fn column(run: Run<impl Sized>) -> Vec<SpanRelation> {
-        run.relations
-            .into_iter()
-            .map(|mut row| row.remove(0))
-            .collect()
-    }
-
     #[test]
     fn merge_is_identical_across_worker_counts_and_to_the_oracle() {
         let owned = docs();
@@ -506,7 +586,7 @@ mod tests {
                         config(workers),
                         None,
                     );
-                    column(p.run_slices(&refs))
+                    p.run_slices(&refs).single().relations
                 };
                 let three = run(3);
                 assert_eq!(three, run(1), "3 vs 1 workers, {pat} under {s:?}");
@@ -565,7 +645,7 @@ mod tests {
         assert!(cache.stats().hits > 0);
         let split = split_fn_of_splitter(&splitter::sentences());
         assert_eq!(
-            column(corpus.run_slices(&refs)),
+            corpus.run_slices(&refs).single().relations,
             evaluate_many_split(&spanner, &split, &refs, 1)
         );
         // Every stored relation is still the segment-local one.
@@ -595,17 +675,17 @@ mod tests {
         };
         let p = Pipeline::new(Arc::new(spanner.clone()), s.compile(), config, None);
         let run = p.run_slices(&[&doc]);
-        assert_eq!(run.feed.segments, doc.len());
-        assert_eq!(run.feed.segment_bytes, 0);
-        let floor = run.feed.segments * ENTRY_BYTES / config.batch_bytes;
+        assert_eq!(run.stats.segments, doc.len());
+        assert_eq!(run.stats.segment_bytes, 0);
+        let floor = run.stats.segments * ENTRY_BYTES / config.batch_bytes;
         assert!(
-            run.feed.batches >= floor.max(2),
+            run.stats.batches >= floor.max(2),
             "{} batches, {floor} expected",
-            run.feed.batches
+            run.stats.batches
         );
         let split = split_fn_of_splitter(&s);
         assert_eq!(
-            column(run),
+            run.single().relations,
             evaluate_many_split(&spanner, &split, &[&doc], 1)
         );
     }
@@ -630,46 +710,48 @@ mod tests {
         };
         let p = Pipeline::new(Arc::new(spanner.clone()), s.compile(), config, None);
         let run = p.run_slices(&[&doc]);
-        assert_eq!(run.feed.segments, 64);
-        assert!(run.feed.batches >= 7, "{} batches", run.feed.batches);
+        assert_eq!(run.stats.segments, 64);
+        assert!(run.stats.batches >= 7, "{} batches", run.stats.batches);
         let split = split_fn_of_splitter(&s);
         assert_eq!(
-            column(run),
+            run.single().relations,
             evaluate_many_split(&spanner, &split, &[&doc], 1)
         );
     }
 
-    /// Emits an empty relation for member 0 per segment and panics on
-    /// any segment containing the marker.
+    /// Emits an empty relation for member 0 per segment, counted as a
+    /// dispatch, and panics on any segment containing the marker.
     #[derive(Debug)]
     struct PanicOn(&'static [u8]);
 
     impl SegmentWork for PanicOn {
-        type Scratch = ();
-        type Tally = usize;
+        type Scratch = u64;
         fn members(&self) -> usize {
             1
         }
         fn memo_id(&self) -> u64 {
             0
         }
-        fn scratch(&self) {}
+        fn scratch(&self) -> u64 {
+            0
+        }
         fn eval(
             &self,
             bytes: &[u8],
             _cache: Option<&SegmentCache>,
-            _scratch: &mut (),
+            evaluated: &mut u64,
             mut emit: impl FnMut(usize, SpanRelation),
         ) {
             let hit = bytes.windows(self.0.len()).any(|w| w == self.0);
             assert!(!hit, "induced worker panic");
+            *evaluated += 1;
             emit(0, SpanRelation::empty());
         }
-        fn tally(&self, _scratch: ()) -> usize {
-            1
-        }
-        fn merge(total: &mut usize, part: usize) {
-            *total += part;
+        fn tally(&self, evaluated: u64) -> RunStats {
+            RunStats {
+                dispatches: evaluated,
+                ..RunStats::default()
+            }
         }
     }
 
@@ -713,7 +795,7 @@ mod tests {
             let work = Arc::new(PanicOn(b"boom"));
             let p = Pipeline::new(work, splitter::sentences().compile(), config, pool);
             let d = doc.clone();
-            let ended = within_bound(move || p.run_slices(&[&d]).feed);
+            let ended = within_bound(move || p.run_slices(&[&d]).stats);
             assert!(
                 ended.is_err(),
                 "the worker panic must surface on the caller"
@@ -727,8 +809,14 @@ mod tests {
             Some(pool),
         );
         let run = within_bound(move || clean.run_slices(&[&doc])).expect("clean run");
-        assert!(run.feed.segments >= 200, "one segment per sentence");
-        assert_eq!(run.feed.batches, run.feed.segments, "one segment per batch");
-        assert_eq!(run.tally, config.workers, "every worker reported");
+        assert!(run.stats.segments >= 200, "one segment per sentence");
+        assert_eq!(
+            run.stats.batches, run.stats.segments,
+            "one segment per batch"
+        );
+        assert_eq!(
+            run.stats.dispatches, run.stats.segments as u64,
+            "every worker's report was merged"
+        );
     }
 }

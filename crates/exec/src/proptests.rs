@@ -194,9 +194,25 @@ proptest! {
 
 use crate::fleet::{Fleet, FleetRunner};
 use crate::options::CompileOptions;
+use crate::pipeline::RunStats;
 use splitc_spanner::vsa::Vsa;
 use splitc_textgen::spangen::{rand_fleet, Mix};
 use std::sync::Arc;
+
+/// A run's report with its worker counters cleared: what the producer
+/// alone counted.
+fn producer_half(stats: &RunStats) -> RunStats {
+    RunStats {
+        cache: Default::default(),
+        prefilter: Default::default(),
+        shared_scan_bytes: 0,
+        dispatches: 0,
+        gate_rejected: 0,
+        scan_rejected: 0,
+        candidates: Vec::new(),
+        ..stats.clone()
+    }
+}
 
 fn pick_engine(pick: usize) -> Engine {
     match pick % 4 {
@@ -244,6 +260,13 @@ proptest! {
         let refs: Vec<&[u8]> = docs.iter().map(Vec::as_slice).collect();
         let got = runner.run_slices(&refs);
         prop_assert_eq!(got.stats.docs, refs.len());
+        // Fleet::eval counts each `(segment, member)` pair exactly once.
+        let st = &got.stats;
+        prop_assert_eq!(
+            st.dispatches + st.gate_rejected + st.scan_rejected,
+            (st.segments * n) as u64
+        );
+        prop_assert_eq!(st.candidates.iter().sum::<u64>(), st.dispatches);
         for (mi, vsa) in vsas.iter().enumerate() {
             let seq = CorpusRunner::new(
                 ExecSpanner::compile_with(vsa, engine),
@@ -253,12 +276,17 @@ proptest! {
             let expected = seq.run_slices(&refs);
             // Same splitter, same batching: the producer side of both
             // runs is one pipeline and must agree exactly.
-            let (f, c) = (&got.stats, &expected.stats);
+            let c = &expected.stats;
             prop_assert_eq!(
-                (f.docs, f.segments, f.segment_bytes, f.batches, f.peak_buffered_bytes),
-                (c.docs, c.segments, c.segment_bytes, c.batches, c.peak_buffered_bytes),
+                producer_half(&got.stats),
+                producer_half(c),
                 "producer-side stats, member {}", mi
             );
+            prop_assert_eq!(
+                (c.shared_scan_bytes, c.dispatches, c.gate_rejected, c.scan_rejected),
+                (0, 0, 0, 0)
+            );
+            prop_assert!(c.candidates.is_empty(), "a corpus run has no fused gate");
             for (di, rel) in expected.relations.iter().enumerate() {
                 prop_assert_eq!(
                     &got.relations[di][mi],

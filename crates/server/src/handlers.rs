@@ -55,7 +55,9 @@ use crate::registry::{
 
 use splitc_core::cache::CachedVerdict;
 use splitc_core::Verdict;
-use splitc_exec::{CorpusHandle, DeltaStats, Engine, EvalPool, RunnerOptions, SegmentCache};
+use splitc_exec::{
+    CorpusHandle, DeltaStats, Engine, EvalPool, RunStats, RunnerOptions, SegmentCache,
+};
 use splitc_spanner::{SpanRelation, VarTable};
 
 use std::sync::Arc;
@@ -503,7 +505,7 @@ impl Target {
             Input::Docs(_) => runner,
         };
         let splitter = splitter.compiled.clone();
-        let (relations, counts, docs_reused): (Vec<Json>, Vec<(&str, u64)>, usize) = match self {
+        let (relations, st): (Vec<Json>, RunStats) = match self {
             Target::Spanner(s) => {
                 let runner = runner.corpus_runner(s.exec.clone(), splitter);
                 let result = match input {
@@ -512,24 +514,9 @@ impl Target {
                     // of one corpus; the presplit segmentation is reused.
                     Input::Corpus(entry, _) => entry.handle.lock().extract(&runner),
                 };
-                if let Some(m) = metrics {
-                    m.record_corpus(&result.stats);
-                }
-                let st = &result.stats;
-                (
-                    result
-                        .relations
-                        .iter()
-                        .map(|r| relation_json(r, s.vsa.vars()))
-                        .collect(),
-                    vec![
-                        ("docs", st.docs as u64),
-                        ("segments", st.segments as u64),
-                        ("segment_bytes", st.segment_bytes),
-                        ("batches", st.batches as u64),
-                    ],
-                    st.docs_reused,
-                )
+                let vars = s.vsa.vars();
+                let relations = result.relations.iter().map(|r| relation_json(r, vars));
+                (relations.collect(), result.stats)
             }
             Target::Fleet(f) => {
                 let runner = runner.fleet_runner(f.fleet.clone(), splitter);
@@ -537,39 +524,37 @@ impl Target {
                     Input::Docs(docs) => runner.run_slices(docs),
                     Input::Corpus(entry, _) => entry.handle.lock().extract_fleet(&runner),
                 };
-                if let Some(m) = metrics {
-                    m.record_fleet(&result.stats);
-                }
-                let st = &result.stats;
-                (
-                    result
-                        .relations
-                        .iter()
-                        .map(|row| {
-                            Json::Arr(
-                                row.iter()
-                                    .zip(&f.vsas)
-                                    .map(|(r, vsa)| relation_json(r, vsa.vars()))
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                    vec![
-                        ("docs", st.docs as u64),
-                        ("segments", st.segments as u64),
-                        ("segment_bytes", st.segment_bytes),
-                        ("batches", st.batches as u64),
-                        ("dispatches", st.dispatches),
-                        ("gate_rejected", st.gate_rejected),
-                        ("scan_rejected", st.scan_rejected),
-                    ],
-                    st.docs_reused,
-                )
+                let relations = result.relations.iter().map(|row| {
+                    Json::Arr(
+                        row.iter()
+                            .zip(&f.vsas)
+                            .map(|(r, vsa)| relation_json(r, vsa.vars()))
+                            .collect(),
+                    )
+                });
+                (relations.collect(), result.stats)
             }
         };
+        let fleet = matches!(self, Target::Fleet(_));
+        if let Some(m) = metrics {
+            m.record(fleet, &st);
+        }
+        let mut counts = vec![
+            ("docs", st.docs as u64),
+            ("segments", st.segments as u64),
+            ("segment_bytes", st.segment_bytes),
+            ("batches", st.batches as u64),
+        ];
+        if fleet {
+            counts.extend([
+                ("dispatches", st.dispatches),
+                ("gate_rejected", st.gate_rejected),
+                ("scan_rejected", st.scan_rejected),
+            ]);
+        }
         let mut stats: Vec<(&str, Json)> = counts.into_iter().map(|(k, n)| (k, uint(n))).collect();
         if let Input::Corpus(_, cache) = input {
-            stats.push(("docs_reused", uint(docs_reused as u64)));
+            stats.push(("docs_reused", uint(st.docs_reused as u64)));
             stats.push(("segment_cache", seg_cache_json(cache)));
         }
         (Json::Arr(relations), Json::obj(stats))

@@ -3,7 +3,7 @@
 
 use crate::json::Json;
 use parking_lot::Mutex;
-use splitc_exec::{CorpusStats, FleetStats};
+use splitc_exec::RunStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -83,6 +83,11 @@ impl LatencyHistogram {
     }
 }
 
+/// Renders named counters as one JSON object, in order.
+fn counters<const N: usize>(pairs: [(&str, u64); N]) -> Json {
+    Json::obj(Vec::from(pairs.map(|(key, n)| (key, Json::Num(n as f64)))))
+}
+
 fn upper_bound_us(bucket: usize) -> u64 {
     if bucket >= BUCKETS - 1 {
         u64::MAX >> (64 - BUCKETS)
@@ -120,40 +125,16 @@ pub struct Metrics {
 }
 
 /// Cumulative execution counters folded in from each corpus/fleet run.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ExecTotals {
     /// Corpus-runner extractions served.
     pub corpus_runs: u64,
     /// Fleet-runner extractions served.
     pub fleet_runs: u64,
-    /// Documents processed.
-    pub docs: u64,
-    /// Segments evaluated.
-    pub segments: u64,
-    /// Bytes across evaluated segments.
-    pub segment_bytes: u64,
-    /// Batches dispatched to the evaluation pool.
-    pub batches: u64,
-    /// Lazy-DFA cache hits.
-    pub cache_hits: u64,
-    /// Lazy-DFA cache misses.
-    pub cache_misses: u64,
-    /// Prefilter bytes skipped (gate rejections + skip-loop jumps).
-    pub prefilter_bytes_skipped: u64,
-    /// Bytes the streaming splitter's skip loop jumped.
-    pub splitter_bytes_skipped: u64,
-    /// Segment bytes the streaming splitter stitched across chunks.
-    pub splitter_bytes_stitched: u64,
-    /// Forward-enumeration frames pushed or reused.
-    pub enum_frames: u64,
-    /// Prefilter candidates handed to a DFA.
-    pub prefilter_candidates: u64,
-    /// Fleet `(segment, member)` evaluations dispatched.
-    pub fleet_dispatches: u64,
-    /// Fleet pairs pruned by cheap gates.
-    pub fleet_gate_rejected: u64,
-    /// Fleet pairs pruned by the shared needle scan.
-    pub fleet_scan_rejected: u64,
+    /// Every run's statistics, summed by [`RunStats::merge`] (with
+    /// `candidates` left empty: member counts of different fleets do not
+    /// add up).
+    pub run: RunStats,
 }
 
 impl Metrics {
@@ -172,47 +153,51 @@ impl Metrics {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Folds one corpus run's statistics into the totals.
-    pub fn record_corpus(&self, stats: &CorpusStats) {
+    /// Folds one corpus (or, with `fleet`, fleet) run's statistics into
+    /// the totals.
+    pub fn record(&self, fleet: bool, stats: &RunStats) {
         let mut t = self.exec.lock();
-        t.corpus_runs += 1;
-        t.docs += stats.docs as u64;
-        t.segments += stats.segments as u64;
-        t.segment_bytes += stats.segment_bytes;
-        t.batches += stats.batches as u64;
-        t.cache_hits += stats.cache.hits;
-        t.cache_misses += stats.cache.misses;
-        t.prefilter_bytes_skipped += stats.prefilter.bytes_skipped;
-        t.prefilter_candidates += stats.prefilter.candidates;
-        t.splitter_bytes_skipped += stats.splitter_bytes_skipped;
-        t.splitter_bytes_stitched += stats.splitter_bytes_stitched;
-        t.enum_frames += stats.cache.enum_frames;
-    }
-
-    /// Folds one fleet run's statistics into the totals.
-    pub fn record_fleet(&self, stats: &FleetStats) {
-        let mut t = self.exec.lock();
-        t.fleet_runs += 1;
-        t.docs += stats.docs as u64;
-        t.segments += stats.segments as u64;
-        t.segment_bytes += stats.segment_bytes;
-        t.batches += stats.batches as u64;
-        t.cache_hits += stats.cache.hits;
-        t.cache_misses += stats.cache.misses;
-        t.prefilter_bytes_skipped += stats.prefilter.bytes_skipped;
-        t.prefilter_candidates += stats.prefilter.candidates;
-        t.splitter_bytes_skipped += stats.splitter_bytes_skipped;
-        t.splitter_bytes_stitched += stats.splitter_bytes_stitched;
-        t.enum_frames += stats.cache.enum_frames;
-        t.fleet_dispatches += stats.dispatches;
-        t.fleet_gate_rejected += stats.gate_rejected;
-        t.fleet_scan_rejected += stats.scan_rejected;
+        if fleet {
+            t.fleet_runs += 1;
+        } else {
+            t.corpus_runs += 1;
+        }
+        t.run.merge(stats);
+        t.run.candidates.clear();
     }
 
     /// Renders the request-side metrics (`/stats` assembles the full
     /// document around this).
     pub fn to_json(&self) -> Json {
-        let exec = *self.exec.lock();
+        let responses = [
+            ("ok_2xx", &self.responses_2xx),
+            ("client_4xx", &self.responses_4xx),
+            ("server_5xx", &self.responses_5xx),
+            ("rejected_429", &self.rejected_429),
+        ]
+        .map(|(key, n)| (key, n.load(Ordering::Relaxed)));
+        let exec = {
+            let t = self.exec.lock();
+            let r = &t.run;
+            [
+                ("corpus_runs", t.corpus_runs),
+                ("fleet_runs", t.fleet_runs),
+                ("docs", r.docs as u64),
+                ("segments", r.segments as u64),
+                ("segment_bytes", r.segment_bytes),
+                ("batches", r.batches as u64),
+                ("cache_hits", r.cache.hits),
+                ("cache_misses", r.cache.misses),
+                ("prefilter_bytes_skipped", r.prefilter.bytes_skipped),
+                ("prefilter_candidates", r.prefilter.candidates),
+                ("splitter_bytes_skipped", r.splitter_bytes_skipped),
+                ("splitter_bytes_stitched", r.splitter_bytes_stitched),
+                ("enum_frames", r.cache.enum_frames),
+                ("fleet_dispatches", r.dispatches),
+                ("fleet_gate_rejected", r.gate_rejected),
+                ("fleet_scan_rejected", r.scan_rejected),
+            ]
+        };
         Json::obj(vec![
             (
                 "latency",
@@ -224,66 +209,8 @@ impl Metrics {
                     ("stats", self.stats_latency.to_json()),
                 ]),
             ),
-            (
-                "responses",
-                Json::obj(vec![
-                    (
-                        "ok_2xx",
-                        Json::Num(self.responses_2xx.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "client_4xx",
-                        Json::Num(self.responses_4xx.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "server_5xx",
-                        Json::Num(self.responses_5xx.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "rejected_429",
-                        Json::Num(self.rejected_429.load(Ordering::Relaxed) as f64),
-                    ),
-                ]),
-            ),
-            (
-                "exec",
-                Json::obj(vec![
-                    ("corpus_runs", Json::Num(exec.corpus_runs as f64)),
-                    ("fleet_runs", Json::Num(exec.fleet_runs as f64)),
-                    ("docs", Json::Num(exec.docs as f64)),
-                    ("segments", Json::Num(exec.segments as f64)),
-                    ("segment_bytes", Json::Num(exec.segment_bytes as f64)),
-                    ("batches", Json::Num(exec.batches as f64)),
-                    ("cache_hits", Json::Num(exec.cache_hits as f64)),
-                    ("cache_misses", Json::Num(exec.cache_misses as f64)),
-                    (
-                        "prefilter_bytes_skipped",
-                        Json::Num(exec.prefilter_bytes_skipped as f64),
-                    ),
-                    (
-                        "prefilter_candidates",
-                        Json::Num(exec.prefilter_candidates as f64),
-                    ),
-                    (
-                        "splitter_bytes_skipped",
-                        Json::Num(exec.splitter_bytes_skipped as f64),
-                    ),
-                    (
-                        "splitter_bytes_stitched",
-                        Json::Num(exec.splitter_bytes_stitched as f64),
-                    ),
-                    ("enum_frames", Json::Num(exec.enum_frames as f64)),
-                    ("fleet_dispatches", Json::Num(exec.fleet_dispatches as f64)),
-                    (
-                        "fleet_gate_rejected",
-                        Json::Num(exec.fleet_gate_rejected as f64),
-                    ),
-                    (
-                        "fleet_scan_rejected",
-                        Json::Num(exec.fleet_scan_rejected as f64),
-                    ),
-                ]),
-            ),
+            ("responses", counters(responses)),
+            ("exec", counters(exec)),
         ])
     }
 }
@@ -323,7 +250,7 @@ mod tests {
     #[test]
     fn exec_totals_fold() {
         let m = Metrics::new();
-        let cs = CorpusStats {
+        let cs = RunStats {
             docs: 2,
             segments: 10,
             segment_bytes: 100,
@@ -335,12 +262,20 @@ mod tests {
             },
             ..Default::default()
         };
-        m.record_corpus(&cs);
-        m.record_corpus(&cs);
-        let t = *m.exec.lock();
-        assert_eq!(t.corpus_runs, 2);
-        assert_eq!(t.docs, 4);
-        assert_eq!(t.segments, 20);
+        m.record(false, &cs);
+        m.record(false, &cs);
+        let fs = RunStats {
+            segments: 1,
+            dispatches: 3,
+            candidates: vec![1, 2],
+            ..Default::default()
+        };
+        m.record(true, &fs);
+        let t = m.exec.lock().clone();
+        assert_eq!((t.corpus_runs, t.fleet_runs), (2, 1));
+        assert_eq!(t.run.docs, 4);
+        assert_eq!(t.run.segments, 21);
+        assert!(t.run.candidates.is_empty(), "fleets' members do not add up");
         // JSON rendering includes the folded numbers.
         let rendered = m.to_json().to_string();
         assert!(rendered.contains("\"corpus_runs\":2"));
@@ -348,5 +283,7 @@ mod tests {
         assert!(rendered.contains("\"splitter_bytes_skipped\":14"));
         assert!(rendered.contains("\"splitter_bytes_stitched\":6"));
         assert!(rendered.contains("\"enum_frames\":10"));
+        assert!(rendered.contains("\"fleet_runs\":1"));
+        assert!(rendered.contains("\"fleet_dispatches\":3"));
     }
 }

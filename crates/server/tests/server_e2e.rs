@@ -986,3 +986,123 @@ fn fleet_extraction_by_corpus_matches_offline() {
         offline.get("relations").unwrap().to_string()
     );
 }
+
+#[test]
+fn stats_exec_totals_are_the_sum_of_the_extract_replies() {
+    let server = spawn(2, 8);
+    let mut client = Client::new(server.addr());
+    let sp1 = register_spanner(&mut client, LOCAL);
+    let sp2 = register_spanner(&mut client, LOCAL2);
+    let splitter = register_sentences(&mut client);
+    let members = Json::Arr(vec![Json::str(sp1.clone()), Json::str(sp2)]);
+    let (_, body) = client
+        .post("/fleets", &Json::obj(vec![("members", members)]))
+        .unwrap();
+    let fleet = body.get("id").unwrap().as_str().unwrap().to_string();
+    let shards = docs_json(&["aa bb. ab ba. a", "bbb a. aaa.", ""]);
+    let corpus = Json::obj(vec![
+        ("splitter", Json::str(&*splitter)),
+        ("shards", shards),
+    ]);
+    assert_eq!(client.put("/corpus/sum", &corpus).unwrap().0, 200);
+
+    // Inline and corpus runs of both targets; the corpus ones again from
+    // the per-shard memo, and again after a delta dirties one shard.
+    let docs = docs_json(&["aaa bb. cc aa", "", "no match here.", "b.a.b"]);
+    let targets = [("spanner", &sp1), ("fleet", &fleet)];
+    let mut requests: Vec<(&str, Json)> = Vec::new();
+    for (key, id) in targets {
+        let splitter = Json::str(&*splitter);
+        let req = vec![
+            (key, Json::str(id)),
+            ("splitter", splitter),
+            ("docs", docs.clone()),
+        ];
+        requests.push(("/extract", Json::obj(req)));
+    }
+    let by_corpus = |(key, id): (&str, &String)| {
+        (
+            "/extract",
+            Json::obj(vec![(key, Json::str(id)), ("corpus", Json::str("sum"))]),
+        )
+    };
+    requests.extend(targets.into_iter().chain(targets).map(by_corpus));
+    let delta = vec![
+        ("op", Json::str("append")),
+        ("shard", Json::num(1u32)),
+        ("text", Json::str(" ab aab.")),
+    ];
+    requests.push(("/corpus/sum/delta", Json::obj(delta)));
+    requests.extend(targets.into_iter().map(by_corpus));
+
+    let mut sums: std::collections::BTreeMap<&str, u64> = Default::default();
+    for (path, req) in &requests {
+        let (status, body) = client.post(path, req).unwrap();
+        assert_eq!(status, 200, "{body}");
+        if *path != "/extract" {
+            continue;
+        }
+        let fleet_run = req.get("fleet").is_some();
+        *sums
+            .entry(if fleet_run {
+                "fleet_runs"
+            } else {
+                "corpus_runs"
+            })
+            .or_default() += 1;
+        let stats = body.get("stats").unwrap();
+        assert_eq!(stats.get("dispatches").is_some(), fleet_run, "{stats}");
+        for (total, key) in [
+            ("docs", "docs"),
+            ("segments", "segments"),
+            ("segment_bytes", "segment_bytes"),
+            ("batches", "batches"),
+            ("fleet_dispatches", "dispatches"),
+            ("fleet_gate_rejected", "gate_rejected"),
+            ("fleet_scan_rejected", "scan_rejected"),
+        ] {
+            // A spanner run reports no fused-gate counts: it adds 0.
+            *sums.entry(total).or_default() += stats.get(key).map_or(0, |n| n.as_u64().unwrap());
+        }
+    }
+    // Refused requests run nothing but are counted by status class.
+    let unknown = Json::obj(vec![
+        ("spanner", Json::str(sp1)),
+        ("corpus", Json::str("no")),
+    ]);
+    assert_eq!(client.post("/extract", &unknown).unwrap().0, 404);
+    let no_splitter = Json::obj(vec![("fleet", Json::str(fleet))]);
+    assert_eq!(client.post("/extract", &no_splitter).unwrap().0, 400);
+
+    let (status, stats) = client.get("/stats").unwrap();
+    assert_eq!(status, 200);
+    let exec = stats.get("exec").unwrap();
+    let keys: Vec<&str> = exec
+        .as_obj()
+        .unwrap()
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .collect();
+    assert_eq!(
+        keys.join(" "),
+        "corpus_runs fleet_runs docs segments segment_bytes batches cache_hits cache_misses \
+         prefilter_bytes_skipped prefilter_candidates splitter_bytes_skipped \
+         splitter_bytes_stitched enum_frames fleet_dispatches fleet_gate_rejected \
+         fleet_scan_rejected"
+    );
+    for (key, sum) in &sums {
+        assert_eq!(exec.get(key).unwrap().as_u64(), Some(*sum), "exec.{key}");
+    }
+    assert_eq!((sums["corpus_runs"], sums["fleet_runs"]), (4, 4));
+    assert!(sums["fleet_dispatches"] > 0 && sums["docs"] > 0, "{sums:?}");
+    // Five registrations, the requests above and the two refusals;
+    // `handle` counts a status after routing, so not this /stats.
+    let responses = stats.get("responses").unwrap();
+    let class = |key: &str| responses.get(key).unwrap().as_u64().unwrap();
+    assert_eq!(class("client_4xx"), 2);
+    let answered = 5 + requests.len() as u64 + 2;
+    assert_eq!(
+        class("ok_2xx") + class("client_4xx") + class("server_5xx"),
+        answered
+    );
+}

@@ -62,8 +62,8 @@ const MAX_CANDIDATE_MASK: usize = 4;
 /// drops it rather than paying a scan per document.
 const MAX_REQUIRED_BYTES: usize = 128;
 
-/// Counters of one prefiltered evaluation stream, surfaced per corpus
-/// run in `splitc_exec::CorpusStats`.
+/// Counters of one prefiltered evaluation stream, surfaced per runner
+/// run in `splitc_exec::RunStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefilterStats {
     /// Bytes never stepped through a DFA table: documents rejected

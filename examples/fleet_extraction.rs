@@ -13,7 +13,7 @@
 //!    scanner;
 //! 3. run a synthetic keyword corpus through the streaming
 //!    `FleetRunner`, compare wall clock against sequential per-member
-//!    `CorpusRunner` passes, and read the `FleetStats` that explain the
+//!    `CorpusRunner` passes, and read the `RunStats` that explain the
 //!    gap — one shared scan decides which members see each segment, so
 //!    dispatch fan-out stays near the per-sentence mention rate instead
 //!    of the catalog size.
@@ -73,7 +73,7 @@ fn main() {
     // Sequential: one full streaming pass per catalog member.
     let members: Vec<ExecSpanner> = catalog.iter().map(|v| opts.compile_spanner(v)).collect();
     let t0 = Instant::now();
-    let sequential: Vec<CorpusResult> = members
+    let sequential: Vec<RunResult<SpanRelation>> = members
         .iter()
         .map(|m| {
             RunnerOptions::new()

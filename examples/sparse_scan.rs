@@ -11,7 +11,7 @@
 //! 3. run a sparse synthetic corpus through the streaming
 //!    `CorpusRunner` with the dense engine and with the prefiltered
 //!    engine, compare wall clocks, and read the `PrefilterStats`
-//!    surfaced in `CorpusStats`.
+//!    surfaced in `RunStats`.
 //!
 //! Run with: `cargo run --release --example sparse_scan`
 

@@ -180,6 +180,12 @@ assert stats["segment_cache"]["hits"] > 0 \
     and stats["segment_cache"]["evictions"] == 0, \
     f"segment cache served the corpus re-extractions: {stats['segment_cache']}"
 assert stats["pool"]["workers"] == 4
+# One fold of every run's report: one inline and three corpus runs, over
+# 2 documents each (a corpus run counts its memo-reused shards too).
+ex = stats["exec"]
+assert ex["corpus_runs"] == 4 and ex["fleet_runs"] == 0, \
+    f"one inline and three corpus spanner runs expected: {ex}"
+assert ex["docs"] == 2 + 3 * 2, f"2 inline docs + 3 x 2 shards expected: {ex}"
 
 # Fleet round trip (after the /stats counts above): register a second
 # spanner, fuse both into a fleet, certify it, and compare its inline-docs
@@ -202,6 +208,9 @@ assert fleet_rel == offline_fleet, (
     f"  server : {fleet_rel}\n  offline: {offline_fleet}")
 assert '"y"' in fleet_rel and '"x"' in fleet_rel, \
     f"fleet smoke docs must produce tuples for both members: {fleet_rel}"
+ex = json.loads(call("GET", "/stats"))["exec"]
+assert ex["fleet_runs"] >= 1 and ex["fleet_dispatches"] > 0, \
+    f"the fleet extract is folded into the totals: {ex}"
 
 # One out-of-process differential per engine (after the /stats counts
 # above): PATTERN registered under each engine name compiles to that

@@ -66,9 +66,9 @@ pub mod prelude {
     pub use splitc_exec::{
         certify_many, evaluate_many, evaluate_many_split, evaluate_sequential, evaluate_split,
         CertPath, Certification, CertifyConfig, CertifyResult, CertifyStats, CompileOptions,
-        CorpusHandle, CorpusResult, CorpusRunner, CorpusRunnerConfig, CorpusStats, DeltaStats,
-        Engine, ExecSpanner, Fleet, FleetResult, FleetRunner, FleetStats, RunnerOptions, SegBytes,
-        SegCacheStats, Segment, SegmentCache, SplitFn, StreamStats, StreamingSplitter,
+        CorpusHandle, CorpusRunner, CorpusRunnerConfig, DeltaStats, Engine, ExecSpanner, Fleet,
+        FleetRunner, RunResult, RunStats, RunnerOptions, SegBytes, SegCacheStats, Segment,
+        SegmentCache, SplitFn, StreamStats, StreamingSplitter,
     };
     pub use splitc_spanner::splitter as splitters;
     pub use splitc_spanner::splitter::native as native_splitters;
