@@ -1,127 +1,113 @@
-//! Accepting-path counting for finite automata.
+//! Exact accepting-path counting for finite automata.
 //!
 //! For an **unambiguous** automaton the number of accepting paths on words
 //! of length `n` equals the number of accepted words of length `n`; this is
 //! the engine behind the polynomial-time containment test of Stearns &
 //! Hunt (1985) used by Lemma 5.6 of the paper (the tractable cover-condition
-//! check). Counts are computed modulo a set of large primes to stay in
-//! `u64` arithmetic; sequences of path counts satisfy a linear recurrence of
-//! order ≤ `num_states`, so agreement on a finite prefix of lengths implies
+//! check). Sequences of path counts satisfy a linear recurrence of order ≤
+//! `num_states`, so agreement on a finite prefix of lengths implies
 //! agreement everywhere (Cayley–Hamilton).
+//!
+//! Counts are exact. A count is a fixed-width little-endian multi-word
+//! integer, and counting only ever adds. The width is fixed before
+//! counting: every count and partial sum up to length `L` is at most the
+//! number of length-`L` paths, `|starts| · maxdeg^L`, where `maxdeg` is
+//! the largest out-degree. So a count fits in
+//! `⌈log2 |starts|⌉ + L·⌈log2 maxdeg⌉ + 1` bits and no addition can
+//! overflow.
 
 use crate::nfa::{Nfa, StateId};
 
-/// Large primes below 2^62 used for modular path counting. Agreement modulo
-/// all of them on the Cayley–Hamilton-bounded prefix is, for non-adversarial
-/// inputs, overwhelming evidence of exact equality; the prime set is fixed
-/// (not randomized) so results are reproducible.
-pub const COUNT_PRIMES: [u64; 3] = [
-    4_611_686_018_427_387_847, // 2^62 - 57
-    4_611_686_018_427_387_817, // prime < 2^62
-    2_305_843_009_213_693_951, // 2^61 - 1 (Mersenne)
-];
-
-fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
-    ((a as u128 * b as u128) % m as u128) as u64
-}
-
-/// Streams, per word length `0..=max_len`, the number of accepting paths of
-/// the automaton modulo `modulus`. The automaton must be ε-free.
+/// Streams, per word length, the exact number of accepting paths of an
+/// ε-free automaton, up to a length fixed at construction.
 pub struct PathCounter<'a> {
     nfa: &'a Nfa,
-    modulus: u64,
-    /// `vec[q]` = number of paths from a start state to `q` of the current
-    /// length, mod `modulus`.
-    vec: Vec<u64>,
+    /// Limbs per count, enough for every length up to the maximum.
+    width: usize,
+    /// `counts[q * width..][..width]` = paths from a start state to `q`
+    /// of the current length.
+    counts: Vec<u64>,
+    next: Vec<u64>,
+    /// Sum over the final states, trimmed by [`PathCounter::count`].
+    total: Vec<u64>,
+}
+
+/// `⌈log2 x⌉`, with `0` for `x <= 1`.
+fn ceil_log2(x: usize) -> usize {
+    x.max(1).next_power_of_two().trailing_zeros() as usize
+}
+
+/// `dst += src` over equal-width limbs. The width bound rules out a carry
+/// out of the top limb.
+fn add_into(dst: &mut [u64], src: &[u64]) {
+    let mut carry = false;
+    for (d, &s) in dst.iter_mut().zip(src) {
+        let (v, c1) = d.overflowing_add(s);
+        let (v, c2) = v.overflowing_add(carry as u64);
+        *d = v;
+        carry = c1 | c2;
+    }
+    assert!(!carry, "path count exceeded its width bound");
 }
 
 impl<'a> PathCounter<'a> {
-    /// Creates a counter; `nfa` must be ε-free (debug-asserted).
-    pub fn new(nfa: &'a Nfa, modulus: u64) -> Self {
+    /// Creates a counter for word lengths `0..=max_len`; `nfa` must be
+    /// ε-free (debug-asserted).
+    pub fn new(nfa: &'a Nfa, max_len: usize) -> Self {
         debug_assert!(!nfa.has_eps(), "PathCounter requires an eps-free NFA");
-        let mut vec = vec![0u64; nfa.num_states()];
+        let n = nfa.num_states();
+        let maxdeg = (0..n)
+            .map(|q| nfa.transitions_from(q as StateId).len())
+            .max()
+            .unwrap_or(0);
+        let bits = ceil_log2(nfa.starts().len()) + max_len * ceil_log2(maxdeg) + 1;
+        let width = bits.div_ceil(64);
+        let mut counts = vec![0; n * width];
         for &s in nfa.starts() {
             // Multiple start entries are deduplicated by Nfa::add_start.
-            vec[s as usize] = 1;
+            counts[s as usize * width] = 1;
         }
-        PathCounter { nfa, modulus, vec }
+        PathCounter {
+            nfa,
+            width,
+            counts,
+            next: vec![0; n * width],
+            total: vec![0; width],
+        }
     }
 
-    /// Number of accepting paths at the current length.
-    pub fn current_count(&self) -> u64 {
-        let mut acc: u64 = 0;
+    /// The exact number of accepting paths at the current length, as
+    /// little-endian limbs without trailing zero limbs (so equal counts
+    /// are equal slices, and zero is empty).
+    pub fn count(&mut self) -> &[u64] {
+        let w = self.width;
+        self.total.fill(0);
         for q in self.nfa.final_states() {
-            acc = (acc + self.vec[q as usize]) % self.modulus;
+            add_into(&mut self.total, &self.counts[q as usize * w..][..w]);
         }
-        acc
+        let used = self
+            .total
+            .iter()
+            .rposition(|&l| l != 0)
+            .map_or(0, |i| i + 1);
+        &self.total[..used]
     }
 
-    /// Advances to the next word length.
+    /// Advances to the next word length (at most the `max_len` given to
+    /// [`PathCounter::new`]).
     pub fn step(&mut self) {
-        let mut next = vec![0u64; self.nfa.num_states()];
-        for q in 0..self.nfa.num_states() {
-            let c = self.vec[q];
-            if c == 0 {
+        let w = self.width;
+        self.next.fill(0);
+        for (q, c) in self.counts.chunks_exact(w).enumerate() {
+            if c.iter().all(|&l| l == 0) {
                 continue;
             }
             for &(_, r) in self.nfa.transitions_from(q as StateId) {
-                next[r as usize] = (next[r as usize] + c) % self.modulus;
+                add_into(&mut self.next[r as usize * w..][..w], c);
             }
         }
-        self.vec = next;
+        std::mem::swap(&mut self.counts, &mut self.next);
     }
-}
-
-/// Returns the numbers of accepting paths for word lengths `0..=max_len`
-/// modulo `modulus`. ε-transitions are eliminated first.
-pub fn path_counts_mod(nfa: &Nfa, max_len: usize, modulus: u64) -> Vec<u64> {
-    let nfa = nfa.remove_eps();
-    let mut counter = PathCounter::new(&nfa, modulus);
-    let mut out = Vec::with_capacity(max_len + 1);
-    for i in 0..=max_len {
-        out.push(counter.current_count());
-        if i != max_len {
-            counter.step();
-        }
-    }
-    out
-}
-
-/// Exact accepting-path counts with saturation at `u128::MAX` (useful for
-/// tests on small automata).
-pub fn path_counts_exact(nfa: &Nfa, max_len: usize) -> Vec<u128> {
-    let nfa = nfa.remove_eps();
-    let mut vec = vec![0u128; nfa.num_states()];
-    for &s in nfa.starts() {
-        vec[s as usize] = 1;
-    }
-    let mut out = Vec::with_capacity(max_len + 1);
-    for i in 0..=max_len {
-        let mut acc: u128 = 0;
-        for q in nfa.final_states() {
-            acc = acc.saturating_add(vec[q as usize]);
-        }
-        out.push(acc);
-        if i == max_len {
-            break;
-        }
-        let mut next = vec![0u128; nfa.num_states()];
-        for (q, &c) in vec.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            for &(_, r) in nfa.transitions_from(q as StateId) {
-                next[r as usize] = next[r as usize].saturating_add(c);
-            }
-        }
-        vec = next;
-    }
-    out
-}
-
-/// `a * b mod m` exposed for the unambiguity machinery.
-pub fn mulmod(a: u64, b: u64, m: u64) -> u64 {
-    mul_mod(a, b, m)
 }
 
 #[cfg(test)]
@@ -140,16 +126,57 @@ mod tests {
         n
     }
 
+    /// Counts for lengths `0..=max_len` (ε removed first), as limbs.
+    fn path_counts(nfa: &Nfa, max_len: usize) -> Vec<Vec<u64>> {
+        let nfa = nfa.remove_eps();
+        let mut counter = PathCounter::new(&nfa, max_len);
+        let mut out = vec![counter.count().to_vec()];
+        for _ in 0..max_len {
+            counter.step();
+            out.push(counter.count().to_vec());
+        }
+        out
+    }
+
+    /// [`path_counts`] of counts known to fit one limb.
+    fn small_counts(nfa: &Nfa, max_len: usize) -> Vec<u64> {
+        let limb = |c: Vec<u64>| {
+            assert!(c.len() <= 1, "count {c:?} exceeds one limb");
+            c.first().copied().unwrap_or(0)
+        };
+        path_counts(nfa, max_len).into_iter().map(limb).collect()
+    }
+
     #[test]
     fn counts_sigma_star() {
         // Over a 2-letter alphabet: 1, 2, 4, 8, ...
-        let counts = path_counts_exact(&sigma_star(2), 5);
-        assert_eq!(counts, vec![1, 2, 4, 8, 16, 32]);
-        let m = COUNT_PRIMES[0];
-        assert_eq!(
-            path_counts_mod(&sigma_star(2), 5, m),
-            vec![1, 2, 4, 8, 16, 32]
-        );
+        assert_eq!(small_counts(&sigma_star(2), 5), vec![1, 2, 4, 8, 16, 32]);
+        assert_eq!(small_counts(&sigma_star(3), 3), vec![1, 3, 9, 27]);
+    }
+
+    #[test]
+    fn counts_past_u128_are_exact() {
+        // Σ* over 256 symbols at length 20 has exactly 256^20 = 2^160
+        // words: limbs 0, 0 and 2^32. A `u128` count saturates here.
+        let counts = path_counts(&sigma_star(256), 20);
+        assert_eq!(counts[20], vec![0, 0, 1 << 32]);
+        assert_eq!(counts[16], vec![0, 0, 1], "2^128");
+        assert_eq!(counts[15], vec![0, 1 << 56], "2^120");
+    }
+
+    #[test]
+    fn streaming_counter_matches_batch() {
+        // A counter's fixed width follows its `max_len`; the counts must
+        // not: a counter sized for length 40 streams the same values as
+        // one sized for each shorter prefix.
+        let n = sigma_star(200);
+        let mut c = PathCounter::new(&n, 40);
+        for len in 0..=40 {
+            assert_eq!(c.count(), path_counts(&n, len)[len], "length {len}");
+            if len < 40 {
+                c.step();
+            }
+        }
     }
 
     #[test]
@@ -160,7 +187,7 @@ mod tests {
         n.add_start(q0);
         n.add_transition(q0, Sym(1), q1);
         n.set_final(q1, true);
-        assert_eq!(path_counts_exact(&n, 3), vec![0, 1, 0, 0]);
+        assert_eq!(small_counts(&n, 3), vec![0, 1, 0, 0]);
     }
 
     #[test]
@@ -175,27 +202,7 @@ mod tests {
         n.add_transition(q0, Sym(0), q2);
         n.set_final(q1, true);
         n.set_final(q2, true);
-        assert_eq!(path_counts_exact(&n, 1), vec![0, 2]);
-    }
-
-    #[test]
-    fn streaming_counter_matches_batch() {
-        let n = sigma_star(3).remove_eps();
-        let m = COUNT_PRIMES[1];
-        let mut c = PathCounter::new(&n, m);
-        let batch = path_counts_mod(&sigma_star(3), 6, m);
-        for (i, expected) in batch.iter().enumerate() {
-            assert_eq!(c.current_count(), *expected, "length {i}");
-            c.step();
-        }
-    }
-
-    #[test]
-    fn mulmod_is_modular_multiplication() {
-        let m = COUNT_PRIMES[2];
-        assert_eq!(mulmod(m - 1, m - 1, m), 1); // (-1)² = 1 (mod m)
-        assert_eq!(mulmod(0, 12345, m), 0);
-        assert_eq!(mulmod(2, 3, 5), 1);
+        assert_eq!(small_counts(&n, 1), vec![0, 2]);
     }
 
     #[test]
@@ -207,6 +214,6 @@ mod tests {
         n.add_eps(q0, q1);
         n.add_transition(q1, Sym(0), q1);
         n.set_final(q1, true);
-        assert_eq!(path_counts_exact(&n, 3), vec![1, 1, 1, 1]);
+        assert_eq!(small_counts(&n, 3), vec![1, 1, 1, 1]);
     }
 }

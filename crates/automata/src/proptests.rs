@@ -50,6 +50,86 @@ fn rand_nfa(max_states: usize, asize: u32) -> impl Strategy<Value = RandNfa> {
     })
 }
 
+/// A random DFA over a large alphabet: symbol `s` moves like symbol class
+/// `s % classes`, so each state has one edge per symbol of a class and
+/// path counts grow like `asize^len`, past `u128` within the
+/// Cayley–Hamilton bound of [`ufa_contains`].
+#[derive(Debug, Clone)]
+struct RandDfa {
+    asize: u32,
+    states: u32,
+    classes: u32,
+    /// `cells[q * 3 + class] % (states + 1)`: the target of `q` on that
+    /// class, or no edge when it equals `states`.
+    cells: Vec<u32>,
+    finals: Vec<u32>,
+}
+
+impl RandDfa {
+    fn target(&self, q: u32, class: u32) -> Option<u32> {
+        let to = self.cells[(q * 3 + class) as usize] % (self.states + 1);
+        (to < self.states).then_some(to)
+    }
+
+    fn build(&self) -> Nfa {
+        let mut n = Nfa::new(self.asize);
+        n.add_states(self.states as usize);
+        n.add_start(0);
+        for q in 0..self.states {
+            for s in 0..self.asize {
+                if let Some(to) = self.target(q, s % self.classes) {
+                    n.add_transition(q, Sym(s), to);
+                }
+            }
+        }
+        for &f in &self.finals {
+            n.set_final(f % self.states, true);
+        }
+        n
+    }
+
+    /// A DFA accepting a superset of `self`'s language: `self` plus
+    /// `other`'s edges where `self` has none, and both final sets.
+    fn extended_by(&self, other: &RandDfa) -> RandDfa {
+        let mut wider = self.clone();
+        for (i, cell) in wider.cells.iter_mut().enumerate() {
+            if self.target(i as u32 / 3, i as u32 % 3).is_none() {
+                *cell = other.cells[i];
+            }
+        }
+        wider.finals.extend(&other.finals);
+        wider
+    }
+}
+
+fn rand_dfa(asize: u32) -> impl Strategy<Value = RandDfa> {
+    (
+        3u32..=8,
+        1u32..=3,
+        proptest::collection::vec(0u32..9, 24..25),
+        proptest::collection::vec(0u32..8, 1..4),
+    )
+        .prop_map(move |(states, classes, cells, finals)| RandDfa {
+            asize,
+            states,
+            classes,
+            cells,
+            finals,
+        })
+}
+
+/// Two [`rand_dfa`]s over one alphabet of 64 or 256 symbols; in half of
+/// the draws the second extends the first, so containment holds.
+fn rand_dfa_pair() -> impl Strategy<Value = (RandDfa, RandDfa)> {
+    let sizes = prop_oneof![Just(64u32), Just(256u32)];
+    (sizes, 0u32..2).prop_flat_map(|(asize, extend)| {
+        (rand_dfa(asize), rand_dfa(asize)).prop_map(move |(a, b)| {
+            let b = if extend == 1 { a.extended_by(&b) } else { b };
+            (a, b)
+        })
+    })
+}
+
 /// Brute-force check whether every word of length <= max_len accepted by a
 /// is accepted by b.
 fn brute_contained(a: &Nfa, b: &Nfa, max_len: usize) -> Option<Vec<Sym>> {
@@ -173,6 +253,7 @@ proptest! {
     fn ufa_containment_agrees_when_unambiguous(
         ra in rand_nfa(5, 2),
         rb in rand_nfa(5, 2),
+        dfas in rand_dfa_pair(),
     ) {
         let a = ra.build();
         let b = rb.build();
@@ -181,6 +262,10 @@ proptest! {
             let slow = contains(&a, &b).holds();
             prop_assert_eq!(fast, slow);
         }
+        // DFAs are unambiguous by construction; over 64 or 256 symbols
+        // their path counts outgrow every fixed-width integer.
+        let (a, b) = (dfas.0.build(), dfas.1.build());
+        prop_assert_eq!(ufa_contains(&a, &b).unwrap(), contains(&a, &b).holds());
     }
 
     #[test]

@@ -8,13 +8,16 @@
 //! `A` equals the number of accepting paths of the product `A × B` (which
 //! is again unambiguous). Both count sequences satisfy linear recurrences
 //! of order ≤ their state counts, so agreement on lengths
-//! `0 ..= |Q_A| + |Q_{A×B}|` implies agreement everywhere.
+//! `0 ..= |Q_A| + |Q_{A×B}|` implies agreement everywhere. The counts are
+//! exact ([`PathCounter`]: add-only multi-word integers whose width is
+//! fixed up front from `|starts| · maxdeg^L`), so the answer is a proof
+//! either way.
 //!
 //! This is the engine behind the paper's polynomial-time cover-condition
 //! check for deterministic functional VSet-automata with disjoint splitters
 //! (Lemma 5.6).
 
-use crate::counting::{path_counts_mod, COUNT_PRIMES};
+use crate::counting::PathCounter;
 use crate::nfa::{Nfa, StateId};
 use std::collections::{HashSet, VecDeque};
 
@@ -102,9 +105,10 @@ pub fn ufa_contains(a: &Nfa, b: &Nfa) -> Result<bool, AmbiguousInput> {
 /// Polynomial-time containment for automata the caller guarantees to be
 /// unambiguous (e.g. by construction, as in Lemma 5.6 of the paper).
 ///
-/// Compares accepting-path counts of `a` and of the product `a × b` for all
-/// word lengths up to the Cayley–Hamilton bound, modulo several large
-/// primes (see [`COUNT_PRIMES`]).
+/// Compares the exact accepting-path counts of `a` and of the product
+/// `a × b` for all word lengths up to the Cayley–Hamilton bound, in one
+/// [`PathCounter`] pass per automaton that stops at the first length
+/// where they differ.
 pub fn ufa_contains_unchecked(a: &Nfa, b: &Nfa) -> bool {
     debug_assert_eq!(a.alphabet_size(), b.alphabet_size());
     let an = a.remove_eps().trim();
@@ -114,11 +118,15 @@ pub fn ufa_contains_unchecked(a: &Nfa, b: &Nfa) -> bool {
     }
     let prod = an.intersect(&bn).trim();
     let bound = an.num_states() + prod.num_states() + 1;
-    for &p in COUNT_PRIMES.iter() {
-        let ca = path_counts_mod(&an, bound, p);
-        let cp = path_counts_mod(&prod, bound, p);
-        if ca != cp {
+    let mut ca = PathCounter::new(&an, bound);
+    let mut cp = PathCounter::new(&prod, bound);
+    for len in 0..=bound {
+        if ca.count() != cp.count() {
             return false;
+        }
+        if len < bound {
+            ca.step();
+            cp.step();
         }
     }
     true
@@ -211,6 +219,33 @@ mod tests {
             contains(&astar, &ss).holds(),
             ufa_contains(&astar, &ss).unwrap()
         );
+    }
+
+    #[test]
+    fn counts_past_u128_decide_containment() {
+        // Σ^{≥20} over 256 symbols, and the same language minus the words
+        // whose 20th symbol is 0. Their counts first differ at length 20:
+        // 2^160 against 255 · 2^152, both past `u128::MAX`.
+        let at_least_20 = |banned: Option<u32>| {
+            let mut n = Nfa::new(256);
+            n.add_states(21);
+            n.add_start(0);
+            for q in 0..20 {
+                for s in (0..256).filter(|&s| q != 19 || Some(s) != banned) {
+                    n.add_transition(q, Sym(s), q + 1);
+                }
+            }
+            for s in 0..256 {
+                n.add_transition(20, Sym(s), 20);
+            }
+            n.set_final(20, true);
+            n
+        };
+        let (all, gapped) = (at_least_20(None), at_least_20(Some(0)));
+        assert!(ufa_contains(&gapped, &all).unwrap());
+        assert!(ufa_contains(&all, &sigma_star(256)).unwrap());
+        assert!(!ufa_contains(&all, &gapped).unwrap());
+        assert!(!contains(&all, &gapped).holds());
     }
 
     #[test]

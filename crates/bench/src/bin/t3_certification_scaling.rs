@@ -37,7 +37,6 @@ fn run(
     let config = CertifyConfig {
         workers: 4,
         strategy,
-        ..CertifyConfig::default()
     };
     time_best(iters, || certify_many(spanners, s, pairs, &config))
 }

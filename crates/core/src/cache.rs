@@ -69,12 +69,12 @@ impl CertCacheStats {
 /// let s = splitter::sentences();
 /// let key = (content_hash(b".*x{a+}.*"), content_hash(b"sentences"));
 ///
-/// // First lookup certifies; the second is a pure map probe.
-/// let (v1, cached1) = cache.get_or_certify(key, || split_correct(&p, &p, &s));
-/// let (v2, cached2) = cache.get_or_certify(key, || unreachable!("cached"));
-/// assert!(!cached1 && cached2);
-/// assert_eq!(v1.unwrap().holds(), v2.unwrap().holds());
-/// assert_eq!(cache.stats().hits, 1);
+/// // A miss is certified and stored; the next lookup is a map probe.
+/// assert!(cache.get(key).is_none());
+/// let v1 = cache.insert(key, split_correct(&p, &p, &s));
+/// let v2 = cache.get(key).expect("stored");
+/// assert_eq!(v1, v2);
+/// assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
 /// ```
 #[derive(Debug, Default)]
 pub struct CertCache {
@@ -105,37 +105,13 @@ impl CertCache {
         }
     }
 
-    /// The memoizing entry point: returns the cached outcome for `key`,
-    /// or runs `certify`, stores its outcome, and returns it. The
-    /// second component is `true` iff the outcome came from the cache.
-    ///
-    /// `certify` runs **outside** the lock (certification dominates any
-    /// conceivable contention); two threads racing the same cold key at
-    /// worst certify twice, and the first stored outcome wins — so
-    /// repeated lookups always observe one stable verdict.
-    pub fn get_or_certify(
-        &self,
-        key: CertKey,
-        certify: impl FnOnce() -> CachedVerdict,
-    ) -> (CachedVerdict, bool) {
-        if let Some(v) = self.get(key) {
-            return (v, true);
-        }
-        let outcome = certify();
-        let stored = self
-            .lock()
-            .entry(key)
-            .or_insert_with(|| outcome.clone())
-            .clone();
-        (stored, false)
-    }
-
     /// Seeds the cache with an already-computed outcome without touching
-    /// the hit/miss counters — the batch path: probe many keys with
-    /// [`CertCache::get`], certify the misses together (e.g. through
-    /// `certify_many`), then insert each outcome. An existing entry for
-    /// `key` wins (same first-store-wins policy as
-    /// [`CertCache::get_or_certify`]); the stored outcome is returned.
+    /// the hit/miss counters: probe keys with [`CertCache::get`],
+    /// certify the misses (e.g. together, through `certify_many`), then
+    /// insert each outcome. Certification runs outside the lock, so two
+    /// threads racing a cold key may both certify; the first stored
+    /// outcome wins and is returned, so repeated lookups observe one
+    /// stable verdict.
     pub fn insert(&self, key: CertKey, outcome: CachedVerdict) -> CachedVerdict {
         self.lock().entry(key).or_insert(outcome).clone()
     }
@@ -209,11 +185,9 @@ mod tests {
             let key = (content_hash(name.as_bytes()), content_hash(b"sentences"));
             // `othervar` vs `local` is a variable-mismatch CertError.
             let target = if name == "othervar" { &local } else { p };
-            let (v_cold, cached_cold) = cache.get_or_certify(key, || split_correct(p, target, &s));
-            assert!(!cached_cold);
-            let (v_warm, cached_warm) =
-                cache.get_or_certify(key, || unreachable!("must be cached"));
-            assert!(cached_warm);
+            assert!(cache.get(key).is_none(), "{name}: cold");
+            let v_cold = cache.insert(key, split_correct(p, target, &s));
+            let v_warm = cache.get(key).expect("must be cached");
             assert_eq!(v_cold, v_warm, "{name}");
         }
         let stats = cache.stats();
@@ -236,8 +210,7 @@ mod tests {
         // Existing entry wins over a later insert.
         let stored = cache.insert((7, 7), Err(CertError::Invalid("late".into())));
         assert!(stored.unwrap().holds());
-        let (v, cached) = cache.get_or_certify((7, 7), || unreachable!("seeded"));
-        assert!(cached && v.unwrap().holds());
+        assert!(cache.get((7, 7)).expect("seeded").unwrap().holds());
     }
 
     #[test]
@@ -249,9 +222,9 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
-                    let (v, _) = cache.get_or_certify(key, || {
+                    let v = cache.get(key).unwrap_or_else(|| {
                         runs.fetch_add(1, Ordering::Relaxed);
-                        Ok(Verdict::Holds)
+                        cache.insert(key, Ok(Verdict::Holds))
                     });
                     assert!(v.unwrap().holds());
                 });

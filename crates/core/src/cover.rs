@@ -83,12 +83,12 @@ pub fn cover_condition_df(p: &Vsa, s: &Splitter) -> Result<Verdict, CertError> {
 /// and disjointness (the split-correctness fast path validates the
 /// whole triple once; the batch certifier validates per batch).
 ///
-/// A `Holds` from the unambiguous route is not exact:
-/// [`unambiguous::ufa_contains_unchecked`] answers "contained" when the
-/// accepting-path counts agree modulo the three
-/// `splitc_automata::counting::COUNT_PRIMES`, which is strong evidence,
-/// not a proof. Only a failure is confirmed by classical containment
-/// (for its witness). Exact counting is ROADMAP item 13.
+/// A `Holds` from the unambiguous route is exact:
+/// [`unambiguous::ufa_contains_unchecked`] compares the exact
+/// accepting-path counts of `A_P` and `A_P × A_S` up to the
+/// Cayley–Hamilton bound `L`, as add-only multi-word integers whose
+/// width is fixed before counting from `|starts| · maxdeg^L`. A failure
+/// is re-decided by classical containment, only to produce its witness.
 pub(crate) fn cover_condition_df_prechecked(p: &Vsa, s: &Splitter) -> Verdict {
     let p = p.trim();
     let s_vsa = s.vsa().trim();

@@ -22,16 +22,15 @@
 //!   disjointness) are checked once per batch, spanner-level ones once
 //!   per distinct spanner; eligible pairs take
 //!   [`splitc_core::split_correct_df`]. Its `Holds` verdicts are
-//!   accepted as-is: the pointwise check is stronger than
-//!   `P = P_S ∘ S`. They are not exact, though: the check decides its
-//!   containment by [`ufa_contains_unchecked`], which answers
-//!   "contained" when accepting-path counts agree modulo the three
-//!   [`COUNT_PRIMES`] — strong evidence, not a proof (exact counting is
-//!   ROADMAP item 13). Its `Fails` verdicts can be spurious on the
-//!   documented boundary-empty-span corner, so they — like declined
-//!   pairs — are confirmed through the general (antichain) engine.
-//!   Batch verdicts therefore depend on routing only through a
-//!   fast-path `Holds` whose counts collide modulo all three primes.
+//!   accepted as-is, and they are proofs: the pointwise check is
+//!   stronger than `P = P_S ∘ S`, and it decides its containment by
+//!   [`ufa_contains_unchecked`], which compares exact accepting-path
+//!   counts (add-only multi-word integers whose width is fixed before
+//!   counting from `|starts| · maxdeg^L`, so none can overflow). Its
+//!   `Fails` verdicts can be spurious on the documented
+//!   boundary-empty-span corner, so they — like declined pairs — are
+//!   confirmed through the general (antichain) engine. Batch verdicts
+//!   therefore never depend on routing.
 //!
 //! The general route runs on the antichain-pruned containment engine by
 //! default ([`CheckStrategy::Antichain`]); the determinize-first
@@ -39,8 +38,8 @@
 //! the `t3_certification_scaling` benchmark.
 //!
 //! [`ufa_contains_unchecked`]: splitc_automata::unambiguous::ufa_contains_unchecked
-//! [`COUNT_PRIMES`]: splitc_automata::counting::COUNT_PRIMES
 
+use crate::pool::scoped_map;
 use parking_lot::Mutex;
 use splitc_core::{
     split_correct_composed, split_correct_df_prechecked, CertError, CheckStrategy, Verdict,
@@ -55,14 +54,9 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy)]
 pub struct CertifyConfig {
     /// Certification worker threads. `0` is normalized to 1, matching
-    /// the contract of every pool entry point in this crate.
+    /// the contract of every pool entry point in this crate; a single
+    /// worker or a single pair runs on the calling thread.
     pub workers: usize,
-    /// Try the Theorem 5.7 polynomial fast path first on eligible
-    /// deterministic-functional pairs (disjoint splitters only). Only
-    /// its `Holds` verdicts are accepted directly; declined pairs and
-    /// fast-path failures are (re)checked by the general engine, so
-    /// this knob trades cost, never verdicts.
-    pub try_fast_path: bool,
     /// Containment engine for the general route. The default is the
     /// antichain-pruned search; [`CheckStrategy::DeterminizeFirst`] is
     /// the benchmark/differential reference.
@@ -73,7 +67,6 @@ impl Default for CertifyConfig {
     fn default() -> Self {
         CertifyConfig {
             workers: 4,
-            try_fast_path: true,
             strategy: CheckStrategy::default(),
         }
     }
@@ -154,12 +147,10 @@ struct Shared<'a> {
     splitter: &'a Splitter,
     /// `P_S` index → composed `P_S ∘ S`, built at most once per index.
     composed: Mutex<HashMap<usize, Arc<Vsa>>>,
-    /// Spanner index → passes the per-spanner fast-path preconditions.
+    /// Spanner index → it and the splitter pass their fast-path
+    /// preconditions.
     df_eligible: Vec<bool>,
-    /// The splitter passes its fast-path preconditions.
-    splitter_df: bool,
     strategy: CheckStrategy,
-    try_fast_path: bool,
     fast_path: AtomicUsize,
     general: AtomicUsize,
     fallbacks: AtomicUsize,
@@ -217,17 +208,16 @@ impl Shared<'_> {
                 path: CertPath::General,
             };
         }
-        if self.try_fast_path && self.splitter_df && self.df_eligible[pi] && self.df_eligible[si] {
+        if self.df_eligible[pi] && self.df_eligible[si] {
             // Preconditions were established at batch level (splitter)
             // and per spanner index, so the per-pair cost is just the
             // Thm 5.7 check itself — no revalidation.
             let v = split_correct_df_prechecked(p, ps, self.splitter);
             if v.holds() {
-                // A fast-path Holds is accepted unconfirmed: the Theorem
-                // 5.7 pointwise check is *stronger* than `P = P_S ∘ S`,
-                // so agreement per covering split implies equality. It is
-                // not exact: its containment agrees on path counts only
-                // modulo the three `COUNT_PRIMES` (ROADMAP item 13).
+                // A fast-path Holds is a proof: the Theorem 5.7
+                // pointwise check is *stronger* than `P = P_S ∘ S`, so
+                // agreement per covering split implies equality, and its
+                // containment compares exact path counts.
                 self.fast_path.fetch_add(1, Ordering::Relaxed);
                 return Certification {
                     pair,
@@ -284,14 +274,12 @@ pub fn certify_many(
     pairs: &[(usize, usize)],
     config: &CertifyConfig,
 ) -> CertifyResult {
-    let workers = config.workers.max(1).min(pairs.len().max(1));
     // Batch-level precomputation: splitter preconditions once, spanner
     // preconditions once per distinct index (not once per pair).
-    let splitter_df = config.try_fast_path
-        && splitter.vsa().is_functional()
+    let splitter_df = splitter.vsa().is_functional()
         && splitter.vsa().is_deterministic()
         && splitter.is_disjoint();
-    let df_eligible: Vec<bool> = if config.try_fast_path && splitter_df {
+    let df_eligible: Vec<bool> = if splitter_df {
         spanners
             .iter()
             .map(|v| v.is_functional() && v.is_deterministic())
@@ -305,9 +293,7 @@ pub fn certify_many(
         splitter,
         composed: Mutex::new(HashMap::new()),
         df_eligible,
-        splitter_df,
         strategy: config.strategy,
-        try_fast_path: config.try_fast_path,
         fast_path: AtomicUsize::new(0),
         general: AtomicUsize::new(0),
         fallbacks: AtomicUsize::new(0),
@@ -315,30 +301,11 @@ pub fn certify_many(
         compose_misses: AtomicUsize::new(0),
     };
 
-    // Indexed work stealing over the pair list; slots keep the output
-    // order deterministic regardless of scheduling (same shape as the
-    // corpus runner's aggregation).
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Certification>>> = Mutex::new(vec![None; pairs.len()]);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= pairs.len() {
-                    break;
-                }
-                let outcome = shared.certify_pair(pairs[i]);
-                slots.lock()[i] = Some(outcome);
-            });
-        }
+    // Work stealing over the pair list; outcomes come back in input
+    // order regardless of scheduling.
+    let outcomes = scoped_map(config.workers, pairs.len(), |i| {
+        shared.certify_pair(pairs[i])
     });
-
-    // The shimmed parking_lot Mutex has no into_inner; the pool is done,
-    // so taking the buffer through the lock is equivalent.
-    let outcomes: Vec<Certification> = std::mem::take(&mut *slots.lock())
-        .into_iter()
-        .map(|s| s.expect("every pair certified"))
-        .collect();
     let stats = CertifyStats {
         pairs: pairs.len(),
         fast_path: shared.fast_path.load(Ordering::Relaxed),
@@ -450,30 +417,27 @@ mod tests {
 
     #[test]
     fn fast_path_routes_deterministic_fleets() {
-        let spanners: Vec<Vsa> = fleet()[..1]
-            .iter()
-            .map(Vsa::determinize)
-            .chain([vsa(".*x{ab}.*").determinize()])
+        // Determinized members and splitter are fast-path eligible. The
+        // two local extractors certify there; the crossing one fails
+        // there and is confirmed by the general engine. Every outcome is
+        // `split_correct`'s verdict, witness included.
+        let spanners: Vec<Vsa> = [".*x{a+}.*", ".*x{ab}.*", ".*x{a\\.a}.*"]
+            .into_iter()
+            .map(|p| vsa(p).determinize())
             .collect();
         let s = splitter::sentences().determinize();
-        let pairs = vec![(0, 0), (1, 1)];
+        let pairs = vec![(0, 0), (1, 1), (2, 2)];
         let result = certify_many(&spanners, &s, &pairs, &CertifyConfig::default());
-        assert!(result.all_hold());
+        for (outcome, &(pi, si)) in result.outcomes.iter().zip(&pairs) {
+            let reference = split_correct(&spanners[pi], &spanners[si], &s);
+            assert_eq!(outcome.verdict, reference, "pair ({pi}, {si})");
+        }
+        let paths: Vec<CertPath> = result.outcomes.iter().map(|c| c.path).collect();
+        use CertPath::{FastPath, General};
+        assert_eq!(paths, [FastPath, FastPath, General]);
         assert_eq!(result.stats.fast_path, 2, "{:?}", result.stats);
-        assert_eq!(result.stats.general, 0);
-        // Opting out routes everything through the general engine.
-        let general_only = certify_many(
-            &spanners,
-            &s,
-            &pairs,
-            &CertifyConfig {
-                try_fast_path: false,
-                ..CertifyConfig::default()
-            },
-        );
-        assert!(general_only.all_hold());
-        assert_eq!(general_only.stats.fast_path, 0);
-        assert_eq!(general_only.stats.general, 2);
+        assert_eq!(result.stats.general, 1);
+        assert_eq!(result.stats.fast_path_fallbacks, 1);
     }
 
     #[test]
@@ -527,8 +491,8 @@ mod tests {
         // The repo's documented corner (split_correctness module docs,
         // `boundary_empty_span_corner` test): the Theorem 5.7 pointwise
         // procedure reports Fails while the exact semantics Holds. The
-        // batch certifier must report the exact verdict regardless of
-        // fast-path eligibility.
+        // pair is fast-path eligible, and the batch certifier must still
+        // report the exact verdict.
         let spanners = vec![vsa("a(y{})b").determinize(), vsa("y{}b").determinize()];
         let s = splitc_spanner::Splitter::parse("x{a}b|a(x{b})")
             .unwrap()
@@ -538,25 +502,12 @@ mod tests {
                 .unwrap()
                 .holds()
         );
-        let exact = split_correct(&spanners[0], &spanners[1], &s).unwrap();
-        assert!(exact.holds());
-        for try_fast_path in [true, false] {
-            let result = certify_many(
-                &spanners,
-                &s,
-                &[(0, 1)],
-                &CertifyConfig {
-                    try_fast_path,
-                    workers: 1,
-                    ..CertifyConfig::default()
-                },
-            );
-            assert!(
-                result.outcomes[0].holds(),
-                "routing must not change the verdict (try_fast_path={try_fast_path}): {:?}",
-                result.stats
-            );
-        }
+        let exact = split_correct(&spanners[0], &spanners[1], &s);
+        assert!(exact.as_ref().unwrap().holds());
+        let result = certify_many(&spanners, &s, &[(0, 1)], &CertifyConfig::default());
+        assert_eq!(result.outcomes[0].verdict, exact, "{:?}", result.stats);
+        assert_eq!(result.outcomes[0].path, CertPath::General);
+        assert_eq!(result.stats.fast_path_fallbacks, 1, "the fast path ran");
     }
 
     #[test]

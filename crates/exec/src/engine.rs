@@ -3,8 +3,9 @@
 //! ([`splitc_spanner::engine::TieredEvsa`], which owns tier selection,
 //! the document gate and pooled scan caches; [`Engine`] is re-exported
 //! from there), and the split / many-document evaluation entry points
-//! over a scoped thread pool.
+//! over scoped threads (`pool::scoped_map`).
 
+use crate::pool::scoped_map;
 use splitc_spanner::dense::DenseCache;
 use splitc_spanner::engine::TieredEvsa;
 use splitc_spanner::evsa::EVsa;
@@ -13,7 +14,6 @@ use splitc_spanner::span::Span;
 use splitc_spanner::splitter::Splitter;
 use splitc_spanner::tuple::SpanRelation;
 use splitc_spanner::vsa::Vsa;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 pub use splitc_spanner::engine::Engine;
@@ -131,7 +131,7 @@ pub fn evaluate_split(
     if chunks.is_empty() {
         return SpanRelation::empty();
     }
-    let results = run_pool(workers, chunks.len(), |i| {
+    let results = scoped_map(workers, chunks.len(), |i| {
         let sp = chunks[i];
         let mut local = split_spanner.eval(sp.slice(doc));
         local.shift_in_place(sp);
@@ -145,7 +145,7 @@ pub fn evaluate_split(
 /// experiments). Returns one relation per document, in order.
 /// `workers == 0` is normalized to 1.
 pub fn evaluate_many(spanner: &ExecSpanner, docs: &[&[u8]], workers: usize) -> Vec<SpanRelation> {
-    run_pool(workers, docs.len(), |i| spanner.eval(docs[i]))
+    scoped_map(workers, docs.len(), |i| spanner.eval(docs[i]))
 }
 
 /// Evaluates over a collection of documents with **per-chunk tasks**:
@@ -168,11 +168,11 @@ pub fn evaluate_many_split(
     }
     // Empty task lists skip the pool and merge machinery entirely —
     // frequent when splits produce nothing. (Singleton lists are already
-    // run inline by `run_pool`, which spawns no threads for `n <= 1`.)
+    // run inline by `scoped_map`, which spawns no threads for `n <= 1`.)
     if tasks.is_empty() {
         return docs.iter().map(|_| SpanRelation::empty()).collect();
     }
-    let partials = run_pool(workers, tasks.len(), |i| {
+    let partials = scoped_map(workers, tasks.len(), |i| {
         let (di, sp) = tasks[i];
         let mut local = split_spanner.eval(sp.slice(docs[di]));
         local.shift_in_place(sp);
@@ -184,57 +184,6 @@ pub fn evaluate_many_split(
     }
     per_doc.into_iter().map(SpanRelation::concat).collect()
 }
-
-/// Runs `n` independent tasks on `workers` threads with work stealing
-/// via a shared atomic counter; collects results in task order.
-///
-/// `workers == 0` is normalized to 1: the pool entry points document
-/// "0 means sequential" rather than panicking deep inside the engine,
-/// so callers can pass a possibly-zero configured value straight
-/// through.
-fn run_pool<T, F>(workers: usize, n: usize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.max(1);
-    if workers == 1 || n <= 1 {
-        return (0..n).map(task).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let slots_ptr = SlotsPtr(slots.as_mut_ptr());
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n) {
-            let next = &next;
-            let task = &task;
-            let slots_ptr = &slots_ptr;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = task(i);
-                // SAFETY: each index is claimed exactly once via the
-                // atomic counter, so writes to distinct slots never
-                // alias; the scope guarantees the buffer outlives the
-                // threads.
-                unsafe {
-                    *slots_ptr.0.add(i) = Some(out);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every task ran"))
-        .collect()
-}
-
-/// Send/Sync wrapper for the disjoint-slot output buffer.
-struct SlotsPtr<T>(*mut Option<T>);
-unsafe impl<T: Send> Send for SlotsPtr<T> {}
-unsafe impl<T: Send> Sync for SlotsPtr<T> {}
 
 #[cfg(test)]
 mod tests {

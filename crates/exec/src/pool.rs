@@ -21,9 +21,13 @@
 //! A job that panics is caught by the pool thread (the panic is
 //! reported to the submitting runner through its own drain-on-panic
 //! protocol), so one poisoned request can never shrink the pool.
+//!
+//! One-shot indexed batches (`evaluate_split`, `evaluate_many*`,
+//! `certify_many`) instead run on `scoped_map`: scoped threads for
+//! one call, or none at all for one worker or one task.
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -151,10 +155,46 @@ impl Drop for EvalPool {
     }
 }
 
+/// Runs `task(0)`, …, `task(n - 1)` on up to `workers` scoped threads
+/// that steal indices from a shared counter, and returns the results in
+/// index order. With one worker or at most one task it runs on the
+/// calling thread and spawns nothing; `workers == 0` is normalized to 1.
+/// Each worker returns its `(index, value)` pairs, and the caller places
+/// them after the join. A panicking task is re-raised on the caller.
+pub(crate) fn scoped_map<T, F>(workers: usize, n: usize, task: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = workers.max(1).min(n);
+    if workers <= 1 {
+        return (0..n).map(task).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let steal = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, task(i)));
+        }
+    };
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(steal)).collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, v)| v).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn runs_all_jobs_and_counts() {
@@ -172,6 +212,26 @@ mod tests {
         assert_eq!(stats_before.submitted, 50);
         drop(pool);
         assert_eq!(n.load(Ordering::Relaxed), 50);
+    }
+
+    #[test]
+    fn scoped_map_keeps_index_order_and_runs_small_batches_inline() {
+        for workers in [0, 1, 3] {
+            let squares = scoped_map(workers, 50, |i| i * i);
+            assert_eq!(squares, (0..50).map(|i| i * i).collect::<Vec<_>>());
+        }
+        // One worker or one task: the caller's thread, nothing spawned.
+        let caller = std::thread::current().id();
+        let on = |_| std::thread::current().id();
+        assert_eq!(scoped_map(1, 4, on), vec![caller; 4]);
+        assert_eq!(scoped_map(4, 1, on), vec![caller]);
+        assert!(scoped_map(4, 0, |i| i).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "task 7")]
+    fn scoped_map_reraises_a_task_panic() {
+        scoped_map(2, 16, |i| assert_ne!(i, 7, "task 7"));
     }
 
     #[test]

@@ -481,13 +481,11 @@ impl Target {
     /// per-member verdicts (one for a spanner), and whether all were
     /// cached.
     fn certify(&self, registry: &Registry, splitter: &SplitterEntry) -> (Vec<CachedVerdict>, bool) {
-        match self {
-            Target::Spanner(s) => {
-                let (verdict, cached) = registry.certify_spanner(s, splitter);
-                (vec![verdict], cached)
-            }
-            Target::Fleet(f) => registry.certify_fleet(f, splitter),
-        }
+        let (ids, vsas) = match self {
+            Target::Spanner(s) => (std::slice::from_ref(&s.id), std::slice::from_ref(&s.vsa)),
+            Target::Fleet(f) => (&f.member_ids[..], &f.vsas[..]),
+        };
+        registry.certify_members(ids, vsas, splitter)
     }
 
     /// Runs the target over `input` with `runner`'s pool and tuning, and

@@ -7,13 +7,14 @@
 //! artifacts — from any connection, in any order — returns the already
 //! compiled entry and counts a compile-cache hit. Certification
 //! verdicts are memoized in a [`CertCache`] keyed by
-//! `(spanner id, splitter id)`; a fleet certifies its *uncached*
-//! members in one [`certify_many`] batch (sharing that engine's
-//! composition memo and fast-path routing) and seeds the cache with the
-//! outcomes.
+//! `(spanner id, splitter id)`. A spanner and a fleet certify by one
+//! route: probe the cache per member, certify the *uncached* members in
+//! one [`certify_many`] batch (sharing that engine's composition memo
+//! and fast-path routing), and seed the cache with the outcomes. So a
+//! key's verdict does not depend on whether a spanner or a fleet asked
+//! first.
 
 use splitc_core::cache::{content_hash, CachedVerdict, CertCache, CertCacheStats};
-use splitc_core::split_correct;
 use splitc_exec::{certify_many, CertifyConfig, CorpusHandle, Engine, ExecSpanner, Fleet};
 use splitc_spanner::splitter as splitters;
 use splitc_spanner::splitter::CompiledSplitter;
@@ -342,50 +343,58 @@ impl Registry {
         spanner: &SpannerEntry,
         splitter: &SplitterEntry,
     ) -> (CachedVerdict, bool) {
-        self.cert.get_or_certify((spanner.id, splitter.id), || {
-            split_correct(&spanner.vsa, &spanner.vsa, &splitter.splitter)
-        })
+        let ids = std::slice::from_ref(&spanner.id);
+        let (mut verdicts, cached) =
+            self.certify_members(ids, std::slice::from_ref(&spanner.vsa), splitter);
+        (verdicts.pop().expect("one member"), cached)
     }
 
-    /// Certifies every member of a fleet against `splitter`, batching
-    /// all *uncached* members through one [`certify_many`] call (shared
-    /// composition memo, Thm 5.7 fast-path routing) and seeding the
-    /// cache with the outcomes. Returns per-member verdicts in fleet
-    /// order plus whether every member was already cached.
+    /// Certifies every member of a fleet against `splitter` through the
+    /// cache. Returns per-member verdicts in fleet order plus whether
+    /// every member was already cached.
     pub fn certify_fleet(
         &self,
         fleet: &FleetEntry,
         splitter: &SplitterEntry,
     ) -> (Vec<CachedVerdict>, bool) {
-        let mut verdicts: Vec<Option<CachedVerdict>> = Vec::new();
-        let mut missing: Vec<usize> = Vec::new();
-        for (i, member_id) in fleet.member_ids.iter().enumerate() {
-            match self.cert.get((*member_id, splitter.id)) {
-                Some(v) => verdicts.push(Some(v)),
-                None => {
-                    verdicts.push(None);
-                    missing.push(i);
-                }
-            }
-        }
+        self.certify_members(&fleet.member_ids, &fleet.vsas, splitter)
+    }
+
+    /// The one certification route: one [`CertCache::get`] per member
+    /// (`ids[i]` names `vsas[i]`), one [`certify_many`] batch over the
+    /// misses, then a [`CertCache::insert`] per outcome. Returns the
+    /// verdicts in member order and whether every member was cached.
+    pub(crate) fn certify_members(
+        &self,
+        ids: &[u64],
+        vsas: &[Vsa],
+        splitter: &SplitterEntry,
+    ) -> (Vec<CachedVerdict>, bool) {
+        let mut verdicts: Vec<Option<CachedVerdict>> = ids
+            .iter()
+            .map(|&id| self.cert.get((id, splitter.id)))
+            .collect();
+        let missing: Vec<(usize, usize)> = (0..ids.len())
+            .filter(|&i| verdicts[i].is_none())
+            .map(|i| (i, i))
+            .collect();
         let all_cached = missing.is_empty();
         if !all_cached {
-            let vsas: Vec<Vsa> = missing.iter().map(|&i| fleet.vsas[i].clone()).collect();
-            let pairs: Vec<(usize, usize)> = (0..vsas.len()).map(|j| (j, j)).collect();
-            let result = certify_many(&vsas, &splitter.splitter, &pairs, &CertifyConfig::default());
-            for (j, outcome) in result.outcomes.into_iter().enumerate() {
-                let i = missing[j];
-                let key = (fleet.member_ids[i], splitter.id);
-                verdicts[i] = Some(self.cert.insert(key, outcome.verdict));
+            let result = certify_many(
+                vsas,
+                &splitter.splitter,
+                &missing,
+                &CertifyConfig::default(),
+            );
+            for outcome in result.outcomes {
+                let i = outcome.pair.0;
+                verdicts[i] = Some(self.cert.insert((ids[i], splitter.id), outcome.verdict));
             }
         }
-        (
-            verdicts
-                .into_iter()
-                .map(|v| v.expect("every member resolved"))
-                .collect(),
-            all_cached,
-        )
+        let verdicts = verdicts
+            .into_iter()
+            .map(|v| v.expect("every member resolved"));
+        (verdicts.collect(), all_cached)
     }
 
     /// Certification-cache counters.

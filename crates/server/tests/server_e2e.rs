@@ -1106,3 +1106,125 @@ fn stats_exec_totals_are_the_sum_of_the_extract_replies() {
         answered
     );
 }
+
+/// `hits + misses` of a `{"hits", "misses", ...}` counter object.
+fn lookups(counters: &Json) -> u64 {
+    let count = |key| counters.get(key).unwrap().as_u64().unwrap();
+    count("hits") + count("misses")
+}
+
+#[test]
+fn cache_counters_conserve_lookups_and_segments() {
+    let server = spawn(2, 8);
+    let mut client = Client::new(server.addr());
+    let sp1 = register_spanner(&mut client, LOCAL);
+    let sp2 = register_spanner(&mut client, LOCAL2);
+    let splitter = register_sentences(&mut client);
+    let members = Json::Arr(vec![Json::str(sp1.clone()), Json::str(sp2)]);
+    let (_, body) = client
+        .post("/fleets", &Json::obj(vec![("members", members)]))
+        .unwrap();
+    let fleet = body.get("id").unwrap().as_str().unwrap().to_string();
+    let shards = docs_json(&["aa bb. ab ba. a", "bbb a. aaa.", "", "a. b. a"]);
+    let corpus = Json::obj(vec![
+        ("splitter", Json::str(&*splitter)),
+        ("shards", shards),
+    ]);
+    assert_eq!(client.put("/corpus/cons", &corpus).unwrap().0, 200);
+    let stats = |client: &mut Client| client.get("/stats").unwrap().1;
+
+    // Certification lookups: one per member for each /certify and each
+    // checked /extract, none for an unchecked one.
+    let spanner = ("spanner", sp1.as_str(), 1);
+    let fleet = ("fleet", fleet.as_str(), 2);
+    let mut expected = 0;
+    for (key, id, members) in [spanner, spanner, fleet, fleet] {
+        let req = vec![(key, Json::str(id)), ("splitter", Json::str(&*splitter))];
+        let (status, body) = client.post("/certify", &Json::obj(req)).unwrap();
+        assert_eq!(status, 200, "{body}");
+        expected += members;
+    }
+    for (unchecked, (key, id, members)) in [(false, spanner), (false, fleet), (true, fleet)] {
+        let req = vec![
+            (key, Json::str(id)),
+            ("splitter", Json::str(&*splitter)),
+            ("docs", docs_json(&["aa b.", "b a"])),
+            ("unchecked", Json::Bool(unchecked)),
+        ];
+        let (status, body) = client.post("/extract", &Json::obj(req)).unwrap();
+        assert_eq!(status, 200, "{body}");
+        expected += if unchecked { 0 } else { members };
+    }
+
+    // Corpus runs between deltas of every kind. Each spanner run's
+    // segment-cache lookups are its reply's `segments`; each delta's
+    // reused and resplit segments are the edited shard's segments.
+    let by_corpus = |(key, id, _): (&str, &str, u64)| {
+        Json::obj(vec![(key, Json::str(id)), ("corpus", Json::str("cons"))])
+    };
+    let edit = |shard: u32, start: u32, end: u32, text: &str| {
+        vec![
+            ("op", Json::str("edit")),
+            ("shard", Json::num(shard)),
+            ("start", Json::num(start)),
+            ("end", Json::num(end)),
+            ("text", Json::str(text)),
+        ]
+    };
+    let deltas = [
+        edit(0, 14, 15, "aab. b"),
+        edit(0, 3, 5, "b. aab"),
+        vec![
+            ("op", Json::str("append")),
+            ("shard", Json::num(1u32)),
+            ("text", Json::str(" ab. aab")),
+        ],
+        vec![
+            ("op", Json::str("replace_shard")),
+            ("shard", Json::num(2u32)),
+            ("text", Json::str("a b. ba. a")),
+        ],
+        edit(3, 0, 3, ""),
+    ];
+    let mut runs = 0;
+    for delta in std::iter::once(None).chain(deltas.into_iter().map(Some)) {
+        if let Some(delta) = delta {
+            let shard = delta[1].1.as_u64().unwrap() as usize;
+            let (status, body) = client
+                .post("/corpus/cons/delta", &Json::obj(delta))
+                .unwrap();
+            assert_eq!(status, 200, "{body}");
+            let delta = body.get("delta").unwrap();
+            let count = |key| delta.get(key).unwrap().as_u64().unwrap();
+            let (_, summary) = client.get("/corpus/cons").unwrap();
+            let sizes = summary.get("shard_sizes").unwrap().as_arr().unwrap();
+            assert_eq!(
+                count("segments_reused_prefix")
+                    + count("segments_reused_suffix")
+                    + count("segments_resplit"),
+                sizes[shard].get("segments").unwrap().as_u64().unwrap(),
+                "shard {shard}: {delta}"
+            );
+        }
+        // Twice, so the second run answers from the per-shard memo.
+        for _ in 0..2 {
+            let before = lookups(stats(&mut client).get("segment_cache").unwrap());
+            let (status, body) = client.post("/extract", &by_corpus(spanner)).unwrap();
+            assert_eq!(status, 200, "{body}");
+            let reply = body.get("stats").unwrap();
+            let after = lookups(reply.get("segment_cache").unwrap());
+            let segments = reply.get("segments").unwrap().as_u64().unwrap();
+            assert_eq!(after - before, segments, "run {runs}: {reply}");
+            runs += 1;
+            let (status, body) = client.post("/extract", &by_corpus(fleet)).unwrap();
+            assert_eq!(status, 200, "{body}");
+            expected += spanner.2 + fleet.2;
+        }
+    }
+
+    let cert = stats(&mut client);
+    let cert = cert.get("registry").unwrap().get("cert_cache").unwrap();
+    assert_eq!(lookups(cert), expected, "{cert}");
+    assert_eq!(cert.get("misses").unwrap().as_u64(), Some(2), "{cert}");
+    assert_eq!(cert.get("entries").unwrap().as_u64(), Some(2), "{cert}");
+}

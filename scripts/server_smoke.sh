@@ -162,11 +162,14 @@ call("POST", "/extract", by_corpus, expect=404)
 # extractions certify the same pair — cache hits), exactly the two
 # deliberate 4xx probes above, and six /extract requests (inline docs,
 # the unknown-field 400, three corpus runs, the post-delete 404).
+# Certification lookups: two /certify, the checked inline extract and
+# the three corpus extracts; the two refused extracts fail before it.
 stats = json.loads(call("GET", "/stats"))
 assert stats["v"] == 1, f"stats responses carry the protocol version: {stats}"
 cc = stats["registry"]["cert_cache"]
 assert cc["misses"] == 1, f"exactly one cold certification expected: {cc}"
-assert cc["hits"] >= 2, f"re-certify + checked extract must hit: {cc}"
+assert cc["hits"] + cc["misses"] == 2 + 1 + 3, \
+    f"one lookup per /certify and checked /extract expected: {cc}"
 assert stats["registry"]["corpora"] == 0, \
     f"the smoke corpus was deleted: {stats['registry']}"
 assert stats["responses"]["client_4xx"] == 2 \
